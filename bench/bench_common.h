@@ -38,8 +38,7 @@ namespace iotaxo::bench {
 }
 
 /// Benches run a scaled-down total (the simulator reproduces overhead
-/// *ratios*, which are scale-free once per-run constants are amortized;
-/// EXPERIMENTS.md documents the scaling).
+/// *ratios*, which are scale-free once per-run constants are amortized).
 inline constexpr Bytes kScaledTotalN1 = 4 * kGiB;   // paper: one 100 GiB file
 inline constexpr Bytes kScaledTotalNN = 4 * kGiB;   // paper: N x 10 GiB files
 

@@ -75,6 +75,7 @@ int main() {
               expected.size() * 3 - mismatches, expected.size() * 3);
   std::printf(
       "Quantitative rows (replay fidelity, elapsed overhead) are measured\n"
-      "on scaled workloads; see EXPERIMENTS.md for paper-vs-measured.\n");
+      "on scaled workloads; bench_anchor_overheads prints the §4.1.2\n"
+      "overhead anchors paper-vs-measured.\n");
   return mismatches == 0 ? 0 : 1;
 }

@@ -151,7 +151,7 @@ struct DfgOptions {
   /// in pool order, so results are identical for every setting.
   std::size_t threads = 0;
   /// Restrict mining to one rank (the CLI's --rank).
-  std::optional<int> rank;
+  std::optional<int> rank{};
   /// Retain per-rank event sequences (required by PhaseSegmenter; off by
   /// default to keep graph-only mining at ~node+edge memory).
   bool keep_sequences = false;

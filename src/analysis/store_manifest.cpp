@@ -75,8 +75,7 @@ class Reader {
 }  // namespace
 
 std::vector<std::uint8_t> StoreManifest::encode() const {
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), kMagic, kMagic + 6);
+  std::vector<std::uint8_t> out(kMagic, kMagic + 6);
   put_u64(out, next_seq);
   put_u32(out, static_cast<std::uint32_t>(entries.size()));
   for (const ManifestEntry& e : entries) {

@@ -139,6 +139,7 @@ void UnifiedTraceStore::index_pool(StorePool& pool) {
     idx.sys_write_id = v.find_string("SYS_write").value_or(0);
     idx.sys_read_id = v.find_string("SYS_read").value_or(0);
     idx.name_present.assign(v.string_count(), false);
+    std::vector<std::uint8_t> names((v.string_count() + 7) / 8, 0);
     const std::size_t nblocks = v.block_count();
     for (std::size_t b = 0; b < nblocks; ++b) {
       if (!idx.any) {
@@ -151,11 +152,14 @@ void UnifiedTraceStore::index_pool(StorePool& pool) {
       }
       idx.has_fd_path = idx.has_fd_path || v.block_has_fd_path(b);
       idx.has_io_bytes = idx.has_io_bytes || v.block_has_io_bytes(b);
-      for (trace::StrId id = 1; id < idx.name_present.size(); ++id) {
-        if (!idx.name_present[id] && v.block_has_name(b, id)) {
-          idx.name_present[id] = true;
-        }
+      const std::span<const std::uint8_t> bitmap = v.block_name_bitmap(b);
+      for (std::size_t j = 0; j < names.size(); ++j) {
+        names[j] |= bitmap[j];
       }
+    }
+    // Id 0 stays false, as PoolIndex::has_name reads it.
+    for (trace::StrId id = 1; id < idx.name_present.size(); ++id) {
+      idx.name_present[id] = ((names[id >> 3] >> (id & 7u)) & 1u) != 0;
     }
     pool.index = std::move(idx);
     return;

@@ -31,8 +31,8 @@ enum class Mechanism {
 [[nodiscard]] const char* to_string(Mechanism m) noexcept;
 
 /// Per-event capture costs. Defaults are calibrated so the LANL-Trace
-/// overhead experiments land on the paper's anchor points (§4.1.2); see
-/// EXPERIMENTS.md for the calibration table.
+/// overhead experiments land on the paper's anchor points (§4.1.2);
+/// bench_anchor_overheads prints the paper-vs-measured table.
 struct InterposeCosts {
   SimTime ptrace_syscall_event = from_micros(300.0);
   SimTime ptrace_library_event = from_micros(329.0);

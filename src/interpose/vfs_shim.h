@@ -57,7 +57,7 @@ struct VfsShimOptions {
   /// barrier. Benchmark-scale knob — simulated capture *cost* is unchanged
   /// (record_cost et al. model the in-kernel path), only real sink delivery
   /// leaves the caller's thread.
-  trace::AsyncFlushMode async_flush;
+  trace::AsyncFlushMode async_flush{};
 };
 
 class VfsShim : public fs::Vfs {

@@ -91,6 +91,11 @@
 //           set, then cbc_encrypt_with_iv(..., block_iv(b, group)) when
 //           bit1 is set (IV derived from the block ordinal + group; not
 //           stored). Narrow queries decode only the hot group.
+//           Decode contract: a stored group always decodes to exactly
+//           records x stride bytes (the footer's record count times the
+//           group's stride), and the reader hands that size to the LZ
+//           decoder, which writes into one buffer of that size and rejects
+//           a stream that would overrun it or end short of it.
 //   footer  nblocks fixed entries (offsets in v3layout below):
 //             u64 offset       byte offset of the stored block in `blocks`
 //             u64 stored_len   stored byte length (projected: of the HOT

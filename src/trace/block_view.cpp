@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_set>
 
 #include "trace/scan_kernels.h"
 #include "util/compress.h"
@@ -109,8 +108,7 @@ BlockView::BlockView(std::span<const std::uint8_t> data,
   if (!strings_.front().empty()) {
     throw FormatError("binary trace v2: string id 0 must be empty");
   }
-  std::unordered_set<std::string_view> seen(strings_.begin(), strings_.end());
-  if (seen.size() != strings_.size()) {
+  if (!all_distinct(strings_)) {
     throw FormatError("binary trace v2: string table is not interned");
   }
 
@@ -309,20 +307,21 @@ std::span<const std::uint8_t> BlockView::decode_group_plain(
     }
     plain = owned;
   }
+  const std::size_t stride =
+      !header_.projected ? v2layout::kStride
+                         : (group == 0 ? hotlayout::kStride
+                                       : coldlayout::kStride);
+  const std::size_t plain_size = static_cast<std::size_t>(m.records) * stride;
   if (header_.compressed) {
     const obs::ScopedTimer timer(metrics().decompress_ns);
     try {
-      owned = lz_decompress(plain);
+      owned = lz_decompress(plain, plain_size);
     } catch (const Error&) {
       throw FormatError(strprintf("binary trace v3: block %zu is corrupt", b));
     }
     plain = owned;
   }
-  const std::size_t stride =
-      !header_.projected ? v2layout::kStride
-                         : (group == 0 ? hotlayout::kStride
-                                       : coldlayout::kStride);
-  if (plain.size() != static_cast<std::size_t>(m.records) * stride) {
+  if (plain.size() != plain_size) {
     throw FormatError(
         strprintf("binary trace v3: block %zu size mismatch", b));
   }

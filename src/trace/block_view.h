@@ -126,6 +126,12 @@ class BlockView {
     }
     return (bitmap_of(b)[id >> 3] & (1u << (id & 7u))) != 0;
   }
+  /// Block b's footer name bitmap: (string_count() + 7) / 8 bytes, bit
+  /// `id` set iff some record's name is string id `id`.
+  [[nodiscard]] std::span<const std::uint8_t> block_name_bitmap(
+      std::size_t b) const noexcept {
+    return {bitmap_of(b), bitmap_bytes_};
+  }
   [[nodiscard]] bool block_has_fd_path(std::size_t b) const noexcept {
     return (meta_[b].flags & v3layout::kBlockHasFdPath) != 0;
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_set>
 
 #include "trace/scan_kernels.h"
 #include "util/crc32.h"
@@ -109,8 +108,7 @@ BatchView::BatchView(std::span<const std::uint8_t> data) : buffer_(data) {
   // Reject duplicate table entries exactly as decode_binary_batch does —
   // duplicates would make interned-id equality scans (find_string + id
   // compare) silently miss records referencing the later copy.
-  std::unordered_set<std::string_view> seen(strings_.begin(), strings_.end());
-  if (seen.size() != strings_.size()) {
+  if (!all_distinct(strings_)) {
     throw FormatError("binary trace v2: string table is not interned");
   }
 

@@ -65,4 +65,33 @@ void StringPool::clear() {
   (void)intern(std::string_view{});
 }
 
+bool all_distinct(std::span<const std::string_view> table) {
+  // Linear probing at load <= 1/2. A slot packs the upper half of the
+  // string's hash over its index + 1 (0 = empty), so most probes settle
+  // on the tag without touching the string bytes.
+  std::size_t cap = 16;
+  while (cap < 2 * table.size()) {
+    cap *= 2;
+  }
+  const std::size_t mask = cap - 1;
+  std::vector<std::uint64_t> slots(cap, 0);
+  const std::hash<std::string_view> hash;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const std::uint64_t h = hash(table[i]);
+    const std::uint64_t tag = h & 0xFFFFFFFF00000000ULL;
+    for (std::size_t pos = h & mask;; pos = (pos + 1) & mask) {
+      const std::uint64_t slot = slots[pos];
+      if (slot == 0) {
+        slots[pos] = tag | (i + 1);
+        break;
+      }
+      if ((slot & 0xFFFFFFFF00000000ULL) == tag &&
+          table[(slot & 0xFFFFFFFFULL) - 1] == table[i]) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace iotaxo::trace

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -90,5 +91,10 @@ class StringPool {
   std::vector<const std::string*> by_id_;
   std::size_t bytes_ = 0;
 };
+
+/// True when no two entries of `table` are equal: the interning invariant
+/// a container's string table must hold, since readers compare ids and
+/// never strings. One flat open-addressing pass, one allocation.
+[[nodiscard]] bool all_distinct(std::span<const std::string_view> table);
 
 }  // namespace iotaxo::trace

@@ -7,6 +7,13 @@
 // (Needham & Wheeler, 1997) and our implementation is correct, but key
 // handling here is deliberately simple (passphrase -> KDF) and should not
 // be treated as production cryptography.
+//
+// CBC decryption runs 32 blocks in lockstep: each plaintext block is
+// D(C[i]) ^ C[i-1], so no block's decryption waits on another's, and the
+// XTEA rounds run lane-interleaved over 32 blocks in one vectorizable loop
+// (byte-identical to chaining xtea_decrypt_block). CBC encryption stays
+// serial by construction: each block's input is the previous block's
+// ciphertext.
 #pragma once
 
 #include <array>

@@ -1,7 +1,9 @@
 #include "util/compress.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
+#include <optional>
 
 #include "util/error.h"
 
@@ -81,39 +83,114 @@ std::vector<std::uint8_t> lz_compress(std::span<const std::uint8_t> input) {
   return out;
 }
 
-std::vector<std::uint8_t> lz_decompress(std::span<const std::uint8_t> input) {
-  std::vector<std::uint8_t> out;
-  out.reserve(input.size() * 3);
-  std::size_t i = 0;
-  while (i < input.size()) {
-    const std::uint8_t ctrl = input[i++];
+namespace {
+
+/// Output slack past the decoded size: a wild copy writes whole 16-byte
+/// chunks, so it may spill up to 15 bytes beyond the bytes it produces.
+constexpr std::size_t kWildCopy = 16;
+constexpr std::size_t kSlack = 2 * kWildCopy;
+/// Longest literal run one control byte (0x00..0x7F) encodes.
+constexpr std::size_t kMaxLiteral = 0x7F + 1;
+
+/// The one decode loop. Sized (`exact` set): writes into one buffer of
+/// exactly *exact bytes plus slack and throws before any write past it.
+/// Unsized: the buffer grows geometrically as ops need room.
+std::vector<std::uint8_t> decode(std::span<const std::uint8_t> input,
+                                 std::optional<std::size_t> exact) {
+  const std::uint8_t* in = input.data();
+  const std::uint8_t* const in_end = in + input.size();
+  std::size_t cap = exact.value_or(input.size() * 3);
+  std::vector<std::uint8_t> out(cap + kSlack);
+  std::uint8_t* op = out.data();
+  std::uint8_t* limit = op + cap;
+  // Called when an op would produce n bytes past `limit`.
+  const auto make_room = [&](std::size_t n) {
+    if (exact.has_value()) {
+      throw FormatError("lz: output exceeds the declared size");
+    }
+    const auto produced = static_cast<std::size_t>(op - out.data());
+    cap = std::max(2 * cap, produced + n);
+    out.resize(cap + kSlack);
+    op = out.data() + produced;
+    limit = out.data() + cap;
+  };
+  while (in < in_end) {
+    const std::uint8_t ctrl = *in++;
     if (ctrl < 0x80) {
       const std::size_t n = static_cast<std::size_t>(ctrl) + 1;
-      if (i + n > input.size()) {
+      if (n > static_cast<std::size_t>(in_end - in)) {
         throw FormatError("lz: literal run past end of input");
       }
-      out.insert(out.end(), input.begin() + static_cast<std::ptrdiff_t>(i),
-                 input.begin() + static_cast<std::ptrdiff_t>(i + n));
-      i += n;
+      if (n > static_cast<std::size_t>(limit - op)) {
+        make_room(n);
+      }
+      // Wild 16-byte chunks read up to 15 bytes past the literal but never
+      // more than a longest literal in all, so they run only while the
+      // input holds that many bytes; the input's tail copies exactly.
+      if (static_cast<std::size_t>(in_end - in) >= kMaxLiteral) {
+        for (std::size_t k = 0; k < n; k += kWildCopy) {
+          std::memcpy(op + k, in + k, kWildCopy);
+        }
+      } else {
+        std::memcpy(op, in, n);
+      }
+      in += n;
+      op += n;
     } else {
-      if (i + 2 > input.size()) {
+      if (in_end - in < 2) {
         throw FormatError("lz: truncated match");
       }
       const std::size_t len = static_cast<std::size_t>(ctrl & 0x7F) + kMinMatch;
-      const std::size_t dist = static_cast<std::size_t>(input[i]) |
-                               (static_cast<std::size_t>(input[i + 1]) << 8);
-      i += 2;
-      if (dist == 0 || dist > out.size()) {
+      const std::size_t dist = static_cast<std::size_t>(in[0]) |
+                               (static_cast<std::size_t>(in[1]) << 8);
+      in += 2;
+      if (dist == 0 || dist > static_cast<std::size_t>(op - out.data())) {
         throw FormatError("lz: invalid match distance");
       }
-      // Overlapping copies are valid (run-length style), so copy bytewise.
-      std::size_t src = out.size() - dist;
-      for (std::size_t k = 0; k < len; ++k) {
-        out.push_back(out[src + k]);
+      if (len > static_cast<std::size_t>(limit - op)) {
+        make_room(len);
       }
+      const std::uint8_t* src = op - dist;
+      if (dist >= kWildCopy) {
+        // Each chunk's source ends at or before its destination starts,
+        // and every source byte is already final: earlier output or an
+        // earlier chunk of this match.
+        for (std::size_t k = 0; k < len; k += kWildCopy) {
+          std::memcpy(op + k, src + k, kWildCopy);
+        }
+      } else {
+        // Overlapping (run-length style) copy: a byte may read one this
+        // loop just wrote.
+        for (std::size_t k = 0; k < len; ++k) {
+          op[k] = src[k];
+        }
+      }
+      op += len;
     }
   }
+  const auto produced = static_cast<std::size_t>(op - out.data());
+  if (exact.has_value() && produced != *exact) {
+    throw FormatError("lz: output is shorter than the declared size");
+  }
+  out.resize(produced);
   return out;
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> lz_decompress(std::span<const std::uint8_t> input) {
+  return decode(input, std::nullopt);
+}
+
+std::vector<std::uint8_t> lz_decompress(std::span<const std::uint8_t> input,
+                                        std::size_t size) {
+  // A literal op yields fewer bytes than it reads and a 3-byte match op at
+  // most kMaxMatch, so a size the input cannot reach is rejected before
+  // anything is allocated for it.
+  if (size > input.size() + kMaxMatch * (input.size() / 3)) {
+    throw FormatError("lz: declared size exceeds what the input can encode");
+  }
+  return decode(input, size);
 }
 
 }  // namespace iotaxo

@@ -23,4 +23,11 @@ namespace iotaxo {
 [[nodiscard]] std::vector<std::uint8_t> lz_decompress(
     std::span<const std::uint8_t> input);
 
+/// Decompress a buffer that must decode to exactly `size` bytes. The output
+/// is allocated once; a stream that would write past `size`, or ends short
+/// of it, throws FormatError (the overrun before any byte is written past
+/// `size`).
+[[nodiscard]] std::vector<std::uint8_t> lz_decompress(
+    std::span<const std::uint8_t> input, std::size_t size);
+
 }  // namespace iotaxo

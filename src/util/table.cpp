@@ -65,7 +65,9 @@ std::string TextTable::render() const {
   auto emit_row = [&](const std::vector<std::string>& cells) {
     std::string line = "|";
     for (std::size_t c = 0; c < cells.size(); ++c) {
-      line += " " + pad(cells[c], widths[c], aligns_[c]) + " |";
+      line += ' ';
+      line += pad(cells[c], widths[c], aligns_[c]);
+      line += " |";
     }
     line += "\n";
     return line;

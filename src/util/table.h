@@ -32,7 +32,7 @@ class TextTable {
   /// Render with unicode-free ASCII borders.
   [[nodiscard]] std::string render() const;
 
-  /// Render as Markdown (for EXPERIMENTS.md extraction).
+  /// Render as Markdown.
   [[nodiscard]] std::string render_markdown() const;
 
  private:

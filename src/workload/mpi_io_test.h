@@ -34,7 +34,7 @@ struct MpiIoTestParams {
   Bytes block = 64 * kKiB;
   /// Total bytes written by the whole job (paper: one 100 GiB file for
   /// N-to-1, N x 10 GiB files for N-to-N; benches default to a scaled-down
-  /// total and note the scaling in EXPERIMENTS.md).
+  /// total, bench::kScaledTotalN1 / kScaledTotalNN).
   Bytes total_bytes = 4 * kGiB;
   /// Number of objects; a barrier separates consecutive objects.
   int nobj = 1;

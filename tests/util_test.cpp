@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <set>
 
 #include "util/ascii_chart.h"
@@ -239,7 +240,9 @@ TEST_P(CompressRoundTrip, RandomData) {
   for (auto& b : data) {
     b = static_cast<std::uint8_t>(rng.uniform(0, 255));
   }
-  EXPECT_EQ(lz_decompress(lz_compress(data)), data);
+  const auto compressed = lz_compress(data);
+  EXPECT_EQ(lz_decompress(compressed), data);
+  EXPECT_EQ(lz_decompress(compressed, data.size()), data);
 }
 
 TEST_P(CompressRoundTrip, RepetitiveDataCompresses) {
@@ -249,6 +252,7 @@ TEST_P(CompressRoundTrip, RepetitiveDataCompresses) {
   }
   const auto compressed = lz_compress(data);
   EXPECT_EQ(lz_decompress(compressed), data);
+  EXPECT_EQ(lz_decompress(compressed, data.size()), data);
   if (data.size() > 256) {
     EXPECT_LT(compressed.size(), data.size() / 2);
   }
@@ -275,6 +279,66 @@ TEST(Compress, RejectsCorruptStream) {
   EXPECT_THROW((void)lz_decompress(bogus), FormatError);
   const std::vector<std::uint8_t> bad_dist = {0x80, 0xFF, 0x00};
   EXPECT_THROW((void)lz_decompress(bad_dist), FormatError);
+}
+
+TEST(Compress, SizedDecodeRejectsHostileStreams) {
+  std::vector<std::uint8_t> data(300);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i % 23);
+  }
+  const auto stream = lz_compress(data);
+  ASSERT_EQ(lz_decompress(stream, data.size()), data);
+  // Overrun: the stream produces one byte more than declared.
+  EXPECT_THROW((void)lz_decompress(stream, data.size() - 1), FormatError);
+  // Short output: the stream ends one byte before the declared size.
+  EXPECT_THROW((void)lz_decompress(stream, data.size() + 1), FormatError);
+  // A declared size no stream of this length can reach is rejected
+  // before it is allocated.
+  EXPECT_THROW((void)lz_decompress(stream, std::size_t{1} << 50),
+               FormatError);
+
+  // Ops after a 2-byte literal "ab": each stream claims exactly the size
+  // its ops would produce, so only the op itself can be at fault.
+  const std::vector<std::uint8_t> dist0 = {0x01, 'a', 'b', 0x80, 0x00, 0x00};
+  const std::vector<std::uint8_t> dist_past = {0x01, 'a', 'b',
+                                               0x80, 0x03, 0x00};
+  const std::vector<std::uint8_t> short_literal = {0x01, 'a', 'b',
+                                                   0x04, 'c', 'd'};
+  const std::vector<std::uint8_t> short_match = {0x01, 'a', 'b', 0x80, 0x02};
+  for (const auto* hostile : {&dist0, &dist_past, &short_match}) {
+    EXPECT_THROW((void)lz_decompress(*hostile, 6), FormatError);
+    EXPECT_THROW((void)lz_decompress(*hostile), FormatError);
+  }
+  EXPECT_THROW((void)lz_decompress(short_literal, 7), FormatError);
+  EXPECT_THROW((void)lz_decompress(short_literal), FormatError);
+}
+
+TEST(Compress, OverlappingMatchesEndOnTheLastByte) {
+  // A literal of `dist` distinct bytes, then one match at distance `dist`
+  // whose last byte is the last byte of the declared size: distances below
+  // the 16-byte wild copy take the overlapping byte loop, the rest the
+  // chunked copy, whose spill past the end must land in slack.
+  for (std::size_t dist = 1; dist <= 20; ++dist) {
+    for (const std::size_t len : {4u, 5u, 15u, 16u, 17u, 31u, 100u, 131u}) {
+      std::vector<std::uint8_t> stream;
+      std::vector<std::uint8_t> want;
+      stream.push_back(static_cast<std::uint8_t>(dist - 1));
+      for (std::size_t k = 0; k < dist; ++k) {
+        stream.push_back(static_cast<std::uint8_t>(0x41 + k));
+        want.push_back(static_cast<std::uint8_t>(0x41 + k));
+      }
+      stream.push_back(static_cast<std::uint8_t>(0x80 | (len - 4)));
+      stream.push_back(static_cast<std::uint8_t>(dist));
+      stream.push_back(0);
+      for (std::size_t k = 0; k < len; ++k) {
+        want.push_back(want[want.size() - dist]);
+      }
+      EXPECT_EQ(lz_decompress(stream, want.size()), want)
+          << "dist " << dist << " len " << len;
+      EXPECT_EQ(lz_decompress(stream), want)
+          << "dist " << dist << " len " << len;
+    }
+  }
 }
 
 TEST(Cipher, BlockRoundTrip) {
@@ -309,6 +373,56 @@ TEST_P(CbcRoundTrip, EncryptDecrypt) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CbcRoundTrip,
                          ::testing::Values(0, 1, 7, 8, 9, 100, 4096));
+
+/// CBC decryption chained block by block through xtea_decrypt_block,
+/// padding left in place: the reference the lockstep decrypt must match.
+[[nodiscard]] std::vector<std::uint8_t> scalar_cbc_chain(
+    std::span<const std::uint8_t> ct, const CipherKey& key,
+    std::uint64_t iv) {
+  std::vector<std::uint8_t> out(ct.size());
+  std::uint64_t prev = iv;
+  for (std::size_t i = 0; i < ct.size(); i += 8) {
+    std::uint64_t c = 0;
+    std::memcpy(&c, &ct[i], 8);
+    const std::uint64_t p = xtea_decrypt_block(c, key) ^ prev;
+    std::memcpy(&out[i], &p, 8);
+    prev = c;
+  }
+  return out;
+}
+
+TEST(Cipher, LockstepDecryptMatchesScalarChainAtEveryLength) {
+  // 1..100 ciphertext blocks cover every remainder after the 32-block
+  // lockstep groups, through both decrypt entry points.
+  const CipherKey keys[] = {derive_key("trace-secret"), derive_key("other"),
+                            CipherKey{0xFFFFFFFFu, 0, 0x80000000u, 1}};
+  const std::uint64_t ivs[] = {0, 0x0123456789ABCDEFULL, ~0ULL};
+  Rng rng(4242);
+  for (std::size_t blocks = 1; blocks <= 100; ++blocks) {
+    for (const CipherKey& key : keys) {
+      for (const std::uint64_t iv : ivs) {
+        const auto pad = static_cast<std::size_t>(rng.uniform(1, 8));
+        std::vector<std::uint8_t> plain(blocks * 8 - pad);
+        for (auto& b : plain) {
+          b = static_cast<std::uint8_t>(rng.uniform(0, 255));
+        }
+        const auto ct = cbc_encrypt_with_iv(plain, key, iv);
+        ASSERT_EQ(ct.size(), blocks * 8);
+        std::vector<std::uint8_t> chain = scalar_cbc_chain(ct, key, iv);
+        ASSERT_EQ(chain.back(), pad);
+        chain.resize(chain.size() - pad);
+        ASSERT_EQ(chain, plain) << "blocks " << blocks;
+        EXPECT_EQ(cbc_decrypt_with_iv(ct, key, iv), chain)
+            << "blocks " << blocks;
+        // cbc_decrypt reads the IV from the first 8 ciphertext bytes.
+        std::vector<std::uint8_t> with_iv(8);
+        std::memcpy(with_iv.data(), &iv, 8);
+        with_iv.insert(with_iv.end(), ct.begin(), ct.end());
+        EXPECT_EQ(cbc_decrypt(with_iv, key), chain) << "blocks " << blocks;
+      }
+    }
+  }
+}
 
 TEST(Cipher, WrongKeyFailsOrGarbles) {
   const CipherKey key = derive_key("right");

@@ -18,8 +18,10 @@
 #include "trace/block_view.h"
 #include "trace/event_batch.h"
 #include "trace/record_view.h"
+#include "util/compress.h"
 #include "util/crc32.h"
 #include "util/error.h"
+#include "util/rng.h"
 #include "util/strings.h"
 
 namespace iotaxo::trace {
@@ -255,38 +257,55 @@ TEST(BatchView, RejectsOverflowingPayloadLength) {
 }
 
 TEST(BatchView, RejectsDuplicateStringTableEntries) {
-  // Hand-build a v2 body whose string table interns "dup" twice; the
-  // decoder rejects it ("not interned") and the view must too — records
+  // Hand-build v2 and v3 bodies whose string table interns "dup" twice; the
+  // decoder rejects them ("not interned") and both views must too — records
   // could otherwise reference the second copy and dodge id-equality scans.
-  std::vector<std::uint8_t> body;
-  const auto u32 = [&body](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      body.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  // The same containers with a distinct third entry open cleanly, so the
+  // duplicate is what each rejection is about.
+  const auto container = [](char version, std::string_view third) {
+    std::vector<std::uint8_t> body;
+    const auto u32 = [&body](std::uint32_t v) {
+      for (int i = 0; i < 4; ++i) {
+        body.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      }
+    };
+    const auto u64 = [&body](std::uint64_t v) {
+      for (int i = 0; i < 8; ++i) {
+        body.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      }
+    };
+    u32(3);  // nstrings: "", "dup", third
+    u32(0);
+    u32(3);
+    body.insert(body.end(), {'d', 'u', 'p'});
+    u32(static_cast<std::uint32_t>(third.size()));
+    body.insert(body.end(), third.begin(), third.end());
+    u64(0);  // nargids
+    if (version == '3') {
+      u32(1);  // block_records; zero blocks, so an empty footer
+      u64(0);  // trailer: footer_len
+      u64(0);  //          nblocks
+      u32(0);  //          footer CRC (CRC-32 of no bytes)
+      u32(v3layout::kFooterMagic);
     }
-  };
-  const auto u64 = [&body](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      body.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  };
-  u32(3);  // nstrings: "", "dup", "dup"
-  u32(0);
-  u32(3);
-  body.insert(body.end(), {'d', 'u', 'p'});
-  u32(3);
-  body.insert(body.end(), {'d', 'u', 'p'});
-  u64(0);  // nargids
-  // zero records
+    // zero records
 
-  std::vector<std::uint8_t> bytes;
-  bytes.insert(bytes.end(), {'I', 'O', 'T', 'B', '2', '\n'});
-  bytes.push_back(0);  // flags: plain
-  bytes.resize(kContainerHeaderSize, 0);
-  put_u64(bytes, kCountOff, 0);
-  put_u64(bytes, kPaylenOff, body.size());
-  bytes.insert(bytes.end(), body.begin(), body.end());
-  EXPECT_THROW((void)BatchView(bytes), FormatError);
-  EXPECT_THROW((void)decode_binary_batch(bytes), FormatError);
+    std::vector<std::uint8_t> bytes;
+    bytes.insert(bytes.end(), {'I', 'O', 'T', 'B',
+                               static_cast<std::uint8_t>(version), '\n'});
+    bytes.push_back(0);  // flags: plain
+    bytes.resize(kContainerHeaderSize, 0);
+    put_u64(bytes, kCountOff, 0);
+    put_u64(bytes, kPaylenOff, body.size());
+    bytes.insert(bytes.end(), body.begin(), body.end());
+    return bytes;
+  };
+  EXPECT_THROW((void)BatchView(container('2', "dup")), FormatError);
+  EXPECT_THROW((void)decode_binary_batch(container('2', "dup")), FormatError);
+  EXPECT_THROW((void)BlockView(container('3', "dup")), FormatError);
+  EXPECT_THROW((void)decode_binary_batch(container('3', "dup")), FormatError);
+  EXPECT_NO_THROW((void)BatchView(container('2', "dup2")));
+  EXPECT_NO_THROW((void)BlockView(container('3', "dup2")));
 }
 
 TEST(BatchView, HugeStringTableCountIsFormatErrorNotBadAlloc) {
@@ -939,6 +958,80 @@ TEST(BlockView, SharedStickyFailureAcrossCopiesUnderConcurrentDecode) {
   EXPECT_FALSE(err_a.empty());
   EXPECT_EQ(err_a, err_b);
   EXPECT_NE(err_a.find("block 1"), std::string::npos) << err_a;
+}
+
+TEST(BlockView, MutatedCompressedGroupsThrowOrDecodeExactly) {
+  // The stored groups of real compressed containers (whole-record and
+  // projected hot + cold), cut out of the block region and mutated under a
+  // fixed seed and budget. The sized LZ decoder writes 16-byte wild copies
+  // into slack past the declared size, so every mutant must either be
+  // rejected or decode to exactly records x stride bytes; the ASan and
+  // UBSan builds run this loop too.
+  const EventBatch batch = EventBatch::from_events(ordered_stream(700));
+  struct Group {
+    std::vector<std::uint8_t> stored;
+    std::size_t size = 0;
+  };
+  std::vector<Group> groups;
+  for (const bool project : {false, true}) {
+    BinaryOptions options;
+    options.checksum = false;
+    options.compress = true;
+    options.project = project;
+    const std::vector<std::uint8_t> bytes =
+        encode_binary_v3(batch, options, /*block_records=*/128);
+    const BlockView view(bytes);
+    std::size_t off = locate_v3(bytes).head_end;
+    const auto cut = [&bytes, &off](std::size_t len) {
+      const auto first = bytes.begin() + static_cast<std::ptrdiff_t>(off);
+      off += len;
+      return std::vector<std::uint8_t>(
+          first, first + static_cast<std::ptrdiff_t>(len));
+    };
+    for (std::size_t b = 0; b < view.block_count(); ++b) {
+      // The first (or only) group, checked against what the view serves.
+      const std::span<const std::uint8_t> plain =
+          project ? view.hot_bytes(b) : view.block_bytes(b);
+      const std::size_t hot_len = view.block_hot_stored_len(b);
+      groups.push_back({cut(hot_len), plain.size()});
+      ASSERT_EQ(lz_decompress(groups.back().stored, plain.size()),
+                std::vector<std::uint8_t>(plain.begin(), plain.end()));
+      if (project) {
+        groups.push_back({cut(view.block_stored_len(b) - hot_len),
+                          view.block_size(b) * coldlayout::kStride});
+      }
+    }
+  }
+
+  Rng rng(0x1A2B3C);
+  std::size_t rejected = 0;
+  std::size_t decoded = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    const Group& g = groups[static_cast<std::size_t>(
+        rng.uniform(0, static_cast<std::int64_t>(groups.size()) - 1))];
+    std::vector<std::uint8_t> mutant = g.stored;
+    if (iter % 2 == 0) {
+      const std::int64_t flips = rng.uniform(1, 4);
+      for (std::int64_t f = 0; f < flips; ++f) {
+        const auto bit = static_cast<std::size_t>(rng.uniform(
+            0, static_cast<std::int64_t>(mutant.size() * 8) - 1));
+        mutant[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      }
+    } else {
+      mutant.resize(static_cast<std::size_t>(
+          rng.uniform(0, static_cast<std::int64_t>(mutant.size()) - 1)));
+    }
+    try {
+      const std::vector<std::uint8_t> out = lz_decompress(mutant, g.size);
+      EXPECT_EQ(out.size(), g.size) << "iteration " << iter;
+      ++decoded;
+    } catch (const FormatError&) {
+      ++rejected;
+    }
+  }
+  // Both outcomes occur, so the loop exercises more than one path.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(decoded, 0u);
 }
 
 TEST(BlockView, EmptyContainer) {
