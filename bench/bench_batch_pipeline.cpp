@@ -1,5 +1,5 @@
-// Batched vs per-event delivery through the trace pipeline, and binary v1
-// (IOTB1, inline strings) vs v2 (IOTB2, interned string table) codec cost.
+// Batched vs per-event delivery through the trace pipeline, and the IOTB3
+// container's encode and batch-decode cost (ungated).
 //
 // Emits the measurements as BENCH_*.json-compatible output: a JSON object
 // printed to stdout (between BENCH_JSON_BEGIN/END markers) and written to
@@ -140,22 +140,15 @@ int main() {
   });
   (void)counting_guard;
 
-  // --- binary codecs: v1 vs v2 --------------------------------------------
+  // --- binary codec --------------------------------------------------------
   EventBatch whole = EventBatch::from_events(events);
   const trace::BinaryOptions opts;  // checksummed, plain
-  std::vector<std::uint8_t> v1_blob;
-  std::vector<std::uint8_t> v2_blob;
-  const double v1_encode = best_seconds([&] {
-    v1_blob = trace::encode_binary(events, opts);
+  std::vector<std::uint8_t> blob;
+  const double encode = best_seconds([&] {
+    blob = trace::encode_binary_v3(whole, opts);
   });
-  const double v2_encode = best_seconds([&] {
-    v2_blob = trace::encode_binary_v2(whole, opts);
-  });
-  const double v1_decode = best_seconds([&] {
-    (void)trace::decode_binary(v1_blob);
-  });
-  const double v2_decode_batch = best_seconds([&] {
-    (void)trace::decode_binary_batch(v2_blob);
+  const double decode_batch = best_seconds([&] {
+    (void)trace::decode_binary_batch(blob);
   });
 
   const double summary_speedup = summary_per_event / summary_batched;
@@ -163,9 +156,8 @@ int main() {
       check_per_event == check_batched && dur_per_event == dur_batched;
 
   // --- armed replay for the embedded metrics object -----------------------
-  // This bench exercises only plain sinks and the v1/v2 codecs, none of
-  // which carry self-metrics instrumentation — the armed replay documents
-  // that: an empty object means the pipeline stages here stay metric-free.
+  // The armed replay drives only the plain sinks, which carry no self-metrics
+  // instrumentation — an empty object means those stages stay metric-free.
   const obs::MetricsSnapshot metrics_before = bench::metrics_baseline();
   {
     SummarySink sink;
@@ -193,13 +185,9 @@ int main() {
       "    \"speedup\": %.2f\n"
       "  },\n"
       "  \"binary\": {\n"
-      "    \"v1_bytes\": %zu,\n"
-      "    \"v2_bytes\": %zu,\n"
-      "    \"v2_size_ratio\": %.3f,\n"
-      "    \"v1_encode_mev_s\": %.2f,\n"
-      "    \"v2_encode_mev_s\": %.2f,\n"
-      "    \"v1_decode_mev_s\": %.2f,\n"
-      "    \"v2_decode_batch_mev_s\": %.2f\n"
+      "    \"v3_bytes\": %zu,\n"
+      "    \"v3_encode_mev_s\": %.2f,\n"
+      "    \"v3_decode_batch_mev_s\": %.2f\n"
       "  },\n"
       "  \"metrics\": %s\n"
       "}\n",
@@ -207,10 +195,7 @@ int main() {
       mevents_per_s(summary_batched), summary_speedup,
       identical ? "true" : "false", mevents_per_s(counting_per_event),
       mevents_per_s(counting_batched), counting_per_event / counting_batched,
-      v1_blob.size(), v2_blob.size(),
-      static_cast<double>(v2_blob.size()) / static_cast<double>(v1_blob.size()),
-      mevents_per_s(v1_encode), mevents_per_s(v2_encode),
-      mevents_per_s(v1_decode), mevents_per_s(v2_decode_batch),
+      blob.size(), mevents_per_s(encode), mevents_per_s(decode_batch),
       metrics_json.c_str());
 
   std::printf("=== bench_batch_pipeline ===\n");
@@ -221,10 +206,9 @@ int main() {
               mevents_per_s(counting_per_event),
               mevents_per_s(counting_batched),
               counting_per_event / counting_batched);
-  std::printf("binary       v1 %zu B -> v2 %zu B (%.1f%%)\n", v1_blob.size(),
-              v2_blob.size(),
-              100.0 * static_cast<double>(v2_blob.size()) /
-                  static_cast<double>(v1_blob.size()));
+  std::printf("binary       v3 %zu B | encode %.2f Mev/s | decode %.2f "
+              "Mev/s\n",
+              blob.size(), mevents_per_s(encode), mevents_per_s(decode_batch));
   std::printf("BENCH_JSON_BEGIN\n%sBENCH_JSON_END\n", json.c_str());
 
   if (std::FILE* f = std::fopen("BENCH_batch_pipeline.json", "w")) {

@@ -11,7 +11,7 @@
 //      would fold the workers' time slices into the builder's number on a
 //      small machine). Wall-clock times are reported alongside, ungated.
 //   2. The merged graphs must be bit-identical: serial == parallel at
-//      several thread counts, owned-batch == zero-copy view source, and
+//      several thread counts, owned-batch == IOTB3 container source, and
 //      pre- == post-compact() — the determinism the subsystem guarantees.
 //   3. `iotaxo dfg` consumes the same containers, so the graphs minted
 //      here are what the CLI reports.
@@ -146,14 +146,14 @@ int main() {
     store.ingest(source, {{"framework", "bench"},
                           {"application", strprintf("era%zu", s)}});
   }
-  // ... and the same records as one zero-copy container source.
-  const std::string view_path = "bench_dfg.iotb";
-  write_file(view_path,
-             trace::encode_binary_v2(EventBatch::from_events(events),
+  // ... and the same records as one IOTB3 container source.
+  const std::string container_path = "bench_dfg.iotb3";
+  write_file(container_path,
+             trace::encode_binary_v3(EventBatch::from_events(events),
                                      trace::BinaryOptions{}));
-  UnifiedTraceStore view_store;
-  view_store.ingest_view(view_path, {{"framework", "bench"},
-                                     {"application", "view"}});
+  UnifiedTraceStore container_store;
+  container_store.ingest_view(container_path, {{"framework", "bench"},
+                                               {"application", "container"}});
 
   // --- gate 1: builder-thread offload, serial vs parallel ------------------
   Dfg serial_dfg;
@@ -168,9 +168,9 @@ int main() {
   (void)best_build(store, 2, &two_thread_dfg);
   const bool two_thread_identical = serial_dfg == two_thread_dfg;
 
-  Dfg view_dfg;
-  (void)best_build(view_store, 1, &view_dfg);
-  const bool view_identical = serial_dfg == view_dfg;
+  Dfg container_dfg;
+  (void)best_build(container_store, 1, &container_dfg);
+  const bool container_identical = serial_dfg == container_dfg;
 
   const std::size_t pools_before = store.pool_count();
   const std::size_t pools_after = store.compact(8 * kMiB);
@@ -179,16 +179,16 @@ int main() {
   const bool compact_identical =
       serial_dfg == compacted_dfg && pools_after < pools_before;
 
-  std::remove(view_path.c_str());
+  std::remove(container_path.c_str());
 
   // Store shape through the introspection accessor (what fed the miner).
   long long store_records = 0;
-  for (const analysis::StorePoolInfo& info : view_store.pool_infos()) {
+  for (const analysis::StorePoolInfo& info : container_store.pool_infos()) {
     store_records += info.records;
   }
 
   const bool pass = parallel_identical && two_thread_identical &&
-                    view_identical && compact_identical &&
+                    container_identical && compact_identical &&
                     offload_speedup >= kOffloadFloor;
 
   // --- armed replay for the embedded metrics object ------------------------
@@ -213,7 +213,7 @@ int main() {
       "  \"serial_build_wall_ms\": %.2f,\n"
       "  \"parallel_build_wall_ms\": %.2f,\n"
       "  \"parallel_identical\": %s,\n"
-      "  \"view_identical\": %s,\n"
+      "  \"container_identical\": %s,\n"
       "  \"compaction_identical\": %s,\n"
       "  \"metrics\": %s\n"
       "}\n",
@@ -221,7 +221,7 @@ int main() {
       offload_speedup, kOffloadFloor, serial.cpu * 1e3, parallel.cpu * 1e3,
       serial.wall * 1e3, parallel.wall * 1e3,
       (parallel_identical && two_thread_identical) ? "true" : "false",
-      view_identical ? "true" : "false",
+      container_identical ? "true" : "false",
       compact_identical ? "true" : "false", metrics_json.c_str());
 
   std::printf("=== bench_dfg ===\n");
@@ -234,11 +234,11 @@ int main() {
   std::printf("wall      serial %.2f ms, parallel %.2f ms (ungated; tracks "
               "core count)\n",
               serial.wall * 1e3, parallel.wall * 1e3);
-  std::printf("identity  parallel=%s two-thread=%s view=%s compacted=%s "
-              "(%zu -> %zu pools)\n",
+  std::printf("identity  parallel=%s two-thread=%s container=%s "
+              "compacted=%s (%zu -> %zu pools)\n",
               parallel_identical ? "yes" : "no",
               two_thread_identical ? "yes" : "no",
-              view_identical ? "yes" : "no",
+              container_identical ? "yes" : "no",
               compact_identical ? "yes" : "no", pools_before, pools_after);
   std::printf("BENCH_JSON_BEGIN\n%sBENCH_JSON_END\n", json.c_str());
 
@@ -249,10 +249,11 @@ int main() {
   if (!pass) {
     std::fprintf(stderr,
                  "FAIL: dfg gates (offload %.2fx >= %.1fx: %d, identical "
-                 "parallel=%d two=%d view=%d compact=%d)\n",
+                 "parallel=%d two=%d container=%d compact=%d)\n",
                  offload_speedup, kOffloadFloor,
                  offload_speedup >= kOffloadFloor, parallel_identical,
-                 two_thread_identical, view_identical, compact_identical);
+                 two_thread_identical, container_identical,
+                 compact_identical);
     return 1;
   }
   return 0;

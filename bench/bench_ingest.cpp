@@ -1,5 +1,4 @@
-// Streaming ingest, persisted pool indexes, and the live DFG — the PR 10
-// gates:
+// Streaming ingest, footer-indexed restarts, and the live DFG:
 //
 //   1. Feeding 1000 small flushes through a streaming store (era-aware
 //      open batches) and then answering the five-query dashboard suite
@@ -7,12 +6,13 @@
 //      the same flushes, with bit-identical results. The win is
 //      structural: the flush storm lands in a handful of era pools, so
 //      per-pool constants stop multiplying by 1000.
-//   2. Restart on a 1000-source store: attaching 1000 checksummed IOTB2
-//      containers that carry persisted index footers and answering a
-//      first indexed query must be >= 5x faster with index adoption than
-//      with set_adopt_indexes(false) (scan-rebuild). Adoption reads the
-//      footer instead of scanning records, and the lazy payload CRC never
-//      fires for pools the query's index skip rejects.
+//   2. Restart on a 1000-source store: attaching 1000 checksummed IOTB3
+//      containers in place and answering a first indexed query must be
+//      >= 5x faster than decoding each container into an owned batch
+//      (decode_binary_batch), ingesting it, and answering the same query.
+//      An attached pool's index comes from the container footer, and no
+//      block is decoded (or CRC-checked) for pools the query's index skip
+//      rejects.
 //   3. A live-DFG snapshot over the streamed store must be >= 2x faster
 //      than a cold DfgBuilder rebuild, and bit-identical to it.
 //
@@ -32,6 +32,7 @@
 #include "bench_common.h"
 #include "trace/binary_format.h"
 #include "trace/event_batch.h"
+#include "trace/record_view.h"
 #include "util/strings.h"
 
 namespace {
@@ -136,52 +137,59 @@ int main() {
       best_seconds([&] { (void)ingest_to_queryable(true); });
   const double ingest_speedup = per_flush_s / streamed_s;
 
-  // --- gate 2: restart with persisted indexes ------------------------------
+  // --- gate 2: restart from footer indexes --------------------------------
   const std::string dir =
       strprintf("/tmp/iotaxo_bench_ingest_%d", static_cast<int>(::getpid()));
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   trace::BinaryOptions bopts;
   bopts.checksum = true;
-  bopts.index_footer = true;
+  const auto era_path = [&dir](std::size_t s) {
+    return strprintf("%s/era-%zu.iotb3", dir.c_str(), s);
+  };
   for (std::size_t s = 0; s < kSources; ++s) {
-    trace::write_binary_file(strprintf("%s/era-%zu.iotb", dir.c_str(), s),
-                             encode_binary_v2(make_flush(s, kPerSource), bopts));
+    trace::write_binary_file(
+        era_path(s), encode_binary_v3(make_flush(s, kPerSource), bopts));
   }
   const SimTime source_span =
       static_cast<SimTime>(kSources * kPerSource) * kMicrosecond;
-  // Restart = attach every container + the first indexed query of a
+  // Restart = file every container + the first indexed query of a
   // monitoring session (a narrow window past the capture's end: the pool
-  // indexes reject every pool, so adopted restarts never touch a record).
-  const auto restart = [&](bool adopt) {
-    UnifiedTraceStore store;
-    store.set_adopt_indexes(adopt);
+  // indexes reject every pool, so attached restarts never touch a block).
+  // The baseline decodes each container into an owned batch and ingests
+  // that instead.
+  const auto fill = [&](UnifiedTraceStore& store, bool attach) {
     for (std::size_t s = 0; s < kSources; ++s) {
-      store.ingest_view(strprintf("%s/era-%zu.iotb", dir.c_str(), s), meta);
+      if (attach) {
+        store.ingest_view(era_path(s), meta);
+      } else {
+        const trace::MappedTraceFile file(era_path(s));
+        store.ingest(trace::decode_binary_batch(file.bytes()), meta);
+      }
     }
+  };
+  const auto restart = [&](bool attach) {
+    UnifiedTraceStore store;
+    fill(store, attach);
     return store.bytes_in_window(source_span + kSecond,
                                  source_span + 2 * kSecond);
   };
-  const Bytes adopted_probe = restart(true);
-  const Bytes rebuilt_probe = restart(false);
-  const double rebuilt_s = best_seconds([&] { (void)restart(false); });
-  const double adopted_s = best_seconds([&] { (void)restart(true); });
-  const double restart_speedup = rebuilt_s / adopted_s;
-  // Identity across the full suite, not just the probe: an adopted-index
-  // store must answer everything exactly like a scan-rebuilt one.
-  bool restart_identical = adopted_probe == rebuilt_probe;
+  const Bytes attached_probe = restart(true);
+  const Bytes decoded_probe = restart(false);
+  const double decoded_s = best_seconds([&] { (void)restart(false); });
+  const double attached_s = best_seconds([&] { (void)restart(true); });
+  const double restart_speedup = decoded_s / attached_s;
+  // Identity across the full suite, not just the probe: an attached store
+  // must answer everything exactly like one holding the decoded batches.
+  bool restart_identical = attached_probe == decoded_probe;
   {
-    UnifiedTraceStore adopted_store;
-    UnifiedTraceStore rebuilt_store;
-    rebuilt_store.set_adopt_indexes(false);
-    for (std::size_t s = 0; s < kSources; ++s) {
-      const std::string path = strprintf("%s/era-%zu.iotb", dir.c_str(), s);
-      adopted_store.ingest_view(path, meta);
-      rebuilt_store.ingest_view(path, meta);
-    }
+    UnifiedTraceStore attached_store;
+    UnifiedTraceStore decoded_store;
+    fill(attached_store, true);
+    fill(decoded_store, false);
     restart_identical =
-        restart_identical && five_queries(adopted_store, source_span) ==
-                                 five_queries(rebuilt_store, source_span);
+        restart_identical && five_queries(attached_store, source_span) ==
+                                 five_queries(decoded_store, source_span);
   }
 
   // --- gate 3: live DFG vs cold rebuild ------------------------------------
@@ -208,8 +216,8 @@ int main() {
 
   // --- armed replay for the embedded metrics object ------------------------
   // The gated timings above ran disarmed; one armed streamed ingest plus an
-  // adopted restart feeds the artifact's "metrics" object (flush/era-seal/
-  // adoption counters included).
+  // attached restart feeds the artifact's "metrics" object (flush/era-seal/
+  // footer-index counters included).
   const obs::MetricsSnapshot metrics_before = bench::metrics_baseline();
   (void)ingest_to_queryable(true);
   (void)restart(true);
@@ -245,10 +253,10 @@ int main() {
   std::printf("ingest    1000 flushes -> queryable %.2fx one-pool-per-flush "
               "(floor %.1fx) | %zu pools vs %zu\n",
               ingest_speedup, kIngestFloor, streamed_pools, per_flush_pools);
-  std::printf("restart   attach+first query %.2fx scan-rebuild (floor %.1fx) "
-              "| rebuilt %.1f ms, adopted %.1f ms\n",
-              restart_speedup, kRestartFloor, rebuilt_s * 1e3,
-              adopted_s * 1e3);
+  std::printf("restart   attach+first query %.2fx decode+ingest (floor "
+              "%.1fx) | decoded %.1f ms, attached %.1f ms\n",
+              restart_speedup, kRestartFloor, decoded_s * 1e3,
+              attached_s * 1e3);
   std::printf("live dfg  snapshot %.2fx cold rebuild (floor %.1fx) | cold "
               "%.2f ms, live %.2f ms\n",
               live_dfg_speedup, kLiveDfgFloor, cold_s * 1e3, live_s * 1e3);

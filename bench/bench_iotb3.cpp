@@ -5,10 +5,11 @@
 //
 //   1. A dashboard-shaped mix of narrow windowed queries against a
 //      compressed IOTB3 store must run within 2x of the same mix against an
-//      uncompressed mmap'd IOTB2 store (ratio >= 0.5): compression may not
-//      make interactive probes pathologically slow, because the block index
+//      uncompressed IOTB3 store (ratio >= 0.5): compression may not make
+//      interactive probes pathologically slow, because the block index
 //      confines decompression to the blocks a window actually touches and
-//      decoded blocks stay cached.
+//      decoded blocks stay cached. Both sides skip by block index, so the
+//      ratio isolates the decompression cost.
 //   2. On the block-backed store, the narrow-probe mix must run >= 3x
 //      faster with the per-block index skips than with
 //      set_use_indexes(false). Stores are rebuilt fresh for every
@@ -20,16 +21,15 @@
 //      slice-by-8 CRC pass is a small tax, not a second decode. Fresh
 //      views per repetition, since CRCs are verified once per block.
 //   4. Hard identity gates: all aggregate queries must be bit-identical
-//      across an owned ingest, a v2 view store, a v3 block store
-//      (compressed + checksummed), encrypted / projected / encrypted+
-//      projected v3 stores, and plain + encrypted cold-compacted stores.
+//      across an owned ingest, an uncompressed block store, a compressed +
+//      checksummed block store, encrypted / projected / encrypted+projected
+//      block stores, and plain + encrypted cold-compacted stores.
 //   5. The narrow-probe mix against an encrypted cold store (lazy per-block
-//      decrypt, ingest_view with a key) must run >= 3x faster than the
-//      pre-v3-encryption fallback: a whole-body-encrypted v2 container of
-//      the same compressed + checksummed shape, which can only be opened
-//      by decrypting and decoding everything into an owned batch, ingesting
-//      it, then probing. The v3 footer stays plaintext, so the keyed view
-//      pays decryption only for the blocks a window touches.
+//      decrypt, ingest_view with a key) must run >= 3x faster than
+//      decoding the same encrypted container into an owned batch
+//      (decode_binary_batch with the key), ingesting it, then probing. The
+//      footer stays plaintext, so the keyed view pays decryption only for
+//      the blocks a window touches.
 //   6. The same mix against a projected store must run >= 2x faster than
 //      against the whole-record store: narrow windowed queries read only
 //      the hot column group (33 of 81 bytes per record), so projection
@@ -79,7 +79,7 @@ constexpr int kRanks = 32;
 constexpr int kRepetitions = 3;
 constexpr int kWindowProbes = 16;
 
-constexpr double kCompressedRatioFloor = 0.5;   // within 2x of mmap
+constexpr double kCompressedRatioFloor = 0.5;   // within 2x of uncompressed
 constexpr double kBlockSkipFloor = 3.0;
 constexpr double kChecksumRatioFloor = 0.667;   // within 1.5x of unchecked
 constexpr double kEncryptedProbeFloor = 3.0;    // vs decode-everything
@@ -184,7 +184,7 @@ int main() {
   const std::vector<TraceEvent> events = synth_events();
   const EventBatch batch = EventBatch::from_events(events);
 
-  trace::BinaryOptions plain;  // the mmap baseline: no CRC, no compression
+  trace::BinaryOptions plain;  // the gate-1 baseline: no CRC, no compression
   plain.checksum = false;
   trace::BinaryOptions compressed;
   compressed.checksum = false;
@@ -201,42 +201,39 @@ int main() {
   trace::BinaryOptions sealed = encrypted;  // the finished cold tier
   sealed.project = true;
 
-  const std::string v2_path = "bench_iotb3_v2.iotb";
+  const std::string v3_plain_path = "bench_iotb3_plain.iotb3";
   const std::string v3_lz_path = "bench_iotb3_lz.iotb3";
   const std::string v3_full_path = "bench_iotb3_full.iotb3";
   const std::string v3_enc_path = "bench_iotb3_enc.iotb3";
   const std::string v3_proj_path = "bench_iotb3_proj.iotb3";
   const std::string v3_sealed_path = "bench_iotb3_sealed.iotb3";
-  // The pre-v3-encryption artifact gate 5 falls back to: same compression
-  // and CRC, but the whole payload encrypted as one body, so there is no
-  // lazy path — opening it means decrypting and decoding everything.
-  trace::BinaryOptions v2_encrypted = full;
-  v2_encrypted.encrypt = true;
-  v2_encrypted.key = key;
-  const std::vector<std::uint8_t> v2_enc_bytes =
-      trace::encode_binary_v2(batch, v2_encrypted);
-  write_file(v2_path, trace::encode_binary_v2(batch, plain));
-  write_file(v3_lz_path, trace::encode_binary_v3(batch, compressed));
-  write_file(v3_full_path, trace::encode_binary_v3(batch, full));
-  write_file(v3_enc_path, trace::encode_binary_v3(batch, encrypted));
-  write_file(v3_proj_path, trace::encode_binary_v3(batch, projected));
-  write_file(v3_sealed_path, trace::encode_binary_v3(batch, sealed));
   const std::vector<std::uint8_t> v3_plain =
       trace::encode_binary_v3(batch, plain);
+  // Gate 5's baseline decodes these bytes whole; its lazy side maps the
+  // same container from disk.
+  const std::vector<std::uint8_t> v3_enc_bytes =
+      trace::encode_binary_v3(batch, encrypted);
+  write_file(v3_plain_path, v3_plain);
+  write_file(v3_lz_path, trace::encode_binary_v3(batch, compressed));
+  write_file(v3_full_path, trace::encode_binary_v3(batch, full));
+  write_file(v3_enc_path, v3_enc_bytes);
+  write_file(v3_proj_path, trace::encode_binary_v3(batch, projected));
+  write_file(v3_sealed_path, trace::encode_binary_v3(batch, sealed));
   const std::vector<std::uint8_t> v3_crc = [&] {
     trace::BinaryOptions crc_only;
     crc_only.checksum = true;
     return trace::encode_binary_v3(batch, crc_only);
   }();
 
-  // --- gate 1: compressed blocks vs uncompressed mmap ----------------------
-  const analysis::UnifiedTraceStore v2_store = open_store(v2_path);
-  const analysis::UnifiedTraceStore v3_store = open_store(v3_lz_path);
-  const Bytes v2_probe_total = narrow_probes(v2_store);
-  const bool probe_identical = narrow_probes(v3_store) == v2_probe_total;
-  const double mmap_s = best_seconds([&] { (void)narrow_probes(v2_store); });
-  const double lz_s = best_seconds([&] { (void)narrow_probes(v3_store); });
-  const double compressed_ratio = mmap_s / lz_s;
+  // --- gate 1: compressed blocks vs uncompressed blocks --------------------
+  const analysis::UnifiedTraceStore plain_store = open_store(v3_plain_path);
+  const analysis::UnifiedTraceStore lz_store = open_store(v3_lz_path);
+  const Bytes probe_total = narrow_probes(plain_store);
+  const bool probe_identical = narrow_probes(lz_store) == probe_total;
+  const double uncompressed_s =
+      best_seconds([&] { (void)narrow_probes(plain_store); });
+  const double lz_s = best_seconds([&] { (void)narrow_probes(lz_store); });
+  const double compressed_ratio = uncompressed_s / lz_s;
 
   // --- gate 2: block-index skips vs full decode ----------------------------
   // Fresh stores per repetition: the decoded-block cache must not carry
@@ -260,7 +257,7 @@ int main() {
     unindexed_s = std::min(unindexed_s,
                            std::chrono::duration<double>(t1 - t0).count());
     skip_identical = skip_identical && with_index == without_index &&
-                     with_index == v2_probe_total;
+                     with_index == probe_total;
   }
   const double block_skip_speedup = unindexed_s / indexed_s;
 
@@ -275,11 +272,10 @@ int main() {
       best_seconds([&] { (void)scan_blocks(BlockView(v3_crc)); });
   const double checksum_ratio = plain_s / crc_s;
 
-  // --- gate 5: encrypted lazy probes vs the decode-everything fallback -----
-  // Before per-block encryption, an encrypted capture was a whole-body
-  // encrypted v2 container that could only be opened by decrypting and
-  // decoding everything into an owned batch. Both sides are timed end to
-  // end (open + probes), fresh per repetition.
+  // --- gate 5: encrypted lazy probes vs decode-everything -------------------
+  // The baseline decrypts and decodes the whole encrypted container into an
+  // owned batch before probing. Both sides are timed end to end (open +
+  // probes), fresh per repetition.
   double enc_probe_s = 1e100;
   double fallback_s = 1e100;
   bool enc_identical = true;
@@ -295,15 +291,15 @@ int main() {
 
     t0 = std::chrono::steady_clock::now();
     analysis::UnifiedTraceStore fallback;
-    fallback.ingest(trace::decode_binary_batch(v2_enc_bytes, key),
+    fallback.ingest(trace::decode_binary_batch(v3_enc_bytes, key),
                     {{"framework", "bench"}});
     fallback.set_query_threads(1);
     const Bytes fallback_total = narrow_probes(fallback);
     t1 = std::chrono::steady_clock::now();
     fallback_s = std::min(fallback_s,
                           std::chrono::duration<double>(t1 - t0).count());
-    enc_identical = enc_identical && enc_total == v2_probe_total &&
-                    fallback_total == v2_probe_total;
+    enc_identical = enc_identical && enc_total == probe_total &&
+                    fallback_total == probe_total;
   }
   const double encrypted_probe_speedup = fallback_s / enc_probe_s;
 
@@ -319,7 +315,7 @@ int main() {
     const auto t1 = std::chrono::steady_clock::now();
     proj_probe_s = std::min(proj_probe_s,
                             std::chrono::duration<double>(t1 - t0).count());
-    proj_identical = proj_identical && proj_total == v2_probe_total;
+    proj_identical = proj_identical && proj_total == probe_total;
   }
   const double projected_probe_speedup = indexed_s / proj_probe_s;
 
@@ -375,7 +371,7 @@ int main() {
   owned.set_query_threads(1);
   const auto owned_results = all_queries(owned);
   const analysis::UnifiedTraceStore v3_full_store = open_store(v3_full_path);
-  const bool identity_v2 = all_queries(v2_store) == owned_results;
+  const bool identity_plain = all_queries(plain_store) == owned_results;
   const bool identity_v3 = all_queries(v3_full_store) == owned_results;
   analysis::UnifiedTraceStore enc_id_store;
   enc_id_store.ingest_view(v3_enc_path, {{"framework", "bench"}}, key);
@@ -429,7 +425,7 @@ int main() {
 
   std::filesystem::remove_all(cold_dir);
   std::filesystem::remove_all(cold_sealed_dir);
-  std::remove(v2_path.c_str());
+  std::remove(v3_plain_path.c_str());
   std::remove(v3_lz_path.c_str());
   std::remove(v3_full_path.c_str());
   std::remove(v3_enc_path.c_str());
@@ -438,7 +434,7 @@ int main() {
 
   const bool identical = probe_identical && skip_identical &&
                          scan_identical && enc_identical && proj_identical &&
-                         parallel_identical && identity_v2 && identity_v3 &&
+                         parallel_identical && identity_plain && identity_v3 &&
                          identity_encrypted && identity_projected &&
                          identity_sealed && identity_cold &&
                          identity_cold_sealed;
@@ -470,7 +466,7 @@ int main() {
       "  \"parallel_scan_speedup\": %.2f,\n"
       "  \"parallel_scan_speedup_floor\": %.2f,\n"
       "  \"hardware_threads\": %u,\n"
-      "  \"identity_v2\": %s,\n"
+      "  \"identity_plain\": %s,\n"
       "  \"identity_v3\": %s,\n"
       "  \"identity_encrypted\": %s,\n"
       "  \"identity_projected\": %s,\n"
@@ -485,7 +481,7 @@ int main() {
       checksum_ratio, kChecksumRatioFloor, encrypted_probe_speedup,
       kEncryptedProbeFloor, projected_probe_speedup, kProjectedProbeFloor,
       projected_decode_saving, kProjectedSavingFloor, parallel_scan_speedup,
-      parallel_floor, hw_threads, identity_v2 ? "true" : "false",
+      parallel_floor, hw_threads, identity_plain ? "true" : "false",
       identity_v3 ? "true" : "false", identity_encrypted ? "true" : "false",
       identity_projected ? "true" : "false",
       identity_sealed ? "true" : "false", identity_cold ? "true" : "false",
@@ -497,9 +493,9 @@ int main() {
       metrics_json.c_str());
 
   std::printf("=== bench_iotb3 ===\n");
-  std::printf("compressed  narrow probes %.3fx of uncompressed mmap "
-              "(floor %.3fx) | mmap %.2f ms, lz %.2f ms\n",
-              compressed_ratio, kCompressedRatioFloor, mmap_s * 1e3,
+  std::printf("compressed  narrow probes %.3fx of uncompressed blocks "
+              "(floor %.3fx) | uncompressed %.2f ms, lz %.2f ms\n",
+              compressed_ratio, kCompressedRatioFloor, uncompressed_s * 1e3,
               lz_s * 1e3);
   std::printf("block-skip  indexed probes %.2fx unindexed (floor %.1fx) | "
               "unindexed %.2f ms, indexed %.2f ms\n",
@@ -529,9 +525,9 @@ int main() {
                 "capped to no-regression (threads time-slice one core)\n",
                 hw_threads);
   }
-  std::printf("identity    v2=%s v3=%s enc=%s proj=%s enc+proj=%s "
+  std::printf("identity    plain=%s v3=%s enc=%s proj=%s enc+proj=%s "
               "cold-compact=%s cold-compact-sealed=%s\n",
-              identity_v2 ? "yes" : "no", identity_v3 ? "yes" : "no",
+              identity_plain ? "yes" : "no", identity_v3 ? "yes" : "no",
               identity_encrypted ? "yes" : "no",
               identity_projected ? "yes" : "no",
               identity_sealed ? "yes" : "no", identity_cold ? "yes" : "no",

@@ -46,7 +46,7 @@ void BM_BinaryEncode(benchmark::State& state) {
   const auto events = make_events(static_cast<std::size_t>(state.range(0)));
   trace::BinaryOptions options;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(trace::encode_binary(events, options));
+    benchmark::DoNotOptimize(trace::encode_binary_v3(events, options));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -54,7 +54,7 @@ BENCHMARK(BM_BinaryEncode)->Arg(100)->Arg(10000);
 
 void BM_BinaryDecode(benchmark::State& state) {
   const auto events = make_events(static_cast<std::size_t>(state.range(0)));
-  const auto blob = trace::encode_binary(events, {});
+  const auto blob = trace::encode_binary_v3(events, {});
   for (auto _ : state) {
     benchmark::DoNotOptimize(trace::decode_binary(blob));
   }

@@ -1,12 +1,12 @@
-// Zero-copy IOTB2 views, indexed store queries, and era compaction — the
-// PR 3 gates:
+// In-place container scans, indexed store queries, and era compaction:
 //
-//   1. Opening a 200k-event IOTB2 file through MappedTraceFile + BatchView
-//      and scanning it in place must be >= 5x faster than reading the file,
-//      decoding it into an EventBatch and running the same scan. The gated
-//      file is unchecksummed so the metric isolates the read-path
-//      difference (the CRC pass costs both sides the same and would only
-//      dilute it); the checksummed variant is reported alongside.
+//   1. Opening a 200k-event uncompressed IOTB3 file through
+//      MappedTraceFile + BlockView and scanning it in place must be >= 5x
+//      faster than reading the file, decoding it into an EventBatch
+//      (decode_binary_batch) and running the same scan. The gated file is
+//      unchecksummed so the metric isolates the read-path difference (the
+//      CRC pass costs both sides the same and would only dilute it); the
+//      checksummed variant is reported alongside.
 //   2. On a 32-source store, the windowed queries (a dashboard-shaped mix
 //      of 16 narrow bytes_in_window probes plus one io_rate_series) must
 //      run >= 3x faster with the pool indexes than with
@@ -28,15 +28,15 @@
 #include "analysis/unified_store.h"
 #include "bench_common.h"
 #include "trace/binary_format.h"
+#include "trace/block_view.h"
 #include "trace/event_batch.h"
-#include "trace/record_view.h"
 #include "util/error.h"
 #include "util/strings.h"
 
 namespace {
 
 using namespace iotaxo;
-using trace::BatchView;
+using trace::BlockView;
 using trace::EventBatch;
 using trace::EventRecord;
 using trace::MappedTraceFile;
@@ -144,19 +144,18 @@ struct ScanResult {
   return out;
 }
 
-[[nodiscard]] ScanResult scan_view(const BatchView& view) {
+[[nodiscard]] ScanResult scan_view(const BlockView& view) {
   ScanResult out;
   const trace::StrId w = view.find_string("SYS_write").value_or(0);
-  const std::size_t n = view.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const RecordView rec = view.record(i);
-    out.total_duration += rec.duration();
-    if (rec.cls() == trace::EventClass::kSyscall && w != 0 &&
-        rec.name() == w) {
-      ++out.writes;
-      out.write_bytes += rec.bytes();
-    }
-  }
+  view.for_each(
+      [&](std::size_t, const RecordView& rec, std::uint32_t /*args_begin*/) {
+        out.total_duration += rec.duration();
+        if (rec.cls() == trace::EventClass::kSyscall && w != 0 &&
+            rec.name() == w) {
+          ++out.writes;
+          out.write_bytes += rec.bytes();
+        }
+      });
   return out;
 }
 
@@ -172,7 +171,7 @@ struct ScanResult {
   ScanResult view_result;
   const double view_s = best_seconds([&] {
     const MappedTraceFile file(path);
-    const BatchView view(file.bytes());
+    const BlockView view(file.bytes());
     view_result = scan_view(view);
   });
   *identical = *identical && decoded_result == view_result;
@@ -185,14 +184,14 @@ int main() {
   const std::vector<TraceEvent> events = synth_events();
   const EventBatch batch = EventBatch::from_events(events);
 
-  // --- gate 1: zero-copy view vs decode ------------------------------------
+  // --- gate 1: in-place view vs decode -------------------------------------
   trace::BinaryOptions plain;
   plain.checksum = false;
-  const std::string plain_path = "bench_zero_copy_plain.iotb";
-  write_file(plain_path, trace::encode_binary_v2(batch, plain));
+  const std::string plain_path = "bench_zero_copy_plain.iotb3";
+  write_file(plain_path, trace::encode_binary_v3(batch, plain));
   trace::BinaryOptions checksummed;  // defaults: checksum on
-  const std::string crc_path = "bench_zero_copy_crc.iotb";
-  write_file(crc_path, trace::encode_binary_v2(batch, checksummed));
+  const std::string crc_path = "bench_zero_copy_crc.iotb3";
+  write_file(crc_path, trace::encode_binary_v3(batch, checksummed));
 
   bool scans_identical = true;
   const double view_speedup = view_vs_decode(plain_path, &scans_identical);

@@ -8,8 +8,8 @@
 // aggregates cannot expose.
 //
 // Graphs are mined straight off the store's pools through the public
-// accessor seam (BatchAccess / ViewAccess): owned batches and zero-copy
-// IOTB2 views feed identical graphs, and nothing is materialized. Node and
+// accessor seam (BatchAccess / BlockAccess): owned batches and mapped IOTB3
+// block pools feed identical graphs, and nothing is materialized. Node and
 // edge keys are interned call-name ids in the Dfg's own name table
 // (`names`), assigned in sorted-name order (id 0 stays ""), so graph
 // comparisons are id compares — and the table is independent of how the

@@ -151,4 +151,37 @@ const ManifestEntry* StoreManifest::find(std::string_view name) const {
   return nullptr;
 }
 
+std::optional<std::uint64_t> parse_era_seq(std::string_view name) {
+  const std::string stem = std::filesystem::path(name).stem().string();
+  const std::size_t dash = stem.rfind('-');
+  if (dash == std::string::npos || dash + 1 == stem.size()) {
+    return std::nullopt;
+  }
+  std::uint64_t seq = 0;
+  for (std::size_t i = dash + 1; i < stem.size(); ++i) {
+    if (stem[i] < '0' || stem[i] > '9') {
+      return std::nullopt;
+    }
+    seq = seq * 10 + static_cast<std::uint64_t>(stem[i] - '0');
+  }
+  return seq;
+}
+
+bool is_container_name(std::string_view name) {
+  const std::string ext = std::filesystem::path(name).extension().string();
+  return ext.rfind(".iotb", 0) == 0;
+}
+
+bool era_order_less(std::string_view a, std::string_view b) {
+  const std::optional<std::uint64_t> sa = parse_era_seq(a);
+  const std::optional<std::uint64_t> sb = parse_era_seq(b);
+  if (sa.has_value() != sb.has_value()) {
+    return sa.has_value();  // unnumbered names last
+  }
+  if (sa.has_value() && *sa != *sb) {
+    return *sa < *sb;
+  }
+  return a < b;
+}
+
 }  // namespace iotaxo::analysis

@@ -66,4 +66,23 @@ struct StoreManifest {
   bool operator==(const StoreManifest&) const = default;
 };
 
+// Era order of a store directory's container files, shared by recovery
+// (UnifiedTraceStore::attach_dir) and `iotaxo fsck` so both walk a
+// directory in the order its eras were committed. Attach order is pool
+// order, which the DFG's directly-follows edges and hottest_files' fd
+// carry-over between pools both depend on.
+
+/// The era sequence number of a "<prefix>-<n>.<ext>" name ("era-7.iotb3"
+/// -> 7); nullopt when the stem has no trailing "-<digits>".
+[[nodiscard]] std::optional<std::uint64_t> parse_era_seq(
+    std::string_view name);
+
+/// Container candidates are the ".iotb*" files; anything else in a store
+/// directory (logs, READMEs) is ignored.
+[[nodiscard]] bool is_container_name(std::string_view name);
+
+/// Strict weak order for container names: numbered names by sequence
+/// number, then unnumbered names last; ties by name.
+[[nodiscard]] bool era_order_less(std::string_view a, std::string_view b);
+
 }  // namespace iotaxo::analysis

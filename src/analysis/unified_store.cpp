@@ -47,8 +47,6 @@ struct StoreMetrics {
   obs::Counter& ingest_events = obs::counter("ingest.events");
   obs::Counter& era_seals = obs::counter("ingest.era_seals");
   obs::Counter& index_adopted = obs::counter("ingest.index_adopted");
-  obs::Counter& index_rebuilt = obs::counter("ingest.index_rebuilt");
-  obs::Counter& attach_index_adopted = obs::counter("attach.index_adopted");
 };
 
 StoreMetrics& metrics() {
@@ -57,24 +55,19 @@ StoreMetrics& metrics() {
 }
 
 // Queries dispatch each pool onto the public accessor seam declared in
-// unified_store.h (BatchAccess over an owned EventBatch, ViewAccess over a
-// zero-copy BatchView, BlockAccess over a lazily-decoded IOTB3 BlockView)
-// exactly once, so the per-record loops below stay monomorphized. Scans
-// walk the accessor's *segments* (whole pool for owned/view pools, one per
-// block for block-backed pools): each segment carries skip predicates from
-// its index and, when the records are serialized, raw fixed-stride bytes
-// the SIMD scan kernels run over.
+// unified_store.h (BatchAccess over an owned EventBatch, BlockAccess over a
+// lazily-decoded IOTB3 BlockView) exactly once, so the per-record loops
+// below stay monomorphized. Scans walk the accessor's *segments* (whole
+// pool for owned pools, one per block for block pools): each segment
+// carries skip predicates from its index and, when the records are
+// serialized, raw fixed-stride bytes the SIMD scan kernels run over.
 
 template <class Fn>
 decltype(auto) with_access(const trace::EventBatch& batch,
-                           const std::optional<trace::BatchView>& view,
                            const std::optional<trace::BlockView>& blocks,
                            Fn&& fn) {
   if (blocks.has_value()) {
     return fn(BlockAccess{&*blocks});
-  }
-  if (view.has_value()) {
-    return fn(ViewAccess{&*view});
   }
   return fn(BatchAccess{&batch});
 }
@@ -164,51 +157,19 @@ void UnifiedTraceStore::index_pool(StorePool& pool) {
     pool.index = std::move(idx);
     return;
   }
-  if (pool.view.has_value() && adopt_indexes_ &&
-      pool.view->persisted_index().has_value()) {
-    // The container carries a validated v2 footer: adopt it instead of
-    // scanning records. find_string_unchecked keeps the deferred payload
-    // CRC deferred (the table was structurally validated at open); the
-    // footer's own CRC already vouched for the index bits.
-    const trace::PoolIndexFooter& f = *pool.view->persisted_index();
-    idx.any = f.any;
-    idx.min_time = f.min_time;
-    idx.max_time = f.max_time;
-    idx.has_fd_path = f.has_fd_path;
-    idx.has_io_bytes = f.has_io_bytes;
-    idx.sys_write_id =
-        pool.view->find_string_unchecked("SYS_write").value_or(0);
-    idx.sys_read_id = pool.view->find_string_unchecked("SYS_read").value_or(0);
-    idx.name_present.assign(pool.view->string_count(), false);
-    for (trace::StrId id = 1; id < idx.name_present.size(); ++id) {
-      if (f.has_name(id)) {
-        idx.name_present[id] = true;
-      }
-    }
-    pool.persisted_index = true;
-    metrics().index_adopted.add(1);
-    pool.index = std::move(idx);
-    return;
-  }
-  if (pool.view.has_value()) {
-    // A v2 view pool that could have carried a footer gets the full scan.
-    metrics().index_rebuilt.add(1);
-  }
-  with_access(pool.batch, pool.view, pool.blocks, [&idx](const auto& acc) {
-    idx.sys_write_id = acc.find("SYS_write").value_or(0);
-    idx.sys_read_id = acc.find("SYS_read").value_or(0);
-    idx.name_present.assign(acc.string_count(), false);
-    fold_index_records(idx, acc, 0, acc.size());
-  });
+  idx.sys_write_id = pool.batch.pool().find("SYS_write").value_or(0);
+  idx.sys_read_id = pool.batch.pool().find("SYS_read").value_or(0);
+  idx.name_present.assign(pool.batch.pool().size(), false);
+  fold_index_records(idx, pool.batch, 0, pool.batch.size());
   pool.index = std::move(idx);
 }
 
-template <class Acc>
-void UnifiedTraceStore::fold_index_records(PoolIndex& idx, const Acc& acc,
+void UnifiedTraceStore::fold_index_records(PoolIndex& idx,
+                                           const trace::EventBatch& batch,
                                            std::size_t begin,
                                            std::size_t end) {
   for (std::size_t i = begin; i < end; ++i) {
-    const auto& rec = acc.record(i);
+    const trace::EventRecord& rec = batch.record(i);
     idx.name_present[rec.name] = true;
     if (!idx.any) {
       idx.min_time = idx.max_time = rec.local_start;
@@ -322,7 +283,7 @@ void UnifiedTraceStore::extend_open_index(StorePool& pool, std::size_t begin,
   if (idx.name_present.size() < pool.batch.pool().size()) {
     idx.name_present.resize(pool.batch.pool().size(), false);
   }
-  fold_index_records(idx, BatchAccess{&pool.batch}, begin, end);
+  fold_index_records(idx, pool.batch, begin, end);
 }
 
 bool UnifiedTraceStore::seal_open_era() {
@@ -374,54 +335,10 @@ std::size_t UnifiedTraceStore::ingest_view(
     trace::MappedTraceFile file,
     const std::map<std::string, std::string>& metadata,
     const std::optional<CipherKey>& key) {
-  // The views borrow the mapped bytes; MappedTraceFile guarantees they do
+  // The view borrows the mapped bytes; MappedTraceFile guarantees they do
   // not relocate when the file object itself is moved into the pool.
-  const trace::BinaryHeader header = trace::peek_binary_header(file.bytes());
-  if (header.version == 3) {
-    trace::BlockView view(file.bytes(), key);
-    return ingest_view(std::move(file), std::move(view), metadata);
-  }
-  trace::BatchView view(file.bytes());
+  trace::BlockView view(file.bytes(), key);
   return ingest_view(std::move(file), std::move(view), metadata);
-}
-
-std::size_t UnifiedTraceStore::ingest_view(
-    trace::MappedTraceFile file, trace::BatchView view,
-    const std::map<std::string, std::string>& metadata) {
-  const std::span<const std::uint8_t> bytes = file.bytes();
-  if (view.buffer().data() != bytes.data() ||
-      view.buffer().size() != bytes.size()) {
-    throw ConfigError(
-        "unified store: the view does not borrow the given mapped file");
-  }
-  metrics().ingest_flushes.add(1);
-  metrics().ingest_events.add(view.size());
-  if (stream_.has_value() && view.size() <= stream_->flush_events) {
-    // A small flush while streaming: materialize it into the open era
-    // (decoding verifies the CRC) and drop the mapped file — tens of
-    // thousands of tiny capture flushes must not pin tens of thousands of
-    // mappings.
-    trace::EventBatch batch = trace::decode_binary_batch(bytes);
-    return stream_append(parse_source_info(metadata), std::move(batch), {});
-  }
-  seal_open_era();
-  StorePool pool;
-  pool.view.emplace(std::move(view));
-  pool.file = std::move(file);
-
-  StoreSourceInfo info = parse_source_info(metadata);
-  info.events = static_cast<long long>(pool.view->size());
-  info.view_backed = true;
-  total_events_ += info.events;
-
-  const std::size_t source_index = sources_.size();
-  pool.first_source = source_index;
-  index_pool(pool);
-  sources_.push_back(std::move(info));
-  pools_.push_back(std::move(pool));
-  notify_ingest(pools_.size() - 1, 0,
-                static_cast<std::size_t>(sources_.back().events));
-  return source_index;
 }
 
 std::size_t UnifiedTraceStore::ingest_view(
@@ -452,6 +369,7 @@ std::size_t UnifiedTraceStore::ingest_view(
   const std::size_t source_index = sources_.size();
   pool.first_source = source_index;
   index_pool(pool);
+  metrics().index_adopted.add(1);  // built from the footer, no block decoded
   sources_.push_back(std::move(info));
   pools_.push_back(std::move(pool));
   notify_ingest(pools_.size() - 1, 0,
@@ -463,11 +381,9 @@ std::size_t UnifiedTraceStore::ingest_view(
     const std::string& path,
     const std::map<std::string, std::string>& metadata,
     const std::optional<CipherKey>& key) {
-  // When index adoption is on, the open usually touches only the header,
-  // string table, and footer pages — don't prefault the record pages. A
-  // footer-less (or corrupt-footer) container still scans fine; the pages
-  // just fault in on demand.
-  return ingest_view(trace::MappedTraceFile(path, /*prefault=*/!adopt_indexes_),
+  // The open touches only the head and footer pages — don't prefault the
+  // block pages; queries fault in just the blocks they decode.
+  return ingest_view(trace::MappedTraceFile(path, /*prefault=*/false),
                      metadata, key);
 }
 
@@ -483,14 +399,13 @@ std::size_t UnifiedTraceStore::compact(std::size_t era_bytes) {
   while (i < pools_.size()) {
     StorePool era = std::move(pools_[i]);
     ++i;
-    if (era.view.has_value() || era.blocks.has_value()) {
-      merged.push_back(std::move(era));  // views are never re-materialized
+    if (era.blocks.has_value()) {
+      merged.push_back(std::move(era));  // block pools are never re-read
       continue;
     }
     std::size_t era_size = approx_batch_bytes(era.batch);
     bool grew = false;
-    while (i < pools_.size() && !pools_[i].view.has_value() &&
-           !pools_[i].blocks.has_value()) {
+    while (i < pools_.size() && !pools_[i].blocks.has_value()) {
       const std::size_t next = approx_batch_bytes(pools_[i].batch);
       if (era_size + next > era_bytes) {
         break;
@@ -524,8 +439,8 @@ std::size_t UnifiedTraceStore::compact(std::size_t era_bytes,
   cold_era_seq_ = std::max(cold_era_seq_,
                            static_cast<std::size_t>(manifest.next_seq));
   for (StorePool& pool : pools_) {
-    if (pool.view.has_value() || pool.blocks.has_value()) {
-      continue;  // already cold (or zero-copy ingested)
+    if (pool.blocks.has_value()) {
+      continue;  // already cold (or ingested in place)
     }
     fail::point("store.cold.spill");
     // Covers the whole spill: encode, durable write, manifest commit and
@@ -582,36 +497,6 @@ std::size_t UnifiedTraceStore::compact(std::size_t era_bytes,
   return pools_.size();
 }
 
-namespace {
-
-/// The era sequence number from "<prefix>-<n>.iotb3"-style names; nullopt
-/// when the stem has no trailing "-<digits>".
-[[nodiscard]] std::optional<std::uint64_t> parse_era_seq(
-    const std::string& name) {
-  const std::string stem = std::filesystem::path(name).stem().string();
-  const std::size_t dash = stem.rfind('-');
-  if (dash == std::string::npos || dash + 1 == stem.size()) {
-    return std::nullopt;
-  }
-  std::uint64_t v = 0;
-  for (std::size_t i = dash + 1; i < stem.size(); ++i) {
-    if (stem[i] < '0' || stem[i] > '9') {
-      return std::nullopt;
-    }
-    v = v * 10 + static_cast<std::uint64_t>(stem[i] - '0');
-  }
-  return v;
-}
-
-/// Recovery candidates are the container files (.iotb/.iotb2/.iotb3);
-/// anything else in the directory (logs, READMEs) is simply ignored.
-[[nodiscard]] bool is_container_name(const std::string& name) {
-  const std::string ext = std::filesystem::path(name).extension().string();
-  return ext.rfind(".iotb", 0) == 0;
-}
-
-}  // namespace
-
 StoreHealth UnifiedTraceStore::attach_dir(const std::string& directory,
                                           const AttachOptions& options) {
   namespace fs = std::filesystem;
@@ -651,18 +536,7 @@ StoreHealth UnifiedTraceStore::attach_dir(const std::string& directory,
   }
   // Attach order must not depend on directory iteration order: sort by
   // era sequence (then name), the order the eras were committed in.
-  std::sort(names.begin(), names.end(),
-            [](const std::string& a, const std::string& b) {
-              const auto sa = parse_era_seq(a);
-              const auto sb = parse_era_seq(b);
-              if (sa.has_value() != sb.has_value()) {
-                return sb.has_value();  // unnumbered names last
-              }
-              if (sa.has_value() && *sa != *sb) {
-                return *sa < *sb;
-              }
-              return a < b;
-            });
+  std::sort(names.begin(), names.end(), era_order_less);
 
   // Whatever happens below, later cold compactions into this directory
   // must not collide with any file already present — committed or not.
@@ -716,9 +590,6 @@ StoreHealth UnifiedTraceStore::attach_dir(const std::string& directory,
           continue;
         }
         ingest_view(std::move(file), options.metadata, options.key);
-        if (pools_.back().persisted_index) {
-          metrics().attach_index_adopted.add(1);
-        }
         ++health.recovered_eras;
       } catch (const Error& err) {
         quarantine(e.name, err.what());
@@ -737,9 +608,6 @@ StoreHealth UnifiedTraceStore::attach_dir(const std::string& directory,
     for (const std::string& name : names) {
       try {
         ingest_view(directory + "/" + name, options.metadata, options.key);
-        if (pools_.back().persisted_index) {
-          metrics().attach_index_adopted.add(1);
-        }
         ++health.recovered_eras;
       } catch (const Error& err) {
         quarantine(name, err.what());
@@ -765,7 +633,6 @@ std::vector<StorePoolInfo> UnifiedTraceStore::pool_infos() const {
     info.first_source = pool.first_source;
     info.source_count = pool.source_count;
     if (pool.blocks.has_value()) {
-      info.view_backed = true;
       info.block_backed = true;
       info.blocks = pool.blocks->block_count();
       info.records = static_cast<long long>(pool.blocks->size());
@@ -775,10 +642,6 @@ std::vector<StorePoolInfo> UnifiedTraceStore::pool_infos() const {
       info.stored_bytes = pool.blocks->stored_bytes_total();
       info.decoded_stored_bytes = pool.blocks->decoded_stored_bytes();
       info.damaged_blocks = pool.blocks->failed_blocks();
-    } else if (pool.view.has_value()) {
-      info.view_backed = true;
-      info.records = static_cast<long long>(pool.view->size());
-      info.approx_bytes = pool.file.size();
     } else {
       info.records = static_cast<long long>(pool.batch.size());
       info.approx_bytes = approx_batch_bytes(pool.batch);
@@ -790,7 +653,6 @@ std::vector<StorePoolInfo> UnifiedTraceStore::pool_infos() const {
     }
     info.open_era = pool.open;
     info.flushes_absorbed = pool.flushes;
-    info.persisted_index = pool.persisted_index;
     infos.push_back(info);
   }
   return infos;
@@ -818,9 +680,9 @@ const trace::EventBatch& UnifiedTraceStore::source_batch(
     throw ConfigError("unified store: source index out of range");
   }
   const StorePool& pool = pool_for(source);
-  if (pool.view.has_value() || pool.blocks.has_value()) {
+  if (pool.blocks.has_value()) {
     throw ConfigError(
-        "unified store: source is view-backed; its records live in the "
+        "unified store: source is block-backed; its records live in the "
         "mapped container, not an owned batch");
   }
   if (pool.source_count != 1) {
@@ -880,7 +742,7 @@ std::map<std::string, CallStats> UnifiedTraceStore::call_stats() const {
         metrics().pools_skipped.add(1);
         continue;
       }
-      with_access(pool.batch, pool.view, pool.blocks, [&](const auto& acc) {
+      with_access(pool.batch, pool.blocks, [&](const auto& acc) {
         // Accumulate per string id into a flat row table (the SIMD kernel's
         // scatter target), then fold the touched rows into the name map —
         // one map lookup per distinct name per pool.
@@ -965,7 +827,7 @@ std::vector<trace::TraceEvent> UnifiedTraceStore::rank_timeline(
   const obs::ScopedTimer query_timer(metrics().rank_timeline_ns);
   std::vector<trace::TraceEvent> out;
   for (const StorePool& pool : pools_) {
-    with_access(pool.batch, pool.view, pool.blocks, [&](const auto& acc) {
+    with_access(pool.batch, pool.blocks, [&](const auto& acc) {
       const std::size_t segments = acc.segment_count();
       // materialize() reads every column, so prefetch full records; the
       // pool walk itself is serial, so the whole thread budget applies.
@@ -1030,7 +892,7 @@ Bytes UnifiedTraceStore::bytes_in_window(SimTime begin, SimTime end) const {
             metrics().pools_skipped.add(1);
             continue;  // neither transfer call appears as a record name
           }
-          with_access(pool.batch, pool.view, pool.blocks,
+          with_access(pool.batch, pool.blocks,
                       [&](const auto& acc) {
             const std::size_t segments = acc.segment_count();
             // Index-skip first, then decode the surviving blocks in
@@ -1142,7 +1004,7 @@ std::vector<std::pair<SimTime, Bytes>> UnifiedTraceStore::io_rate_series(
           };
           for (std::size_t s = chunk_begin; s < chunk_end; ++s) {
             const StorePool& pool = pools_[s];
-            with_access(pool.batch, pool.view, pool.blocks,
+            with_access(pool.batch, pool.blocks,
                         [&](const auto& acc) {
               const std::size_t segments = acc.segment_count();
               for (std::size_t k = 0; k < segments; ++k) {
@@ -1218,7 +1080,7 @@ std::vector<std::pair<SimTime, Bytes>> UnifiedTraceStore::io_rate_series(
             metrics().pools_skipped.add(1);
             continue;
           }
-          with_access(pool.batch, pool.view, pool.blocks,
+          with_access(pool.batch, pool.blocks,
                       [&](const auto& acc) {
             const std::size_t segments = acc.segment_count();
             std::vector<std::size_t> touched;
@@ -1338,7 +1200,7 @@ std::vector<FileHeat> UnifiedTraceStore::hottest_files(
         continue;
       }
       PoolScan& scan = scans[s];
-      with_access(pool.batch, pool.view, pool.blocks, [&](const auto& acc) {
+      with_access(pool.batch, pool.blocks, [&](const auto& acc) {
         const std::size_t segments = acc.segment_count();
         std::vector<std::size_t> touched;
         touched.reserve(segments);

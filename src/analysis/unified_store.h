@@ -5,41 +5,39 @@
 //
 // The store ingests bundles captured by *any* framework (ptrace text
 // traces, Tracefs binary VFS streams, //TRACE interposition traces) — or
-// raw EventBatches straight off the batched capture pipeline, or IOTB2
-// files opened zero-copy through trace::BatchView — normalizes timestamps
-// onto a common timeline when skew/drift probes are available, and answers
-// the queries analysis tools need: per-call statistics, per-rank activity,
-// time-windowed I/O rates, and file heat.
+// raw EventBatches straight off the batched capture pipeline, or IOTB3
+// containers mapped and read in place through trace::BlockView — normalizes
+// timestamps onto a common timeline when skew/drift probes are available,
+// and answers the queries analysis tools need: per-call statistics,
+// per-rank activity, time-windowed I/O rates, and file heat.
 //
-// Internally every source lives in a *pool*: one owned trace::EventBatch
-// (fixed-size records plus an interned string pool), a view-backed pool (a
-// MappedTraceFile plus the BatchView into it — records are scanned in
-// place, never decoded), or a block-backed pool (a MappedTraceFile plus a
-// BlockView over an IOTB3 container — compressed/checksummed blocks
-// decoded lazily, only when a query touches them). Queries iterate flat
-// records and compare interned ids instead of strings, so aggregate scans
-// stay cheap at millions of events (the columnar bulk-iteration the DFG
-// syscall-inspection line of work depends on).
+// Internally every source lives in a *pool* of one of two kinds: an owned
+// trace::EventBatch (fixed-size records plus an interned string pool), or a
+// mapped block pool (a MappedTraceFile plus a BlockView over its IOTB3
+// container — compressed/checksummed/encrypted blocks decoded lazily, only
+// when a query touches them). Queries iterate flat records and compare
+// interned ids instead of strings, so aggregate scans stay cheap at millions
+// of events (the columnar bulk-iteration the DFG syscall-inspection line of
+// work depends on).
 //
-// Each pool carries an index built once at ingest — min/max corrected
-// timestamp and a name-id presence filter — that lets the windowed and
-// transfer-oriented queries skip whole pools before scanning a record;
-// block-backed pools get theirs straight from the container footer, no
-// record is decoded at ingest. Below the pool index sits the *segment*
-// seam: every accessor partitions its records into index-carrying
-// segments (one per pool for owned/view pools, one per block for
-// block-backed pools), and queries skip or stream segments the same way
-// they skip pools — a narrow window on a compressed era decompresses only
-// the blocks it overlaps. Segments whose records sit serialized in the
-// v2 fixed stride also expose their raw bytes, which the queries feed to
-// the SIMD scan kernels (trace/scan_kernels.h) instead of per-record
-// accessor loops. set_use_indexes(false) disables both skip levels for
-// benchmarking; results are identical either way. compact(era_bytes)
-// merges runs of small owned pools into era-sized batches (re-interned
-// once, source infos preserved) so pool count stays bounded in long-lived
-// aggregation services; the cold-tier overload additionally writes each
-// era out as an IOTB3 file and re-files it as a block-backed pool, so old
-// eras shrink to compressed storage yet stay queryable.
+// Each pool carries an index — min/max corrected timestamp and a name-id
+// presence filter — that lets the windowed and transfer-oriented queries
+// skip whole pools before scanning a record. Owned pools build theirs by a
+// record scan at ingest; block pools take theirs straight from the
+// container footer, so no record is decoded at ingest. Below the pool index
+// sits the *segment* seam: every accessor partitions its records into
+// index-carrying segments (one per owned pool, one per block), and queries
+// skip or stream segments the same way they skip pools — a narrow window on
+// a compressed era decompresses only the blocks it overlaps. Block segments
+// also expose their decoded records in the fixed stride, which the queries
+// feed to the SIMD scan kernels (trace/scan_kernels.h) instead of
+// per-record accessor loops. set_use_indexes(false) disables both skip
+// levels for benchmarking; results are identical either way.
+// compact(era_bytes) merges runs of small owned pools into era-sized
+// batches (re-interned once, source infos preserved) so pool count stays
+// bounded in long-lived aggregation services; the cold-tier overload
+// additionally writes each era out as an IOTB3 file and re-files it as a
+// block pool, so old eras shrink to compressed storage yet stay queryable.
 //
 // Aggregate queries (call_stats, bytes_in_window, io_rate_series,
 // hottest_files) scan pools in parallel when set_query_threads allows:
@@ -67,28 +65,27 @@
 
 namespace iotaxo::analysis {
 
-// Every query sees a pool's records through one of three accessors with
-// the same shape: BatchAccess over an owned EventBatch, ViewAccess over a
-// zero-copy BatchView, BlockAccess over a lazily-decoded IOTB3 BlockView.
-// All are cheap value types; the dispatch happens once per pool
-// (UnifiedTraceStore::with_pool_access), so per-record loops stay
-// monomorphized. The seam is public so analysis subsystems that stream
-// pool records themselves (the DFG miner, tools) reuse it instead of
-// materializing batches or growing friend access.
+// Every query sees a pool's records through one of two accessors with the
+// same shape: BatchAccess over an owned EventBatch, BlockAccess over a
+// lazily-decoded IOTB3 BlockView. Both are cheap value types; the dispatch
+// happens once per pool (UnifiedTraceStore::with_pool_access), so
+// per-record loops stay monomorphized. The seam is public so analysis
+// subsystems that stream pool records themselves (the DFG miner, tools)
+// reuse it instead of materializing batches or growing friend access.
 //
 // Besides per-record access, every accessor exposes the *segment* seam:
 // segment_count() index-carrying record ranges (a single whole-pool
-// segment for owned/view pools, one per block for block-backed pools).
-// The segment_has_* / segment_overlaps predicates are conservative —
-// "true" means "may contain" — so skipping a false segment is always
-// exact. segment_record_bytes() returns the segment's records serialized
-// in the v2 fixed stride for the SIMD scan kernels, or nullptr when the
+// segment for owned pools, one per block for block pools). The
+// segment_has_* / segment_overlaps predicates are conservative — "true"
+// means "may contain" — so skipping a false segment is always exact.
+// segment_record_bytes() returns the segment's records serialized in the
+// fixed whole-record stride for the SIMD scan kernels, or nullptr when the
 // pool's records are not serialized (owned batches). For projected IOTB3
 // pools, segment_hot_bytes() additionally exposes just the hot column
 // group (hotlayout stride) so narrow queries decode a fraction of the
 // stored bytes; segment_prefetch() decodes a set of segments across a
-// thread pool before a serial scan walks them (block-backed pools only —
-// a no-op elsewhere).
+// thread pool before a serial scan walks them (block pools only — a no-op
+// for owned pools).
 
 struct BatchAccess {
   const trace::EventBatch* b;
@@ -113,7 +110,7 @@ struct BatchAccess {
     return b->pool().find(s);
   }
   /// args_begin is carried by the owned record itself; the parameter keeps
-  /// the signature uniform with ViewAccess.
+  /// the signature uniform with BlockAccess.
   [[nodiscard]] trace::TraceEvent materialize(std::size_t i,
                                               std::uint32_t /*args_begin*/)
       const {
@@ -154,76 +151,6 @@ struct BatchAccess {
   }
   [[nodiscard]] const std::uint8_t* segment_record_bytes(std::size_t) const {
     return nullptr;
-  }
-  [[nodiscard]] const std::uint8_t* segment_hot_bytes(std::size_t) const {
-    return nullptr;
-  }
-  void segment_prefetch(const std::vector<std::size_t>&, std::size_t,
-                        bool) const noexcept {}
-};
-
-struct ViewAccess {
-  const trace::BatchView* v;
-
-  [[nodiscard]] std::size_t size() const noexcept { return v->size(); }
-  [[nodiscard]] trace::EventRecord record(std::size_t i) const {
-    return v->record(i).to_record();
-  }
-  [[nodiscard]] std::string_view name(std::size_t i) const {
-    return v->string(v->record(i).name());
-  }
-  [[nodiscard]] std::string_view path(std::size_t i) const {
-    return v->string(v->record(i).path());
-  }
-  [[nodiscard]] std::size_t string_count() const noexcept {
-    return v->string_count();
-  }
-  [[nodiscard]] std::string_view string(trace::StrId id) const {
-    return v->string(id);
-  }
-  [[nodiscard]] std::optional<trace::StrId> find(std::string_view s) const {
-    return v->find_string(s);
-  }
-  [[nodiscard]] trace::TraceEvent materialize(std::size_t i,
-                                              std::uint32_t args_begin) const {
-    return v->materialize(i, args_begin);
-  }
-
-  // Segment seam: one segment, no finer index, records serialized in
-  // place (the deferred v2 CRC is verified when the bytes are handed out).
-  [[nodiscard]] std::size_t segment_count() const noexcept { return 1; }
-  [[nodiscard]] std::size_t segment_begin(std::size_t) const noexcept {
-    return 0;
-  }
-  [[nodiscard]] std::size_t segment_end(std::size_t) const noexcept {
-    return v->size();
-  }
-  [[nodiscard]] std::uint32_t segment_args_begin(std::size_t) const noexcept {
-    return 0;
-  }
-  [[nodiscard]] bool segment_overlaps(std::size_t, SimTime,
-                                      SimTime) const noexcept {
-    return true;
-  }
-  [[nodiscard]] bool segment_stamp_bounds(std::size_t, SimTime*,
-                                          SimTime*) const noexcept {
-    return false;
-  }
-  [[nodiscard]] bool segment_has_name(std::size_t,
-                                      trace::StrId id) const noexcept {
-    return id != 0;
-  }
-  [[nodiscard]] bool segment_has_fd_path(std::size_t) const noexcept {
-    return true;
-  }
-  [[nodiscard]] bool segment_has_io_bytes(std::size_t) const noexcept {
-    return true;
-  }
-  [[nodiscard]] bool segment_has_io_call(std::size_t) const noexcept {
-    return true;
-  }
-  [[nodiscard]] const std::uint8_t* segment_record_bytes(std::size_t) const {
-    return v->record_bytes().data();
   }
   [[nodiscard]] const std::uint8_t* segment_hot_bytes(std::size_t) const {
     return nullptr;
@@ -326,7 +253,8 @@ struct StoreSourceInfo {
   std::string application;
   long long events = 0;
   bool time_corrected = false;
-  /// True when the source is served zero-copy from a mapped IOTB2 file.
+  /// True when the source is served from a mapped IOTB3 container (a block
+  /// pool) rather than an owned batch.
   bool view_backed = false;
 };
 
@@ -345,7 +273,7 @@ struct FileHeat {
 };
 
 /// Shape of one storage pool, reported by pool_infos() so tools and
-/// benches can describe a store (pool count, sizes, eras, owned vs view)
+/// benches can describe a store (pool count, sizes, eras, owned vs block)
 /// without friend access to the pool internals.
 struct StorePoolInfo {
   /// Sources [first_source, first_source + source_count) live in this pool
@@ -354,12 +282,11 @@ struct StorePoolInfo {
   std::size_t source_count = 1;
   long long records = 0;
   /// Approximate resident footprint: in-memory batch bytes for owned
-  /// pools, container file bytes for view-backed pools.
+  /// pools, container file bytes for block pools.
   std::size_t approx_bytes = 0;
-  bool view_backed = false;
   /// True for pools served from an IOTB3 BlockView (cold-tier compaction
-  /// output or a v3 ingest_view); `blocks` is then the container's block
-  /// count, else 0.
+  /// output, ingest_view or attach_dir); `blocks` is then the container's
+  /// block count, else 0.
   bool block_backed = false;
   std::size_t blocks = 0;
   /// Block-backed container flags and the decode footprint so far:
@@ -383,9 +310,6 @@ struct StorePoolInfo {
   /// that never streamed).
   bool open_era = false;
   std::size_t flushes_absorbed = 0;
-  /// View-backed v2 pools only: the container carried a valid persisted
-  /// index footer and the pool adopted it instead of scanning records.
-  bool persisted_index = false;
   bool operator==(const StorePoolInfo&) const = default;
 };
 
@@ -469,31 +393,27 @@ class UnifiedTraceStore {
       const std::vector<trace::TraceEvent>& clock_probes = {},
       const std::vector<trace::DependencyEdge>& dependencies = {});
 
-  /// Ingest a container zero-copy: the store takes ownership of the mapped
-  /// file and serves the source straight from a view. IOTB2 must be
-  /// uncompressed and unencrypted (records are scanned once at ingest to
-  /// build the pool index); IOTB3 may also be compressed/checksummed — its
-  /// pool index is built from the footer mini-index alone, so no block is
-  /// decompressed at ingest. View sources use raw node-local stamps (no
-  /// timeline correction; decode to a batch and use the batch overload when
-  /// probes must be applied). `key` opens encrypted IOTB3 containers (a
-  /// wrong or missing key throws FormatError at ingest; blocks decrypt
-  /// lazily as queries touch them). Throws FormatError if the container is
-  /// not view-able.
+  /// Ingest an IOTB3 container in place: the store takes ownership of the
+  /// mapped file and serves the source from a BlockView over it. The pool
+  /// index is built from the footer mini-index alone, so no block is
+  /// decoded (or decompressed, or decrypted) at ingest. Block sources use
+  /// raw node-local stamps (no timeline correction; decode to a batch and
+  /// use the batch overload when probes must be applied). `key` opens
+  /// encrypted containers (a wrong or missing key throws FormatError at
+  /// ingest; blocks decrypt lazily as queries touch them). Throws
+  /// FormatError if the container does not open (IOTB1/IOTB2 included).
   std::size_t ingest_view(trace::MappedTraceFile file,
                           const std::map<std::string, std::string>& metadata = {},
                           const std::optional<CipherKey>& key = std::nullopt);
-  /// Convenience: map `path` and ingest it zero-copy.
+  /// Convenience: map `path` (without prefaulting: the open touches only
+  /// the head and footer pages) and ingest it in place.
   std::size_t ingest_view(const std::string& path,
                           const std::map<std::string, std::string>& metadata = {},
                           const std::optional<CipherKey>& key = std::nullopt);
-  /// Ingest an already-validated pair: `view` must borrow `file`'s bytes
-  /// (checked; ConfigError otherwise). Callers that probed the container
-  /// themselves (the CLI's view-or-decode fallback) file it without
+  /// Ingest an already-opened pair: `view` must borrow `file`'s bytes
+  /// (checked; ConfigError otherwise). Callers that opened the container
+  /// themselves (the CLI prints its block table first) file it without
   /// paying the open-time validation a second time.
-  std::size_t ingest_view(trace::MappedTraceFile file, trace::BatchView view,
-                          const std::map<std::string, std::string>& metadata = {});
-  /// Same, for an IOTB3 block view.
   std::size_t ingest_view(trace::MappedTraceFile file, trace::BlockView view,
                           const std::map<std::string, std::string>& metadata = {});
 
@@ -502,7 +422,7 @@ class UnifiedTraceStore {
   /// files are deleted, the directory's MANIFEST.iotm (when present)
   /// decides which containers are committed, and every committed container
   /// that still matches its recorded size + CRC and opens cleanly is
-  /// ingested zero-copy. Containers that fail any validation — and
+  /// ingested in place. Containers that fail any validation — and
   /// committed-looking files the manifest does not list (a crash between
   /// the era rename and the manifest rename) — are *quarantined*: reported
   /// in the returned StoreHealth, left on disk, not served, and never
@@ -517,7 +437,7 @@ class UnifiedTraceStore {
   /// Merge runs of adjacent small *owned* pools into era-sized batches of
   /// at most ~era_bytes each (approximate in-memory footprint). Source
   /// infos, source indexing and every query result are preserved exactly;
-  /// view-backed pools are never touched. Bounds pool count for long-lived
+  /// block pools are never touched. Bounds pool count for long-lived
   /// aggregation services. Returns the pool count after compaction.
   std::size_t compact(std::size_t era_bytes);
 
@@ -526,9 +446,8 @@ class UnifiedTraceStore {
     /// Directory the era containers are written into (must exist).
     std::string directory;
     /// Container options for the eras: compress/checksum/encrypt/project
-    /// all flow to the v3 encoder (encrypt requires `binary.key`, which is
-    /// also used to open the written era for swap-in). Version is forced
-    /// to 3.
+    /// all flow to the encoder (encrypt requires `binary.key`, which is
+    /// also used to open the written era for swap-in).
     trace::BinaryOptions binary;
     std::uint32_t block_records = trace::v3layout::kDefaultBlockRecords;
     /// Era files are named <directory>/<file_prefix>-<n>.iotb3, where n is
@@ -545,7 +464,7 @@ class UnifiedTraceStore {
   /// under `cold.directory` and swap the pool to a block-backed view of
   /// the mapped file — the in-memory batch is released, and later queries
   /// decode only the blocks they touch. Query results are preserved
-  /// exactly; covered sources become view-backed (source_batch() then
+  /// exactly; covered sources become block-backed (source_batch() then
   /// throws for them). Returns the pool count.
   std::size_t compact(std::size_t era_bytes, const ColdTierOptions& cold);
 
@@ -556,11 +475,11 @@ class UnifiedTraceStore {
   }
 
   /// Per-pool shape (record count, footprint, index time span, owned vs
-  /// view), in pool (== source) order.
+  /// block), in pool (== source) order.
   [[nodiscard]] std::vector<StorePoolInfo> pool_infos() const;
 
-  /// Run fn with pool `p`'s accessor (BatchAccess, ViewAccess or
-  /// BlockAccess): the same seam every built-in query scans through, for
+  /// Run fn with pool `p`'s accessor (BatchAccess or BlockAccess): the
+  /// same seam every built-in query scans through, for
   /// callers that stream pool records themselves. Throws ConfigError on an
   /// out-of-range pool.
   template <class Fn>
@@ -569,9 +488,6 @@ class UnifiedTraceStore {
     const StorePool& pool = pools_[p];
     if (pool.blocks.has_value()) {
       return fn(BlockAccess{&*pool.blocks});
-    }
-    if (pool.view.has_value()) {
-      return fn(ViewAccess{&*pool.view});
     }
     return fn(BatchAccess{&pool.batch});
   }
@@ -610,13 +526,6 @@ class UnifiedTraceStore {
   /// era existed. The next absorbed flush starts a fresh era.
   bool seal_open_era();
 
-  /// Adopt persisted v2 index footers at ingest_view/attach_dir (default
-  /// on) instead of scanning records. The off position exists so tests and
-  /// bench_ingest can compare adopted vs rebuilt indexes; results are
-  /// identical either way.
-  void set_adopt_indexes(bool adopt) noexcept { adopt_indexes_ = adopt; }
-  [[nodiscard]] bool adopt_indexes() const noexcept { return adopt_indexes_; }
-
   /// Called after records [begin_record, end_record) of pool `pool` are
   /// filed (any ingest path: new pool, open-era append, attached
   /// container). At most one listener; set an empty function to detach.
@@ -654,7 +563,7 @@ class UnifiedTraceStore {
 
   /// A source's events in normalized columnar form (local_start already on
   /// the common timeline). Only available while the source still has its
-  /// own owned pool: throws ConfigError for view-backed sources (their
+  /// own owned pool: throws ConfigError for block-backed sources (their
   /// records live in the mapped file, not an EventBatch) and for sources
   /// merged away by compact().
   [[nodiscard]] const trace::EventBatch& source_batch(
@@ -695,7 +604,7 @@ class UnifiedTraceStore {
     bool has_io_bytes = false; // some I/O-class record moved bytes > 0
     /// Interned ids of the transfer syscalls in this pool's string table
     /// (0 = not interned), resolved once at ingest so windowed queries
-    /// never re-search the table (linear for view-backed pools).
+    /// never re-search the table (linear for block pools).
     trace::StrId sys_write_id = 0;
     trace::StrId sys_read_id = 0;
     /// name_present[id]: some record's *name* is string id `id` (ids that
@@ -709,14 +618,12 @@ class UnifiedTraceStore {
     }
   };
 
-  /// One storage unit: an owned batch (views disengaged), a view-backed
-  /// mapped IOTB2 file, or a block-backed mapped IOTB3 file. Covers sources
-  /// [first_source, first_source + source_count) — more than one only after
-  /// compact().
+  /// One storage unit: an owned batch (`blocks` disengaged) or a mapped
+  /// IOTB3 file served through `blocks`. Covers sources [first_source,
+  /// first_source + source_count) — more than one only after compact().
   struct StorePool {
     trace::EventBatch batch;
     trace::MappedTraceFile file;
-    std::optional<trace::BatchView> view;
     std::optional<trace::BlockView> blocks;
     PoolIndex index;
     std::size_t first_source = 0;
@@ -727,8 +634,6 @@ class UnifiedTraceStore {
     /// absorbed (0 for pools that never streamed).
     bool open = false;
     std::size_t flushes = 0;
-    /// A valid persisted v2 index footer was adopted for this pool.
-    bool persisted_index = false;
   };
 
   [[nodiscard]] std::optional<SkewDriftModel> fit_model(
@@ -747,18 +652,18 @@ class UnifiedTraceStore {
   /// Bounds check shared by the inline pool accessors.
   void check_pool_index(std::size_t p) const;
 
-  /// (Re)build a pool's skip index: adopt a persisted footer when the pool
-  /// is a v2 view carrying a valid one (and adopt_indexes_), else fold a
-  /// full record scan through the same seam open-era appends extend
-  /// through (fold_index_records).
+  /// (Re)build a pool's skip index: OR a block pool's footer mini-index
+  /// together, or fold an owned pool's records through the same seam
+  /// open-era appends extend through (fold_index_records).
   void index_pool(StorePool& pool);
 
-  /// The one index-maintenance seam: fold records [begin, end) of an
-  /// accessor into `idx` (stamp bounds, presence flags, name filter).
-  /// Callers size idx.name_present and resolve the transfer-call ids; both
-  /// full ingest scans and incremental open-era appends run through this.
-  template <class Acc>
-  static void fold_index_records(PoolIndex& idx, const Acc& acc,
+  /// The one index-maintenance seam for owned pools: fold records
+  /// [begin, end) of `batch` into `idx` (stamp bounds, presence flags, name
+  /// filter). Callers size idx.name_present and resolve the transfer-call
+  /// ids; both full ingest scans and incremental open-era appends run
+  /// through this.
+  static void fold_index_records(PoolIndex& idx,
+                                 const trace::EventBatch& batch,
                                  std::size_t begin, std::size_t end);
 
   /// Absorb a small flush into the open era batch (creating it if needed),
@@ -828,7 +733,6 @@ class UnifiedTraceStore {
   std::size_t cold_era_seq_ = 0;
   bool use_indexes_ = true;
   std::optional<StreamIngestOptions> stream_;
-  bool adopt_indexes_ = true;
   IngestListener ingest_listener_;
 };
 

@@ -128,9 +128,11 @@ std::vector<std::uint8_t> Tracefs::encode_output(
   if (opts.encrypt) {
     opts.key = derive_key(params_.passphrase);
   }
-  // IOTB2: the batch's string table is serialized once instead of repeating
-  // every name/path/host per record.
-  return trace::encode_binary_v2(batch, opts);
+  // IOTB3: the batch's string table is serialized once instead of repeating
+  // every name/path/host per record, and compression and encryption apply
+  // per block, so the output stays queryable through trace::BlockView.
+  // The string table and block index stay plaintext (see tracefs.h).
+  return trace::encode_binary_v3(batch, opts);
 }
 
 }  // namespace iotaxo::frameworks

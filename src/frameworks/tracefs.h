@@ -1,8 +1,8 @@
 // Tracefs (§2.2, §4.2): a stackable file system tracer. Mounted over a
 // local or NFS file system it records every VFS operation that passes its
 // granularity filter into buffered binary output with optional
-// checksumming, compression and field-selective CBC encryption
-// (anonymization). It is implemented as a kernel module — root access and
+// checksumming, compression and encryption of the record blocks, plus
+// field-selective CBC encryption (anonymization) of names. It is implemented as a kernel module — root access and
 // real installation effort — and was "not designed to trace parallel
 // workloads": mounting it over the parallel file system throws
 // UnsupportedError unless the (non-default) adaptation shim is enabled.
@@ -65,8 +65,16 @@ class Tracefs : public TracingFramework {
     return anonymize(bundle);
   }
 
-  /// Binary-encode a bundle's events the way Tracefs writes them to disk
-  /// (with the configured checksum/compress/encrypt options).
+  /// Binary-encode a bundle's events the way Tracefs writes them to disk:
+  /// one checksummed IOTB3 container whose blocks are compressed and
+  /// encrypted when shim.compress / shim.encrypt are set. Encryption
+  /// covers the record blocks only. The string table (every call name,
+  /// path, host and argument string), the argument-id table and the
+  /// per-block index (time range, flag bits, call-name bitmap) can be read
+  /// without the key, as trace/binary_format.h documents. To keep names
+  /// secret, encode anonymize(bundle): its paths and hosts are already
+  /// field-encrypted, and EncryptingAnonymizer::reverse with the same
+  /// passphrase restores them after decoding.
   [[nodiscard]] std::vector<std::uint8_t> encode_output(
       const trace::TraceBundle& bundle) const;
 

@@ -40,6 +40,9 @@ struct VfsShimOptions {
   SimTime checksum_cost = from_micros(6.0);
   bool compress = false;
   SimTime compress_cost = from_micros(9.0);
+  /// Encrypts the output's record blocks; Tracefs::encode_output writes
+  /// them as IOTB3 per-block encryption, which leaves the string table and
+  /// the block index readable without the key.
   bool encrypt = false;
   SimTime encrypt_cost = from_micros(18.0);
 

@@ -22,9 +22,8 @@ using trace::TraceEvent;
 namespace {
 
 /// A borrowed, allocation-free view of one trace event: the generator core
-/// reads through this so per-event TraceEvents (bundle path), interned
-/// EventBatch records (batched path) and zero-copy container records
-/// (BatchView path) drive identical code.
+/// reads through this so per-event TraceEvents (bundle path) and interned
+/// EventBatch records (batched path) drive identical code.
 struct EventView {
   EventClass cls = EventClass::kSyscall;
   std::string_view name;
@@ -35,25 +34,15 @@ struct EventView {
   int fd = -1;
   Bytes bytes = 0;
   Bytes offset = -1;
-  // Args live in a TraceEvent's string vector, in a batch pool, or in a
-  // container's in-place argument-id table.
+  // Args live in a TraceEvent's string vector or in a batch pool.
   const std::vector<std::string>* arg_strs = nullptr;
   std::span<const trace::StrId> arg_ids{};
   const trace::StringPool* pool = nullptr;
-  const trace::BatchView* view = nullptr;
-  std::uint32_t view_args_begin = 0;
-  std::uint32_t view_args_count = 0;
 
   [[nodiscard]] std::size_t arg_count() const noexcept {
-    if (view != nullptr) {
-      return view_args_count;
-    }
     return arg_strs != nullptr ? arg_strs->size() : arg_ids.size();
   }
   [[nodiscard]] std::string_view arg(std::size_t j) const {
-    if (view != nullptr) {
-      return view->string(view->arg_id(view_args_begin + j));
-    }
     return arg_strs != nullptr ? std::string_view((*arg_strs)[j])
                                : pool->view(arg_ids[j]);
   }
@@ -89,25 +78,6 @@ struct EventView {
   v.offset = rec.offset;
   v.arg_ids = batch.args(i);
   v.pool = &batch.pool();
-  return v;
-}
-
-[[nodiscard]] EventView view_of(const trace::BatchView& view, std::size_t i,
-                                std::uint32_t args_begin) {
-  const trace::RecordView rec = view.record(i);
-  EventView v;
-  v.cls = rec.cls();
-  v.name = view.string(rec.name());
-  v.path = view.string(rec.path());
-  v.ret = rec.ret();
-  v.local_start = rec.local_start();
-  v.duration = rec.duration();
-  v.fd = rec.fd();
-  v.bytes = rec.bytes();
-  v.offset = rec.offset();
-  v.view = &view;
-  v.view_args_begin = args_begin;
-  v.view_args_count = rec.args_count();
   return v;
 }
 
@@ -429,44 +399,6 @@ std::vector<Program> generate_pseudo_app(
     views.reserve(indices.size());
     for (const std::size_t i : indices) {
       views.push_back(view_of(batch, i));
-    }
-    programs.push_back(
-        generate_rank_program(rank, views, deps_by_label, options));
-  }
-  return programs;
-}
-
-std::vector<Program> generate_pseudo_app(
-    const trace::BatchView& view,
-    const std::vector<trace::DependencyEdge>& dependencies,
-    const PseudoAppOptions& options) {
-  if (view.empty()) {
-    throw FormatError("pseudo-app generation requires a non-empty container");
-  }
-  const auto deps_by_label = index_dependencies(dependencies);
-
-  // Group record indices by rank exactly as the batch overload does,
-  // carrying each record's args_begin (the view's args slices are only
-  // addressable through the running sum).
-  std::map<int, std::vector<std::pair<std::size_t, std::uint32_t>>> by_rank;
-  view.for_each([&](std::size_t i, const trace::RecordView& rec,
-                    std::uint32_t args_begin) {
-    if (rec.rank() >= 0) {
-      by_rank[rec.rank()].emplace_back(i, args_begin);
-    }
-  });
-  if (by_rank.empty()) {
-    throw FormatError("pseudo-app generation: container has no ranked events");
-  }
-
-  std::vector<Program> programs;
-  programs.reserve(by_rank.size());
-  std::vector<EventView> views;
-  for (const auto& [rank, indices] : by_rank) {
-    views.clear();
-    views.reserve(indices.size());
-    for (const auto& [i, args_begin] : indices) {
-      views.push_back(view_of(view, i, args_begin));
     }
     programs.push_back(
         generate_rank_program(rank, views, deps_by_label, options));

@@ -21,7 +21,6 @@
 #include "mpi/program.h"
 #include "trace/bundle.h"
 #include "trace/event_batch.h"
-#include "trace/record_view.h"
 
 namespace iotaxo::replay {
 
@@ -53,17 +52,6 @@ struct PseudoAppOptions {
 /// objects. Throws FormatError on an empty batch.
 [[nodiscard]] std::vector<mpi::Program> generate_pseudo_app(
     const trace::EventBatch& batch,
-    const std::vector<trace::DependencyEdge>& dependencies,
-    const PseudoAppOptions& options = {});
-
-/// Generate straight from a zero-copy container view: records and strings
-/// are read in place from the mapped IOTB2 buffer, so multi-GB containers
-/// replay without ever materializing an EventBatch. Same grouping and
-/// rank-filtering semantics as the batch overload; the view (and its
-/// backing bytes) only needs to outlive this call. Throws FormatError on
-/// an empty view.
-[[nodiscard]] std::vector<mpi::Program> generate_pseudo_app(
-    const trace::BatchView& view,
     const std::vector<trace::DependencyEdge>& dependencies,
     const PseudoAppOptions& options = {});
 

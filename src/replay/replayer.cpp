@@ -29,15 +29,6 @@ ReplayResult Replayer::replay(
                       options);
 }
 
-ReplayResult Replayer::replay(
-    const trace::BatchView& original,
-    const std::vector<trace::DependencyEdge>& dependencies,
-    const ReplayOptions& options) {
-  return run_programs(generate_pseudo_app(original, dependencies,
-                                          options.pseudo),
-                      options);
-}
-
 ReplayResult Replayer::run_programs(const std::vector<mpi::Program>& programs,
                                     const ReplayOptions& options) {
   mpi::RunOptions run_options;

@@ -48,15 +48,6 @@ class Replayer {
       const std::vector<trace::DependencyEdge>& dependencies,
       const ReplayOptions& options = {});
 
-  /// Replay straight from a zero-copy IOTB2 view: the pseudo-app is
-  /// generated off the mapped container bytes, so multi-GB traces replay
-  /// without materializing an EventBatch. The view's backing buffer only
-  /// needs to outlive the call.
-  [[nodiscard]] ReplayResult replay(
-      const trace::BatchView& original,
-      const std::vector<trace::DependencyEdge>& dependencies,
-      const ReplayOptions& options = {});
-
   /// Convenience: replay and score fidelity against the original capture.
   [[nodiscard]] analysis::FidelityReport verify(
       const trace::TraceBundle& original, SimTime original_elapsed,

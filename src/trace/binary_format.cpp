@@ -6,12 +6,12 @@
 #include <string_view>
 
 #include "trace/block_view.h"
-#include "trace/record_view.h"
 #include "util/compress.h"
 #include "util/crc32.h"
 #include "util/error.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
+#include "util/strings.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define IOTAXO_HAVE_POSIX_WRITE 1
@@ -32,13 +32,9 @@ constexpr char kMagicV3[6] = {'I', 'O', 'T', 'B', '3', '\n'};
 constexpr std::uint8_t kFlagCompressed = 0x01;
 constexpr std::uint8_t kFlagEncrypted = 0x02;
 constexpr std::uint8_t kFlagChecksummed = 0x04;
-constexpr std::uint8_t kFlagProjected = 0x08;  // v3 columnar projection
-constexpr std::uint8_t kFlagIndexed = 0x10;    // v2 pool-index footer
-constexpr std::size_t kHeaderSize = kContainerHeaderSize;
-// Fixed fields plus the four (possibly zero-length) string length prefixes
-// of a v1 record — the minimum body bytes one record can occupy. Corrupt
-// counts are bounded by this before any reserve() sees them.
-constexpr std::size_t kV1MinRecordSize = 81;
+constexpr std::uint8_t kFlagProjected = 0x08;
+constexpr std::uint8_t kKnownFlags =
+    kFlagCompressed | kFlagEncrypted | kFlagChecksummed | kFlagProjected;
 
 class Writer {
  public:
@@ -68,106 +64,12 @@ class Writer {
   std::vector<std::uint8_t> buf_;
 };
 
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
-
-  std::uint8_t u8() {
-    need(1);
-    return data_[pos_++];
+[[nodiscard]] std::uint64_t load_u64(const std::uint8_t* p) noexcept {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
   }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
-    }
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
-    }
-    return v;
-  }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::string str() { return std::string(str_view()); }
-  /// Like str(), but borrowing the body bytes — the decoder fast paths
-  /// intern straight from the view without a temporary std::string.
-  std::string_view str_view() {
-    const std::uint32_t n = u32();
-    need(n);
-    const auto* p = reinterpret_cast<const char*>(&data_[pos_]);
-    pos_ += n;
-    return {p, n};
-  }
-  [[nodiscard]] bool at_end() const noexcept { return pos_ == data_.size(); }
-
- private:
-  void need(std::size_t n) {
-    if (pos_ + n > data_.size()) {
-      throw FormatError("binary trace: truncated record");
-    }
-  }
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-};
-
-void encode_event(Writer& w, const TraceEvent& ev) {
-  w.u8(static_cast<std::uint8_t>(ev.cls));
-  w.str(ev.name);
-  w.u32(static_cast<std::uint32_t>(ev.args.size()));
-  for (const std::string& a : ev.args) {
-    w.str(a);
-  }
-  w.i64(ev.ret);
-  w.i64(ev.local_start);
-  w.i64(ev.duration);
-  w.i32(ev.rank);
-  w.i32(ev.node);
-  w.u32(ev.pid);
-  w.str(ev.host);
-  w.str(ev.path);
-  w.i32(ev.fd);
-  w.i64(ev.bytes);
-  w.i64(ev.offset);
-  w.u32(ev.uid);
-  w.u32(ev.gid);
-}
-
-[[nodiscard]] EventClass decode_class(std::uint8_t cls) {
-  if (cls > static_cast<std::uint8_t>(EventClass::kAnnotation)) {
-    throw FormatError("binary trace: bad event class");
-  }
-  return static_cast<EventClass>(cls);
-}
-
-TraceEvent decode_event(Reader& r) {
-  TraceEvent ev;
-  ev.cls = decode_class(r.u8());
-  ev.name = r.str();
-  const std::uint32_t argc = r.u32();
-  ev.args.reserve(argc);
-  for (std::uint32_t i = 0; i < argc; ++i) {
-    ev.args.push_back(r.str());
-  }
-  ev.ret = r.i64();
-  ev.local_start = r.i64();
-  ev.duration = r.i64();
-  ev.rank = r.i32();
-  ev.node = r.i32();
-  ev.pid = r.u32();
-  ev.host = r.str();
-  ev.path = r.str();
-  ev.fd = r.i32();
-  ev.bytes = r.i64();
-  ev.offset = r.i64();
-  ev.uid = r.u32();
-  ev.gid = r.u32();
-  return ev;
+  return v;
 }
 
 void encode_record(Writer& w, const EventRecord& rec) {
@@ -192,7 +94,7 @@ void encode_record(Writer& w, const EventRecord& rec) {
 }
 
 /// The two column groups of one projected record (hotlayout / coldlayout
-/// in record_view.h). Their field unions exactly cover encode_record's v2
+/// in record_view.h). Their field unions exactly cover encode_record's
 /// fields; args_begin stays implicit (running sum) in both layouts.
 void encode_hot_record(Writer& w, const EventRecord& rec) {
   w.u8(static_cast<std::uint8_t>(rec.cls));
@@ -216,304 +118,7 @@ void encode_cold_record(Writer& w, const EventRecord& rec) {
   w.u32(rec.gid);
 }
 
-/// Wrap a finished body in the shared container envelope (compress /
-/// encrypt / checksum, then magic + flags + counts). `extra_flags` carries
-/// body-shape bits the caller already baked into the payload (today only
-/// kFlagIndexed from the v2 encoder).
-[[nodiscard]] std::vector<std::uint8_t> seal_container(
-    const char (&magic)[6], std::vector<std::uint8_t> payload,
-    std::uint64_t count, const BinaryOptions& options,
-    std::uint8_t extra_flags = 0) {
-  if (options.encrypt && !options.key.has_value()) {
-    throw ConfigError("binary trace: encryption requested without a key");
-  }
-  if (options.project) {
-    throw ConfigError(
-        "binary trace: columnar projection requires the v3 block container");
-  }
-  std::uint8_t flags = extra_flags;
-  if (options.compress) {
-    payload = lz_compress(payload);
-    flags |= kFlagCompressed;
-  }
-  if (options.encrypt) {
-    payload = cbc_encrypt(payload, *options.key, options.iv_seed);
-    flags |= kFlagEncrypted;
-  }
-  if (options.checksum) {
-    flags |= kFlagChecksummed;
-  }
-
-  Writer out;
-  for (const char c : magic) {
-    out.u8(static_cast<std::uint8_t>(c));
-  }
-  out.u8(flags);
-  out.u64(count);
-  out.u64(payload.size());
-  std::vector<std::uint8_t> head = out.take();
-  head.insert(head.end(), payload.begin(), payload.end());
-  if (options.checksum) {
-    const std::uint32_t crc = crc32(payload);
-    for (int i = 0; i < 4; ++i) {
-      head.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
-    }
-  }
-  return head;
-}
-
-/// Validate the envelope, verify the CRC, decrypt and decompress; returns
-/// the raw body bytes.
-[[nodiscard]] std::vector<std::uint8_t> open_container(
-    std::span<const std::uint8_t> data, const BinaryHeader& h,
-    const std::optional<CipherKey>& key) {
-  // Subtract-and-compare instead of add-and-compare: a hostile
-  // payload_length near 2^64 must not wrap the right-hand side into a
-  // passing equality.
-  const std::size_t crc_size = h.checksummed ? 4 : 0;
-  const std::size_t avail = data.size() - kHeaderSize;  // header was peeked
-  if (avail < crc_size || h.payload_length != avail - crc_size) {
-    throw FormatError("binary trace: length mismatch");
-  }
-  std::span<const std::uint8_t> payload =
-      data.subspan(kHeaderSize, h.payload_length);
-
-  if (h.checksummed) {
-    std::uint32_t stored = 0;
-    for (int i = 0; i < 4; ++i) {
-      stored |= static_cast<std::uint32_t>(data[kHeaderSize + h.payload_length +
-                                                static_cast<std::size_t>(i)])
-                << (8 * i);
-    }
-    if (crc32(payload) != stored) {
-      throw FormatError("binary trace: checksum mismatch");
-    }
-  }
-
-  std::vector<std::uint8_t> buf(payload.begin(), payload.end());
-  if (h.encrypted) {
-    if (!key.has_value()) {
-      throw FormatError("binary trace: encrypted file requires a key");
-    }
-    buf = cbc_decrypt(buf, *key);
-  }
-  if (h.compressed) {
-    buf = lz_decompress(buf);
-  }
-  return buf;
-}
-
-[[nodiscard]] EventBatch decode_batch_body(std::span<const std::uint8_t> body,
-                                           std::uint64_t count,
-                                           bool indexed = false) {
-  Reader r(body);
-  EventBatch batch;
-
-  const std::uint32_t nstrings = r.u32();
-  if (nstrings == 0) {
-    throw FormatError("binary trace v2: empty string table");
-  }
-  // Each table entry occupies at least its 4-byte length prefix; a count
-  // the body cannot hold is corruption, and must not reach reserve() as a
-  // giant allocation.
-  if (nstrings > body.size() / 4) {
-    throw FormatError("binary trace v2: string table exceeds payload");
-  }
-  StringPool& pool = batch.pool();
-  pool.reserve(nstrings);
-  for (std::uint32_t i = 0; i < nstrings; ++i) {
-    const std::string_view s = r.str_view();
-    const StrId id = pool.intern(s);
-    if (id != i) {
-      // Duplicate or misordered table entries can only come from a writer
-      // bug or corruption the CRC did not cover.
-      throw FormatError("binary trace v2: string table is not interned");
-    }
-  }
-
-  const std::uint64_t nargids = r.u64();
-  // Each arg id occupies 4 payload bytes; a count the body cannot hold is
-  // corruption, and must not reach reserve() as a giant allocation.
-  if (nargids > body.size() / 4) {
-    throw FormatError("binary trace v2: arg-id table exceeds payload");
-  }
-  std::vector<StrId> arg_ids;
-  arg_ids.reserve(static_cast<std::size_t>(nargids));
-  for (std::uint64_t i = 0; i < nargids; ++i) {
-    arg_ids.push_back(r.u32());
-  }
-
-  // A v2 record occupies a fixed stride of body bytes; a count the body
-  // cannot hold is corruption, and must not reach reserve() as a giant
-  // allocation.
-  if (count > body.size() / v2layout::kStride) {
-    throw FormatError("binary trace: record count exceeds payload");
-  }
-  batch.reserve(static_cast<std::size_t>(count),
-                static_cast<std::size_t>(nargids));
-  std::uint64_t next_args_begin = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    EventRecord rec;
-    rec.cls = decode_class(r.u8());
-    rec.name = r.u32();
-    const std::uint64_t args_begin = next_args_begin;
-    const std::uint32_t args_count = r.u32();
-    next_args_begin += args_count;
-    rec.ret = r.i64();
-    rec.local_start = r.i64();
-    rec.duration = r.i64();
-    rec.rank = r.i32();
-    rec.node = r.i32();
-    rec.pid = r.u32();
-    rec.host = r.u32();
-    rec.path = r.u32();
-    rec.fd = r.i32();
-    rec.bytes = r.i64();
-    rec.offset = r.i64();
-    rec.uid = r.u32();
-    rec.gid = r.u32();
-    if (args_begin + args_count > nargids) {
-      throw FormatError("binary trace v2: record args out of range");
-    }
-    batch.append_raw(rec, std::span<const StrId>(arg_ids).subspan(
-                              static_cast<std::size_t>(args_begin),
-                              args_count));
-  }
-  // Indexed bodies carry the pool-index footer after the records; the
-  // decoder materializes the batch, so the footer is simply skipped.
-  if (!indexed && !r.at_end()) {
-    throw FormatError("binary trace: trailing bytes after records");
-  }
-  return batch;
-}
-
 }  // namespace
-
-std::optional<PoolIndexFooter> parse_v2_index_footer(
-    std::span<const std::uint8_t> tail, std::uint64_t expect_records,
-    std::uint32_t expect_nstrings, std::string* error) {
-  const auto fail = [error](const char* why) -> std::optional<PoolIndexFooter> {
-    if (error != nullptr) {
-      *error = why;
-    }
-    return std::nullopt;
-  };
-  if (tail.size() < v2footer::kFixedSize + v2footer::kTrailerSize) {
-    return fail("index footer truncated");
-  }
-  Reader trailer(tail.subspan(tail.size() - v2footer::kTrailerSize));
-  const std::uint64_t footer_len = trailer.u64();
-  const std::uint32_t footer_crc = trailer.u32();
-  if (trailer.u32() != v2footer::kFooterMagic) {
-    return fail("bad index footer magic");
-  }
-  if (footer_len != tail.size() - v2footer::kTrailerSize) {
-    return fail("index footer length mismatch");
-  }
-  const std::span<const std::uint8_t> footer =
-      tail.first(static_cast<std::size_t>(footer_len));
-  if (crc32(footer) != footer_crc) {
-    return fail("index footer CRC mismatch");
-  }
-  Reader r(footer);
-  const std::uint8_t flags = r.u8();
-  PoolIndexFooter out;
-  out.any = (flags & v2footer::kAny) != 0;
-  out.has_fd_path = (flags & v2footer::kHasFdPath) != 0;
-  out.has_io_bytes = (flags & v2footer::kHasIoBytes) != 0;
-  out.min_time = r.i64();
-  out.max_time = r.i64();
-  out.records = r.u64();
-  const std::uint32_t nstrings = r.u32();
-  // The footer must describe THIS body: a stale or transplanted footer
-  // whose counts disagree with the envelope is rejected, not adopted.
-  if (out.records != expect_records) {
-    return fail("index footer record count mismatch");
-  }
-  if (nstrings != expect_nstrings) {
-    return fail("index footer string count mismatch");
-  }
-  const std::size_t bitmap_bytes = (nstrings + 7u) / 8u;
-  if (footer_len != v2footer::kFixedSize + bitmap_bytes) {
-    return fail("index footer bitmap length mismatch");
-  }
-  out.name_bitmap.assign(footer.begin() + v2footer::kFixedSize, footer.end());
-  if (error != nullptr) {
-    error->clear();
-  }
-  return out;
-}
-
-std::vector<std::uint8_t> encode_binary(const std::vector<TraceEvent>& events,
-                                        const BinaryOptions& options) {
-  Writer body;
-  for (const TraceEvent& ev : events) {
-    encode_event(body, ev);
-  }
-  return seal_container(kMagicV1, body.take(), events.size(), options);
-}
-
-std::vector<std::uint8_t> encode_binary_v2(const EventBatch& batch,
-                                           const BinaryOptions& options) {
-  Writer body;
-  body.u32(static_cast<std::uint32_t>(batch.pool().size()));
-  batch.pool().for_each(
-      [&body](StrId /*id*/, std::string_view s) { body.str(s); });
-  body.u64(batch.arg_ids().size());
-  for (const StrId a : batch.arg_ids()) {
-    body.u32(a);
-  }
-  for (const EventRecord& rec : batch.records()) {
-    encode_record(body, rec);
-  }
-  if (!options.index_footer) {
-    return seal_container(kMagicV2, body.take(), batch.size(), options);
-  }
-
-  // Pool-index footer: the same stats UnifiedTraceStore::index_pool folds
-  // from a record scan, persisted so readers can skip that scan.
-  std::uint8_t flags = 0;
-  SimTime min_time = 0;
-  SimTime max_time = 0;
-  std::vector<std::uint8_t> bitmap((batch.pool().size() + 7) / 8);
-  for (const EventRecord& rec : batch.records()) {
-    if ((flags & v2footer::kAny) == 0) {
-      min_time = max_time = rec.local_start;
-      flags |= v2footer::kAny;
-    } else {
-      min_time = std::min(min_time, rec.local_start);
-      max_time = std::max(max_time, rec.local_start);
-    }
-    bitmap[rec.name >> 3] |= static_cast<std::uint8_t>(1u << (rec.name & 7u));
-    if (rec.path != 0 && rec.fd >= 0) {
-      flags |= v2footer::kHasFdPath;
-    }
-    if (rec.is_io_call() && rec.bytes > 0) {
-      flags |= v2footer::kHasIoBytes;
-    }
-  }
-  Writer footer;
-  footer.u8(flags);
-  footer.i64(min_time);
-  footer.i64(max_time);
-  footer.u64(batch.size());
-  footer.u32(static_cast<std::uint32_t>(batch.pool().size()));
-  for (const std::uint8_t byte : bitmap) {
-    footer.u8(byte);
-  }
-  const std::vector<std::uint8_t> footer_bytes = footer.take();
-  body.bytes(footer_bytes);
-  body.u64(footer_bytes.size());
-  body.u32(crc32(footer_bytes));
-  body.u32(v2footer::kFooterMagic);
-  return seal_container(kMagicV2, body.take(), batch.size(), options,
-                        kFlagIndexed);
-}
-
-std::vector<std::uint8_t> encode_binary_v2(
-    const std::vector<TraceEvent>& events, const BinaryOptions& options) {
-  return encode_binary_v2(EventBatch::from_events(events), options);
-}
 
 std::vector<std::uint8_t> encode_binary_v3(const EventBatch& batch,
                                            const BinaryOptions& options,
@@ -599,8 +204,8 @@ std::vector<std::uint8_t> encode_binary_v3(const EventBatch& batch,
     footer.u64(block_offset);
     footer.u64(stored.size());
     // Owned-batch arg slices are contiguous in record order, so the block's
-    // running args_begin is the first record's (the same invariant the v2
-    // encoder relies on to omit args_begin entirely).
+    // running args_begin is the first record's (the same invariant that lets
+    // the record layout omit args_begin entirely).
     footer.u64(batch.record(first).args_begin);
     footer.u32(static_cast<std::uint32_t>(n));
     footer.u32(options.checksum ? crc32(stored) : 0u);
@@ -662,117 +267,41 @@ std::vector<std::uint8_t> encode_binary_v3(
 }
 
 BinaryHeader peek_binary_header(std::span<const std::uint8_t> data) {
-  if (data.size() < kHeaderSize) {
+  if (data.size() >= 6 && (std::memcmp(data.data(), kMagicV1, 6) == 0 ||
+                           std::memcmp(data.data(), kMagicV2, 6) == 0)) {
+    throw FormatError(strprintf(
+        "binary trace: IOTB%c containers are not supported (only IOTB3 is "
+        "read)",
+        static_cast<char>(data[4])));
+  }
+  if (data.size() < kContainerHeaderSize ||
+      std::memcmp(data.data(), kMagicV3, 6) != 0) {
     throw FormatError("binary trace: bad magic");
+  }
+  const std::uint8_t flags = data[6];
+  if ((flags & ~kKnownFlags) != 0) {
+    throw FormatError("binary trace: unknown container flags");
   }
   BinaryHeader h;
-  if (std::memcmp(data.data(), kMagicV1, 6) == 0) {
-    h.version = 1;
-  } else if (std::memcmp(data.data(), kMagicV2, 6) == 0) {
-    h.version = 2;
-  } else if (std::memcmp(data.data(), kMagicV3, 6) == 0) {
-    h.version = 3;
-  } else {
-    throw FormatError("binary trace: bad magic");
-  }
-  Reader r(data.subspan(6));
-  const std::uint8_t flags = r.u8();
   h.compressed = (flags & kFlagCompressed) != 0;
   h.encrypted = (flags & kFlagEncrypted) != 0;
   h.checksummed = (flags & kFlagChecksummed) != 0;
   h.projected = (flags & kFlagProjected) != 0;
-  h.indexed = (flags & kFlagIndexed) != 0;
-  if (h.projected && h.version != 3) {
-    throw FormatError("binary trace: projected flag is v3-only");
-  }
-  if (h.indexed && h.version != 2) {
-    throw FormatError("binary trace: indexed flag is v2-only");
-  }
-  h.count = r.u64();
-  h.payload_length = r.u64();
+  h.count = load_u64(data.data() + 7);
+  h.payload_length = load_u64(data.data() + 15);
   return h;
 }
 
 std::vector<TraceEvent> decode_binary(std::span<const std::uint8_t> data,
                                       const std::optional<CipherKey>& key) {
-  const BinaryHeader h = peek_binary_header(data);
-  if (h.version == 3) {
-    return BlockView(data, key).to_batch().to_events();
-  }
-  const std::vector<std::uint8_t> body = open_container(data, h, key);
-  if (h.version == 2) {
-    return decode_batch_body(body, h.count, h.indexed).to_events();
-  }
-  // A count the body cannot hold is corruption and must not reach
-  // reserve() as a giant allocation.
-  if (h.count > body.size() / kV1MinRecordSize) {
-    throw FormatError("binary trace: record count exceeds payload");
-  }
-  Reader r(body);
-  std::vector<TraceEvent> events;
-  events.reserve(h.count);
-  for (std::uint64_t i = 0; i < h.count; ++i) {
-    events.push_back(decode_event(r));
-  }
-  if (!r.at_end()) {
-    throw FormatError("binary trace: trailing bytes after records");
-  }
-  return events;
+  return BlockView(data, key).to_batch().to_events();
 }
 
 EventBatch decode_binary_batch(std::span<const std::uint8_t> data,
                                const std::optional<CipherKey>& key) {
-  const BinaryHeader h = peek_binary_header(data);
-  if (h.version == 3) {
-    // The block view *is* the v3 decoder: it validates the footer and every
-    // block it converts, so corrupt containers throw exactly as v1/v2 do.
-    return BlockView(data, key).to_batch();
-  }
-  const std::vector<std::uint8_t> body = open_container(data, h, key);
-  if (h.version == 2) {
-    return decode_batch_body(body, h.count, h.indexed);
-  }
-  // v1 interop fast path: intern each record's strings straight from the
-  // body into the output batch — no per-event TraceEvent round-trip, no
-  // temporary std::strings (mirrors decode_event's field order exactly).
-  if (h.count > body.size() / kV1MinRecordSize) {
-    throw FormatError("binary trace: record count exceeds payload");
-  }
-  Reader r(body);
-  EventBatch batch;
-  batch.reserve(static_cast<std::size_t>(h.count), 0);
-  std::vector<std::string_view> args;
-  for (std::uint64_t i = 0; i < h.count; ++i) {
-    EventRecord rec;
-    rec.cls = decode_class(r.u8());
-    const std::string_view name = r.str_view();
-    const std::uint32_t argc = r.u32();
-    args.clear();
-    // Cap the hint: a corrupt argc must not become a giant allocation (the
-    // reader throws on the first truncated arg regardless).
-    args.reserve(std::min<std::uint32_t>(argc, 64));
-    for (std::uint32_t j = 0; j < argc; ++j) {
-      args.push_back(r.str_view());
-    }
-    rec.ret = r.i64();
-    rec.local_start = r.i64();
-    rec.duration = r.i64();
-    rec.rank = r.i32();
-    rec.node = r.i32();
-    rec.pid = r.u32();
-    const std::string_view host = r.str_view();
-    const std::string_view path = r.str_view();
-    rec.fd = r.i32();
-    rec.bytes = r.i64();
-    rec.offset = r.i64();
-    rec.uid = r.u32();
-    rec.gid = r.u32();
-    batch.append_interning(rec, name, host, path, args);
-  }
-  if (!r.at_end()) {
-    throw FormatError("binary trace: trailing bytes after records");
-  }
-  return batch;
+  // The block view *is* the decoder: it validates the footer and every
+  // block it converts, so a corrupt container throws FormatError.
+  return BlockView(data, key).to_batch();
 }
 
 bool looks_binary(std::span<const std::uint8_t> data) noexcept {

@@ -1,78 +1,29 @@
-// Binary trace formats (the Tracefs output path): length-prefixed records
-// with optional buffering, CRC-32 integrity, LZ compression and XTEA-CBC
-// encryption — the feature set §4.2 of the paper attributes to Tracefs
-// ("Binary, with optional checksumming, compression, encryption, or
+// Binary trace container (the Tracefs output path): IOTB3, a block-
+// structured record container with optional checksumming, compression and
+// encryption per block — the feature set §4.2 of the paper attributes to
+// Tracefs ("Binary, with optional checksumming, compression, encryption, or
 // buffering").
 //
-// Three container versions share one outer envelope:
-//   magic   "IOTB1\n", "IOTB2\n" or "IOTB3\n"   6 bytes
+// Envelope:
+//   magic   "IOTB3\n"   6 bytes
 //   flags   u8  (bit0 compressed, bit1 encrypted, bit2 checksummed,
-//                bit4 indexed — v2-only pool-index footer; see below)
+//                bit3 projected)
 //   count   u64 LE   number of event records
 //   paylen  u64 LE   payload length (everything after this header)
 //   payload
-//   crc     u32 LE   CRC-32 of payload (v1/v2 only, present iff bit2 —
-//                    v3 checksums per block instead; see below)
 //
-// v1 body (IOTB1): `count` self-delimiting records, each repeating every
-// string it carries (name, args, host, path) inline. The v1/v2 payload is
-// the body after compression then encryption (in that order).
-//
-// v2 body (IOTB2): the batch container. Strings are serialized exactly once
-// in an interned table, records are fixed-size and reference the table by
-// id — for repetitive traces this shrinks the body and makes decoding an
-// EventBatch allocation-light:
-//   nstrings  u32 LE                     string-table size (id 0 = "")
-//   strings   nstrings x (u32 len + bytes), in id order
-//   nargids   u64 LE                     length of the argument-id table
-//   argids    nargids x u32 LE           interned ids, all records' args
-//   records   count x fixed record (81 bytes, offsets in record_view.h):
-//             u8  cls
-//             u32 name-id
-//             u32 args-count   (args slices are contiguous in record
-//                              order; begin = running sum of counts)
-//             i64 ret          i64 local_start  i64 duration
-//             i32 rank         i32 node         u32 pid
-//             u32 host-id      u32 path-id      i32 fd
-//             i64 bytes        i64 offset
-//             u32 uid          u32 gid
-//
-// v2 index footer (flags bit4, BinaryOptions::index_footer): the store's
-// pool index serialized after the record section, so readers that file the
-// container (ingest_view, attach_dir) adopt it instead of scanning every
-// record — the v2 counterpart of v3's per-block mini-indexes. Layout
-// (offsets in v2footer below):
-//   footer  fixed fields + name bitmap:
-//             u8  flags        bit0 any, bit1 has_fd_path, bit2 has_io_bytes
-//             i64 min_time     min/max local_start over all records
-//             i64 max_time     (meaningful iff bit0 any)
-//             u64 records      record count (must equal the envelope count)
-//             u32 nstrings     string-table size (must match the body's)
-//             name bitmap      (nstrings + 7) / 8 bytes; bit id set iff
-//                              some record's *name* is string id `id`
-//   trailer (16 bytes, last in the body)
-//             footer_len  u64  byte length of the footer region
-//             footer_crc  u32  CRC-32 of the footer region (always present,
-//                              independent of the deferred payload CRC, so
-//                              adoption can trust the index without hashing
-//                              the whole payload)
-//             magic       u32  v2footer::kFooterMagic
-// The footer rides inside the payload, so the envelope CRC and the
-// durable-write protocol cover it like any other body bytes. Readers
-// without bit4 knowledge never see it (the bit is rejected as unknown);
-// footer-less files keep decoding exactly as before. A corrupt or
-// truncated footer never fails an open — readers fall back to scanning
-// records (parse_v2_index_footer returns nullopt with the reason).
-//
-// v3 body (IOTB3): the *block-structured* container — the v2 record section
-// split into fixed-record-count blocks that are independently compressed,
-// checksummed and (flags bit1) encrypted, plus a per-block mini-index, so
-// compressed cold storage stays queryable without decoding whole files
+// Strings are serialized exactly once in an interned table and records are
+// fixed-size, referencing the table by id. The record section is split into
+// fixed-record-count blocks that are independently compressed, checksummed
+// and (flags bit1) encrypted, plus a per-block mini-index, so compressed
+// cold storage stays queryable without decoding whole files
 // (trace::BlockView touches only the blocks a query's window/name filter
-// reaches). Layout:
+// reaches). Payload layout:
 //   head    (never compressed or encrypted)
-//     nstrings       u32 LE   + strings, exactly as v2
-//     nargids        u64 LE   + argids,  exactly as v2
+//     nstrings       u32 LE   string-table size (id 0 = "")
+//     strings        nstrings x (u32 len + bytes), in id order
+//     nargids        u64 LE   length of the argument-id table
+//     argids         nargids x u32 LE, interned ids, all records' args
 //     block_records  u32 LE   records per block (> 0; every block except
 //                             the last holds exactly this many, so record
 //                             i lives in block i / block_records)
@@ -81,12 +32,16 @@
 //                             a wrong key is rejected at open rather than
 //                             surfacing as per-block padding corruption
 //   blocks  concatenated stored blocks. Plain form: the block's records —
-//           either one group at the 81-byte v2 stride, or (flags bit3,
-//           "projected") two column groups stored back to back: a hot
+//           either one group at the 81-byte record stride (v2layout in
+//           record_view.h: cls, name-id, args-count, ret, local_start,
+//           duration, rank, node, pid, host-id, path-id, fd, bytes, offset,
+//           uid, gid; args slices are contiguous in record order, so a
+//           record's args_begin is the running sum of counts), or (flags
+//           bit3, "projected") two column groups stored back to back: a hot
 //           group at the 33-byte hotlayout stride (cls, name, rank,
 //           local_start, duration, bytes — everything the windowed /
 //           rate / call-stats / DFG scans read) followed by a cold group
-//           at the 48-byte coldlayout stride (the remaining v2 fields).
+//           at the 48-byte coldlayout stride (the remaining fields).
 //           Each group's stored form is lz_compress(plain) when bit0 is
 //           set, then cbc_encrypt_with_iv(..., block_iv(b, group)) when
 //           bit1 is set (IV derived from the block ordinal + group; not
@@ -123,36 +78,22 @@
 // flags bit2 (checksummed) governs the per-block CRCs; bit1 (encrypted)
 // encrypts each stored group AFTER compression, leaving head, footer and
 // trailer plaintext so index skips still work without the key; bit3
-// (projected, v3-only) selects the two-column-group record layout.
+// (projected) selects the two-column-group record layout.
 //
-// Version / read-path compatibility matrix:
-//   container                 decode_binary_batch  BatchView   BlockView
-//   v1 (any flags)            yes                  no          no
-//   v2 plain / checksummed    yes                  yes (CRC    no
-//                                                  lazy, on
-//                                                  first touch)
-//   v2 compressed/encrypted   yes                  no          no
-//   v2 indexed (footer)       yes (footer          yes (footer no
-//                             skipped)             parsed, bad
-//                                                  footer =
-//                                                  scan fallback)
-//   v3 plain / checksummed /  yes                  no          yes (blocks
-//      compressed                                              decoded +
-//                                                              verified
-//                                                              lazily)
-//   v3 encrypted              yes (with key)       no          yes (key at
-//                                                              open; groups
-//                                                              decrypted
-//                                                              lazily)
-//   v3 projected              yes                  no          yes (hot
-//                                                              group alone
-//                                                              serves
-//                                                              narrow
-//                                                              queries)
+// What encryption protects: the records only. Without the key anyone can
+// read every interned string (call names, paths, hosts, argument
+// strings), the argument-id table, and each block's record count, time
+// range, flag bits and call-name bitmap. The key hides the records
+// themselves: their numeric fields and the string ids they refer to.
+// Callers that need the names secret encrypt them before encoding
+// (anon::EncryptingAnonymizer, which Tracefs::anonymize applies).
 //
-// encode_binary writes v1 (kept for compatibility), encode_binary_v2 the
-// batch container, encode_binary_v3 the block container; decode_binary and
-// decode_binary_batch accept all three.
+// Compatibility: IOTB3 is the only container written or read. The older
+// IOTB1 (self-delimiting records) and IOTB2 (one unblocked record section
+// under whole-body transforms) magics are still recognised, by
+// looks_binary and by peek_binary_header, which rejects them with a
+// FormatError naming the version. Every reader (BlockView,
+// decode_binary_batch, the store) therefore refuses them the same way.
 //
 // Durability / recovery protocol
 // ------------------------------
@@ -196,9 +137,9 @@
 
 namespace iotaxo::trace {
 
-/// Size of the shared container envelope header: magic + flags + count +
-/// paylen. The payload starts at this offset (the CRC, when present, sits
-/// after the payload). Shared by the codec and the zero-copy view layer.
+/// Size of the container envelope header: magic + flags + count + paylen.
+/// The payload starts at this offset and runs to the end of the container.
+/// Shared by the codec and trace::BlockView.
 inline constexpr std::size_t kContainerHeaderSize = 6 + 1 + 8 + 8;
 
 /// Byte layout of the IOTB3 footer (see the container comment above).
@@ -248,88 +189,18 @@ inline constexpr std::uint64_t kKeyCheckPlain = 0x33425846'1077B3AAULL;
 }
 }  // namespace v3layout
 
-/// Byte layout of the optional IOTB2 index footer (see the container
-/// comment above). Shared by the encoder, trace::BatchView and the
-/// corruption tests. Offsets are within the footer region.
-namespace v2footer {
-inline constexpr std::size_t kFlags = 0;      // u8
-inline constexpr std::size_t kMinTime = 1;    // i64
-inline constexpr std::size_t kMaxTime = 9;    // i64
-inline constexpr std::size_t kRecords = 17;   // u64
-inline constexpr std::size_t kNStrings = 25;  // u32
-inline constexpr std::size_t kFixedSize = 29; // name bitmap follows
-
-inline constexpr std::uint8_t kAny = 0x01;
-inline constexpr std::uint8_t kHasFdPath = 0x02;
-inline constexpr std::uint8_t kHasIoBytes = 0x04;
-
-/// Trailer: footer_len u64 + footer_crc u32 + magic u32.
-inline constexpr std::size_t kTrailerSize = 16;
-inline constexpr std::uint32_t kFooterMagic = 0x32495846u;  // "FXI2" LE
-}  // namespace v2footer
-
-/// A v2 index footer in parsed form: everything UnifiedTraceStore's pool
-/// index needs except the interned transfer-call ids (those are looked up
-/// in the string table at adoption time).
-struct PoolIndexFooter {
-  bool any = false;
-  SimTime min_time = 0;
-  SimTime max_time = 0;
-  bool has_fd_path = false;
-  bool has_io_bytes = false;
-  std::uint64_t records = 0;
-  /// Name-presence filter, one bit per string id, (nstrings + 7) / 8 bytes.
-  std::vector<std::uint8_t> name_bitmap;
-
-  [[nodiscard]] bool has_name(StrId id) const noexcept {
-    return (id >> 3) < name_bitmap.size() &&
-           ((name_bitmap[id >> 3] >> (id & 7u)) & 1u) != 0;
-  }
-};
-
-/// Parse the index-footer region of an indexed v2 body — `tail` is
-/// everything after the `count x 81`-byte record section. Validates the
-/// footer's own CRC and cross-checks the record/string counts against the
-/// envelope, so a corrupt, truncated or mismatched footer degrades to
-/// nullopt (with the reason in `*error` when given) rather than an open
-/// failure; callers fall back to scanning records.
-[[nodiscard]] std::optional<PoolIndexFooter> parse_v2_index_footer(
-    std::span<const std::uint8_t> tail, std::uint64_t expect_records,
-    std::uint32_t expect_nstrings, std::string* error = nullptr);
-
 struct BinaryOptions {
   bool compress = false;
   bool encrypt = false;
   bool checksum = true;
-  /// Columnar projection (v3 only): store each block as a hot + cold
-  /// column group so narrow queries decode a fraction of the bytes.
-  /// Rejected (ConfigError) by the v1/v2 encoders.
+  /// Columnar projection: store each block as a hot + cold column group
+  /// so narrow queries decode a fraction of the bytes.
   bool project = false;
-  /// Append the pool-index footer (v2 only; flags bit4) so readers adopt
-  /// the index instead of scanning records. Ignored by the v1/v3 encoders
-  /// (v3 always carries per-block mini-indexes).
-  bool index_footer = false;
   /// Required when encrypt is true.
   std::optional<CipherKey> key;
-  /// IV derivation seed for v1/v2 whole-body encryption (vary per file).
-  /// v3 derives per-block IVs from the block ordinal instead.
-  std::uint64_t iv_seed = 0x1010;
 };
 
-/// Serialize events to the v1 (IOTB1) container.
-[[nodiscard]] std::vector<std::uint8_t> encode_binary(
-    const std::vector<TraceEvent>& events, const BinaryOptions& options);
-
-/// Serialize a batch to the v2 (IOTB2) container: string table once,
-/// fixed-size records referencing it.
-[[nodiscard]] std::vector<std::uint8_t> encode_binary_v2(
-    const EventBatch& batch, const BinaryOptions& options);
-
-/// Convenience: intern `events` into a batch, then encode as v2.
-[[nodiscard]] std::vector<std::uint8_t> encode_binary_v2(
-    const std::vector<TraceEvent>& events, const BinaryOptions& options);
-
-/// Serialize a batch to the v3 (IOTB3) block container: per-block
+/// Serialize a batch to the IOTB3 block container: per-block
 /// compression, CRC and encryption plus the footer mini-index, with
 /// optional columnar projection (options.project). Throws ConfigError when
 /// options.encrypt is set without a key or block_records is 0.
@@ -342,16 +213,15 @@ struct BinaryOptions {
     const std::vector<TraceEvent>& events, const BinaryOptions& options,
     std::uint32_t block_records = v3layout::kDefaultBlockRecords);
 
-/// Parse a v1, v2 or v3 container; verifies CRCs, decrypts, decompresses.
-/// `key` must be supplied for encrypted files. Throws FormatError on any
-/// corruption or a wrong key.
+/// Parse a container into per-event form; verifies CRCs, decrypts,
+/// decompresses. `key` must be supplied for encrypted files. Throws
+/// FormatError on any corruption or a wrong key.
 [[nodiscard]] std::vector<TraceEvent> decode_binary(
     std::span<const std::uint8_t> data,
     const std::optional<CipherKey>& key = std::nullopt);
 
-/// Parse a container straight into batch form. v2/v3 payloads decode
-/// without rebuilding per-event heap objects; v1 payloads are decoded
-/// per-event and re-interned.
+/// Parse a container straight into batch form, without rebuilding
+/// per-event heap objects: BlockView(data, key).to_batch().
 [[nodiscard]] EventBatch decode_binary_batch(
     std::span<const std::uint8_t> data,
     const std::optional<CipherKey>& key = std::nullopt);
@@ -369,15 +239,15 @@ void write_binary_file(const std::string& path,
 
 /// Inspect a container's flags without decoding the payload.
 struct BinaryHeader {
-  int version = 1;  // 1 = IOTB1, 2 = IOTB2, 3 = IOTB3
   bool compressed = false;
   bool encrypted = false;
   bool checksummed = false;
-  bool projected = false;  // v3 columnar projection (flags bit3)
-  bool indexed = false;    // v2 pool-index footer (flags bit4)
+  bool projected = false;  // columnar projection (flags bit3)
   std::uint64_t count = 0;
   std::uint64_t payload_length = 0;
 };
+/// Throws FormatError on a short buffer, an unknown magic or an unknown
+/// flag bit, and on IOTB1/IOTB2 containers (the message names the version).
 [[nodiscard]] BinaryHeader peek_binary_header(
     std::span<const std::uint8_t> data);
 

@@ -61,10 +61,8 @@ DecodeMetrics& metrics() {
 BlockView::BlockView(std::span<const std::uint8_t> data,
                      std::optional<CipherKey> key)
     : key_(std::move(key)), buffer_(data) {
-  header_ = peek_binary_header(data);  // validates magic + header bounds
-  if (header_.version != 3) {
-    throw FormatError("block view: requires an IOTB3 container");
-  }
+  // Validates magic + header bounds and rejects IOTB1/IOTB2 by name.
+  header_ = peek_binary_header(data);
   if (header_.encrypted && !key_.has_value()) {
     throw FormatError("binary trace v3: encrypted container requires a key");
   }
@@ -89,10 +87,10 @@ BlockView::BlockView(std::span<const std::uint8_t> data,
   const std::uint32_t nstrings = load_u32(body.data() + pos);
   pos += 4;
   if (nstrings == 0) {
-    throw FormatError("binary trace v2: empty string table");
+    throw FormatError("binary trace v3: empty string table");
   }
   if (nstrings > body.size() / 4) {
-    throw FormatError("binary trace v2: string table exceeds payload");
+    throw FormatError("binary trace v3: string table exceeds payload");
   }
   strings_.reserve(nstrings);
   for (std::uint32_t i = 0; i < nstrings; ++i) {
@@ -106,17 +104,17 @@ BlockView::BlockView(std::span<const std::uint8_t> data,
     pos += len;
   }
   if (!strings_.front().empty()) {
-    throw FormatError("binary trace v2: string id 0 must be empty");
+    throw FormatError("binary trace v3: string id 0 must be empty");
   }
   if (!all_distinct(strings_)) {
-    throw FormatError("binary trace v2: string table is not interned");
+    throw FormatError("binary trace v3: string table is not interned");
   }
 
   need(8);
   const std::uint64_t nargids = load_u64(body.data() + pos);
   pos += 8;
   if (nargids > (body.size() - pos) / 4) {
-    throw FormatError("binary trace v2: arg-id table exceeds payload");
+    throw FormatError("binary trace v3: arg-id table exceeds payload");
   }
   // args_begin travels through the accessor seam (and materialize) as
   // u32; cap the table so those casts can never wrap.
@@ -130,7 +128,7 @@ BlockView::BlockView(std::span<const std::uint8_t> data,
         args_.data(), static_cast<std::size_t>(nargids));
     if (max_arg_id >= nstrings) {
       throw FormatError(strprintf(
-          "binary trace v2: arg string id %u out of range", max_arg_id));
+          "binary trace v3: arg string id %u out of range", max_arg_id));
     }
   }
 
@@ -595,7 +593,7 @@ std::optional<StrId> BlockView::find_string(std::string_view s) const
 StrId BlockView::arg_id(std::size_t j) const {
   if (j >= arg_id_count()) {
     throw FormatError(
-        strprintf("binary trace v2: arg index %zu out of range", j));
+        strprintf("binary trace v3: arg index %zu out of range", j));
   }
   return load_u32(args_.data() + j * 4);
 }

@@ -1,12 +1,14 @@
-// Lazy read path over the IOTB3 block container (block_view.cpp): the
-// counterpart of BatchView for compressed/checksummed/encrypted cold
-// storage. The constructor validates only the cheap, always-needed parts —
-// envelope bounds, the uncompressed head (string + argument-id tables,
-// walked and range-checked exactly as BatchView does, plus the key check
-// for encrypted containers: a wrong key is rejected at open, not at first
-// block touch) and the footer mini-index (whose own CRC is always
-// verified: the index must be trustworthy before any skip decision is made
-// on it). Record blocks are NOT touched at open.
+// Lazy read path over the IOTB3 block container (block_view.cpp) — the one
+// reader of the binary container: decode_binary_batch is to_batch() over a
+// BlockView, and the unified store files every mapped container as one.
+// The constructor validates only the cheap, always-needed parts — envelope
+// bounds, the uncompressed head (string + argument-id tables, walked and
+// range-checked: sizes bounded by the payload, id 0 empty, no duplicate
+// entries, every argument id in range; plus the key check for encrypted
+// containers: a wrong key is rejected at open, not at first block touch)
+// and the footer mini-index (whose own CRC is always verified: the index
+// must be trustworthy before any skip decision is made on it). Record
+// blocks are NOT touched at open.
 //
 // The first access to a block — record(), for_each(), block_bytes() —
 // pays for exactly that block: CRC over the stored bytes (when the
@@ -250,7 +252,7 @@ class BlockView {
                                        std::uint32_t args_begin) const;
 
   /// Decode the whole container into an owned EventBatch (touches every
-  /// block) — the v3 arm of decode_binary_batch.
+  /// block) — what decode_binary_batch returns.
   [[nodiscard]] EventBatch to_batch() const;
 
  private:

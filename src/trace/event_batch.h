@@ -6,7 +6,7 @@
 // heap traffic and sinks/stores can iterate them columnar-style.
 //
 // Batches are the unit of delivery through EventSink::on_batch, the payload
-// of the IOTB2 binary container, and the internal representation of
+// of the IOTB3 binary container, and the internal representation of
 // analysis::UnifiedTraceStore.
 #pragma once
 

@@ -1,46 +1,32 @@
-// Zero-copy read path over the IOTB2 container (the "mmap-able v2"
-// follow-on of the batched pipeline): a BatchView validates an
-// uncompressed, unencrypted container exactly once — envelope bounds,
-// string-table walk, and a pass over the fixed-stride record section that
-// checks every class byte, string id and args slice — and then exposes the
-// records and string table *in place*. No EventBatch is allocated and no
-// string is copied; scanning a view is a sequence of little-endian loads
-// out of the original buffer, which is what makes multi-million-event
+// In-place record access for the IOTB3 container: the three fixed-stride
+// record layouts (the 81-byte whole record, and the 33-byte hot + 48-byte
+// cold column groups of projected containers), the RecordView and
+// HotRecordView that read fields straight out of decoded block bytes, and
+// MappedTraceFile, which owns a container's bytes for file-backed
+// trace::BlockViews (block_view.h). No EventBatch is allocated and no
+// string is copied: scanning a record is a sequence of little-endian loads
+// out of the decoded block, which is what makes multi-million-event
 // analysis over on-disk stores run at hardware speed (Recorder-style
 // compact storage read back without materialization).
 //
-// Compressed or encrypted containers, and v1 (IOTB1) bodies, cannot be
-// viewed — they must go through decode_binary_batch. The checksummed flag
-// is fine: the whole-payload CRC is verified *lazily*, on the first record
-// or string touch after open, not at open itself — so probing a
-// checksummed container (peek its header, count its strings, file it in a
-// store) costs no CRC pass, and only the first actual scan pays it once.
-// A mismatch throws FormatError at that first touch and is sticky.
-//
-// MappedTraceFile owns the backing bytes for file-based views: it mmaps
-// the file read-only where the platform allows and falls back to reading
-// the bytes into an owned buffer otherwise. Moving a MappedTraceFile never
-// relocates the bytes, so views into it stay valid across moves (the
-// unified store relies on this when it files view-backed sources).
+// MappedTraceFile mmaps the file read-only where the platform allows and
+// falls back to reading the bytes into an owned buffer otherwise. Moving a
+// MappedTraceFile never relocates the bytes, so views into it stay valid
+// across moves (the unified store relies on this when it files
+// block-backed pools).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "trace/binary_format.h"
 #include "trace/event_batch.h"
 
 namespace iotaxo::trace {
 
-/// Byte layout of one fixed-stride v2 record (little-endian, matching
-/// encode_binary_v2's writer; see the container comment in
+/// Byte layout of one fixed-stride whole record (little-endian, matching
+/// encode_binary_v3's writer; see the container comment in
 /// binary_format.h). Offsets are within the record, not the payload.
 namespace v2layout {
 inline constexpr std::size_t kCls = 0;          // u8
@@ -65,7 +51,7 @@ inline constexpr std::size_t kStride = 81;      // total record size
 /// Byte layout of one record's HOT column group in a projected IOTB3 block
 /// (see binary_format.h): the fields every windowed / rate / call-stats /
 /// DFG scan reads, packed at a 33-byte stride so narrow queries decode a
-/// fraction of the stored bytes. hot + cold strides sum to v2's 81.
+/// fraction of the stored bytes. hot + cold strides sum to the whole 81.
 namespace hotlayout {
 inline constexpr std::size_t kCls = 0;          // u8
 inline constexpr std::size_t kName = 1;         // u32
@@ -76,8 +62,9 @@ inline constexpr std::size_t kBytes = 25;       // i64
 inline constexpr std::size_t kStride = 33;
 }  // namespace hotlayout
 
-/// The COLD remainder of a projected record: everything v2 carries that
-/// the hot group does not (args, ret, ids, fd, offset, uid/gid).
+/// The COLD remainder of a projected record: everything the whole record
+/// carries that the hot group does not (args, ret, ids, fd, offset,
+/// uid/gid).
 namespace coldlayout {
 inline constexpr std::size_t kArgsCount = 0;    // u32
 inline constexpr std::size_t kRet = 4;          // i64
@@ -92,9 +79,10 @@ inline constexpr std::size_t kGid = 44;         // u32
 inline constexpr std::size_t kStride = 48;
 }  // namespace coldlayout
 
-/// One record read in place from a v2 record section. Field accessors are
-/// unchecked single loads; the owning BatchView validated class bytes and
-/// string ids at open, so accessors cannot observe malformed values.
+/// One whole record read in place from a decoded block. Field accessors are
+/// unchecked single loads; the owning BlockView validated class bytes and
+/// string ids when it decoded the block, so accessors cannot observe
+/// malformed values.
 class RecordView {
  public:
   explicit RecordView(const std::uint8_t* p) noexcept : p_(p) {}
@@ -240,150 +228,6 @@ class HotRecordView {
   const std::uint8_t* p_;
 };
 
-/// A validated window onto one IOTB2 container. The constructor does all
-/// the structural checking (throws FormatError on anything
-/// decode_binary_batch would reject, plus on compressed/encrypted/v1
-/// containers, which cannot be viewed); the payload CRC alone is deferred
-/// to the first record/string touch (ensure_checksum). The view borrows
-/// `data` — the caller keeps the buffer alive (MappedTraceFile, or the
-/// store's view-backed source) for the view's lifetime. Copies share the
-/// CRC gate.
-class BatchView {
- public:
-  explicit BatchView(std::span<const std::uint8_t> data);
-
-  [[nodiscard]] const BinaryHeader& header() const noexcept {
-    return header_;
-  }
-
-  /// The container bytes this view borrows (the constructor argument).
-  /// Lets owners that hold both the buffer and the view (the unified
-  /// store's validated-pair ingest) verify the borrow without re-opening.
-  [[nodiscard]] std::span<const std::uint8_t> buffer() const noexcept {
-    return buffer_;
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return count_; }
-  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
-  [[nodiscard]] RecordView record(std::size_t i) const {
-    ensure_checksum();
-    return RecordView(records_.data() + i * v2layout::kStride);
-  }
-
-  /// Verify the deferred payload checks: the whole-payload CRC and, on
-  /// index-adopting opens that skipped it, the structural record pass. A
-  /// no-op once verified (or when nothing was deferred); throws
-  /// FormatError on a mismatch (sticky — every later touch rethrows).
-  /// Every record/string accessor calls this, so callers only need it to
-  /// force verification eagerly (or before handing raw record_bytes() to
-  /// a scan kernel).
-  void ensure_checksum() const {
-    if (crc_gate_ != nullptr &&
-        crc_gate_->state.load(std::memory_order_acquire) != 1) {
-      verify_checksum_slow();
-    }
-  }
-
-  /// The raw fixed-stride record section (count() * kStride bytes) for
-  /// scan kernels that fold serialized records directly. Verifies the
-  /// deferred CRC first — handing out the bytes is a record touch.
-  [[nodiscard]] std::span<const std::uint8_t> record_bytes() const {
-    ensure_checksum();
-    return records_;
-  }
-
-  /// Number of interned strings (id 0 = "").
-  [[nodiscard]] std::size_t string_count() const noexcept {
-    return strings_.size();
-  }
-  /// Total payload bytes of the string table (excluding length prefixes).
-  [[nodiscard]] std::size_t string_table_bytes() const noexcept {
-    return string_bytes_;
-  }
-  /// The string for an id, pointing into the container buffer. Throws
-  /// FormatError on an out-of-range id.
-  [[nodiscard]] std::string_view string(StrId id) const;
-  /// Id for `s` if the table holds it (linear scan — the table is small
-  /// relative to the record section).
-  [[nodiscard]] std::optional<StrId> find_string(std::string_view s) const;
-  /// find_string without forcing the deferred payload CRC. The string table
-  /// was structurally validated at open; index adoption uses this so
-  /// resolving the transfer-call ids does not pay the whole-payload hash
-  /// the persisted index exists to avoid.
-  [[nodiscard]] std::optional<StrId> find_string_unchecked(
-      std::string_view s) const noexcept;
-
-  /// The parsed v2 index footer when the container carries one (flags bit4)
-  /// and it validated (own CRC + count cross-checks). nullopt on footer-less
-  /// containers AND on a corrupt footer — callers fall back to scanning;
-  /// footer_error() says why when an indexed container yields nullopt.
-  [[nodiscard]] const std::optional<PoolIndexFooter>& persisted_index()
-      const noexcept {
-    return persisted_;
-  }
-  [[nodiscard]] const std::string& footer_error() const noexcept {
-    return footer_error_;
-  }
-
-  [[nodiscard]] std::size_t arg_id_count() const noexcept {
-    return args_.size() / 4;
-  }
-  /// The j-th entry of the argument-id table. Throws FormatError on an
-  /// out-of-range index.
-  [[nodiscard]] StrId arg_id(std::size_t j) const;
-
-  /// Visit records in order: fn(index, RecordView, args_begin). The only
-  /// way to address a record's args slice without materializing a prefix
-  /// sum — the visitor carries the running args_begin for free.
-  template <class Fn>
-  void for_each(Fn&& fn) const {
-    std::uint32_t args_begin = 0;
-    for (std::size_t i = 0; i < count_; ++i) {
-      const RecordView rec = record(i);
-      fn(i, rec, args_begin);
-      args_begin += rec.args_count();
-    }
-  }
-
-  /// Rebuild record `i` as a heap-owning TraceEvent (`args_begin` as for
-  /// for_each / RecordView::to_record).
-  [[nodiscard]] TraceEvent materialize(std::size_t i,
-                                       std::uint32_t args_begin) const;
-
- private:
-  /// Shared deferred-verification gate (CRC + deferred record pass):
-  /// 0 unverified, 1 verified, 2 failed (sticky). Shared across view
-  /// copies so the payload is hashed at most once; the mutex serializes
-  /// the slow path, the atomic keeps the per-access fast path to one
-  /// acquire load.
-  struct CrcGate {
-    std::mutex m;
-    std::atomic<int> state{0};
-  };
-
-  void verify_checksum_slow() const;
-  void validate_records() const;
-
-  BinaryHeader header_;
-  std::span<const std::uint8_t> buffer_;   // the whole borrowed container
-  std::span<const std::uint8_t> body_;     // the payload the CRC covers
-  std::span<const std::uint8_t> records_;  // count_ * kStride bytes
-  std::span<const std::uint8_t> args_;     // nargids * 4 bytes
-  std::optional<PoolIndexFooter> persisted_;
-  std::string footer_error_;
-  std::vector<std::string_view> strings_;  // id -> bytes in the buffer
-  std::size_t string_bytes_ = 0;
-  std::size_t count_ = 0;
-  std::uint32_t stored_crc_ = 0;
-  // True once the structural record pass ran (eagerly in the constructor,
-  // or behind the gate for index-adopting opens). Only mutated under the
-  // gate mutex after construction.
-  mutable bool records_validated_ = false;
-  // Null when nothing was deferred (not checksummed and records validated
-  // eagerly).
-  std::shared_ptr<CrcGate> crc_gate_;
-};
-
 /// Read-only bytes of a trace file, mmapped when possible. Move-only; the
 /// mapped (or owned) bytes never move, so spans into bytes() survive moves
 /// of the MappedTraceFile itself.
@@ -393,9 +237,9 @@ class MappedTraceFile {
   /// Opens and maps `path`; falls back to reading the file into an owned
   /// buffer when mmap is unavailable. Throws IoError when the file cannot
   /// be opened or read. `prefault` faults the whole mapping in up front —
-  /// right for opens that will scan every record, wrong for index-adopting
-  /// opens that only touch the header, string table, and footer pages
-  /// (record pages then fault in lazily if a query ever needs them).
+  /// right for opens that will scan every record, wrong for store ingests
+  /// that only touch the head and footer pages at open (block pages then
+  /// fault in lazily if a query ever needs them).
   explicit MappedTraceFile(const std::string& path, bool prefault = true);
   ~MappedTraceFile();
 

@@ -1,6 +1,6 @@
 // SIMD-treated scan kernels over serialized v2-layout record bytes (the
-// fixed 81-byte stride shared by IOTB2 record sections and IOTB3 block
-// bodies; offsets in record_view.h). These are the three hottest loops of
+// fixed 81-byte whole-record stride of IOTB3 block bodies; offsets in
+// record_view.h). These are the three hottest loops of
 // the read path — stamp-window transfer filtering, per-name call-stat
 // accumulation, and the contiguous u32 max fold the view validators run
 // over argument-id tables — pulled into one translation unit so they can

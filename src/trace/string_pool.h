@@ -1,7 +1,7 @@
 // StringPool: interned ids for the strings trace events repeat millions of
 // times (call names, paths, hosts). Interning turns the per-event cost of
 // carrying those strings into a one-time cost per *distinct* string, which
-// is what makes batch-scale capture and the IOTB2 container format viable
+// is what makes batch-scale capture and the IOTB3 container format viable
 // (Recorder-style compact trace representations).
 //
 // Id 0 is always the empty string, so zero-initialized records are valid.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <optional>
 
 #include "util/error.h"
 
@@ -92,28 +91,23 @@ constexpr std::size_t kSlack = 2 * kWildCopy;
 /// Longest literal run one control byte (0x00..0x7F) encodes.
 constexpr std::size_t kMaxLiteral = 0x7F + 1;
 
-/// The one decode loop. Sized (`exact` set): writes into one buffer of
-/// exactly *exact bytes plus slack and throws before any write past it.
-/// Unsized: the buffer grows geometrically as ops need room.
-std::vector<std::uint8_t> decode(std::span<const std::uint8_t> input,
-                                 std::optional<std::size_t> exact) {
+}  // namespace
+
+std::vector<std::uint8_t> lz_decompress(std::span<const std::uint8_t> input,
+                                        std::size_t size) {
+  // A literal op yields fewer bytes than it reads and a 3-byte match op at
+  // most kMaxMatch, so a size the input cannot reach is rejected before
+  // anything is allocated for it.
+  if (size > input.size() + kMaxMatch * (input.size() / 3)) {
+    throw FormatError("lz: declared size exceeds what the input can encode");
+  }
+  // One buffer of exactly `size` bytes plus slack; every op is checked
+  // against it before it writes.
   const std::uint8_t* in = input.data();
   const std::uint8_t* const in_end = in + input.size();
-  std::size_t cap = exact.value_or(input.size() * 3);
-  std::vector<std::uint8_t> out(cap + kSlack);
+  std::vector<std::uint8_t> out(size + kSlack);
   std::uint8_t* op = out.data();
-  std::uint8_t* limit = op + cap;
-  // Called when an op would produce n bytes past `limit`.
-  const auto make_room = [&](std::size_t n) {
-    if (exact.has_value()) {
-      throw FormatError("lz: output exceeds the declared size");
-    }
-    const auto produced = static_cast<std::size_t>(op - out.data());
-    cap = std::max(2 * cap, produced + n);
-    out.resize(cap + kSlack);
-    op = out.data() + produced;
-    limit = out.data() + cap;
-  };
+  std::uint8_t* const limit = op + size;
   while (in < in_end) {
     const std::uint8_t ctrl = *in++;
     if (ctrl < 0x80) {
@@ -122,7 +116,7 @@ std::vector<std::uint8_t> decode(std::span<const std::uint8_t> input,
         throw FormatError("lz: literal run past end of input");
       }
       if (n > static_cast<std::size_t>(limit - op)) {
-        make_room(n);
+        throw FormatError("lz: output exceeds the declared size");
       }
       // Wild 16-byte chunks read up to 15 bytes past the literal but never
       // more than a longest literal in all, so they run only while the
@@ -148,7 +142,7 @@ std::vector<std::uint8_t> decode(std::span<const std::uint8_t> input,
         throw FormatError("lz: invalid match distance");
       }
       if (len > static_cast<std::size_t>(limit - op)) {
-        make_room(len);
+        throw FormatError("lz: output exceeds the declared size");
       }
       const std::uint8_t* src = op - dist;
       if (dist >= kWildCopy) {
@@ -168,29 +162,11 @@ std::vector<std::uint8_t> decode(std::span<const std::uint8_t> input,
       op += len;
     }
   }
-  const auto produced = static_cast<std::size_t>(op - out.data());
-  if (exact.has_value() && produced != *exact) {
+  if (op != limit) {
     throw FormatError("lz: output is shorter than the declared size");
   }
-  out.resize(produced);
+  out.resize(size);
   return out;
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> lz_decompress(std::span<const std::uint8_t> input) {
-  return decode(input, std::nullopt);
-}
-
-std::vector<std::uint8_t> lz_decompress(std::span<const std::uint8_t> input,
-                                        std::size_t size) {
-  // A literal op yields fewer bytes than it reads and a 3-byte match op at
-  // most kMaxMatch, so a size the input cannot reach is rejected before
-  // anything is allocated for it.
-  if (size > input.size() + kMaxMatch * (input.size() / 3)) {
-    throw FormatError("lz: declared size exceeds what the input can encode");
-  }
-  return decode(input, size);
 }
 
 }  // namespace iotaxo

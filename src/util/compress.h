@@ -18,15 +18,11 @@ namespace iotaxo {
 [[nodiscard]] std::vector<std::uint8_t> lz_compress(
     std::span<const std::uint8_t> input);
 
-/// Decompress a buffer produced by lz_compress. Throws FormatError on
-/// corrupt input.
-[[nodiscard]] std::vector<std::uint8_t> lz_decompress(
-    std::span<const std::uint8_t> input);
-
-/// Decompress a buffer that must decode to exactly `size` bytes. The output
-/// is allocated once; a stream that would write past `size`, or ends short
-/// of it, throws FormatError (the overrun before any byte is written past
-/// `size`).
+/// Decompress a buffer produced by lz_compress that must decode to exactly
+/// `size` bytes (the caller knows the plain size; the IOTB3 footer records
+/// it per block). The output is allocated once; corrupt input, or a stream
+/// that would write past `size` or ends short of it, throws FormatError
+/// (the overrun before any byte is written past `size`).
 [[nodiscard]] std::vector<std::uint8_t> lz_decompress(
     std::span<const std::uint8_t> input, std::size_t size);
 

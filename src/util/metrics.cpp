@@ -114,8 +114,6 @@ constexpr CatalogEntry kCatalog[] = {
     {"ingest.events", MetricKind::kCounter},
     {"ingest.flushes", MetricKind::kCounter},
     {"ingest.index_adopted", MetricKind::kCounter},
-    {"ingest.index_rebuilt", MetricKind::kCounter},
-    {"attach.index_adopted", MetricKind::kCounter},
     // Live DFG maintenance (analysis/dfg/live_dfg.cpp)
     {"dfg.incremental_merges", MetricKind::kCounter},
     // Durable writes (trace/binary_format.cpp write_binary_file)

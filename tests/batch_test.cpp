@@ -1,6 +1,6 @@
 // Tests for the batched event pipeline: StringPool interning, EventBatch
 // round-trips, batched sink delivery equivalence, per-rank batch buffering
-// in the capture layers, the IOTB2 binary container (and v1 compatibility),
+// in the capture layers, the IOTB3 binary container's batch decode,
 // batch ingestion into the unified store, and batch-driven replay.
 #include <gtest/gtest.h>
 
@@ -241,11 +241,11 @@ TEST(BatchedSinks, BatchSinkIsReusableAfterTake) {
   const EventBatch first = sink.take();
   EXPECT_EQ(first.size(), 1u);
   // The fresh batch must keep the id-0-is-empty pool invariant, so events
-  // with empty host/path still round-trip (and v2-encode) correctly.
+  // with empty host/path still round-trip (and encode) correctly.
   TraceEvent ev = make_syscall("SYS_open", {"/f"}, 4);
   sink.on_event(ev);
   EXPECT_EQ(sink.batch().to_events(), std::vector<TraceEvent>{ev});
-  const auto blob = encode_binary_v2(sink.batch(), {});
+  const auto blob = encode_binary_v3(sink.batch(), {});
   EXPECT_EQ(decode_binary(blob), std::vector<TraceEvent>{ev});
 }
 
@@ -312,57 +312,9 @@ TEST(BatchedCapture, VfsShimFlushDrainsBatches) {
   EXPECT_EQ(shim.events_captured(), 12);
 }
 
-class BinaryV2RoundTrip : public ::testing::TestWithParam<int> {
- protected:
-  [[nodiscard]] static BinaryOptions options_for(int mask) {
-    BinaryOptions o;
-    o.compress = (mask & 1) != 0;
-    o.encrypt = (mask & 2) != 0;
-    o.checksum = (mask & 4) != 0;
-    if (o.encrypt) {
-      o.key = derive_key("test-key");
-    }
-    return o;
-  }
-};
-
-TEST_P(BinaryV2RoundTrip, EncodeDecodeAllFields) {
-  const BinaryOptions options = options_for(GetParam());
+TEST(BinaryContainer, DecodesToBatchWithInternedTable) {
   const auto original = sample_stream();
-  const auto blob = encode_binary_v2(original, options);
-  const auto decoded = decode_binary(
-      blob, options.encrypt ? options.key : std::nullopt);
-  ASSERT_EQ(decoded.size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(decoded[i], original[i]) << "event " << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(FlagCombos, BinaryV2RoundTrip,
-                         ::testing::Range(0, 8));
-
-TEST(BinaryV2, HeaderReportsVersion) {
-  const auto v1 = encode_binary(sample_stream(), {});
-  const auto v2 = encode_binary_v2(sample_stream(), {});
-  EXPECT_EQ(peek_binary_header(v1).version, 1);
-  EXPECT_EQ(peek_binary_header(v2).version, 2);
-  EXPECT_EQ(peek_binary_header(v2).count, sample_stream().size());
-  EXPECT_TRUE(looks_binary(v1));
-  EXPECT_TRUE(looks_binary(v2));
-}
-
-TEST(BinaryV2, V1ContainersStillDecode) {
-  const auto original = sample_stream();
-  const auto v1_blob = encode_binary(original, {});
-  EXPECT_EQ(decode_binary(v1_blob), original);
-  // ... including straight into batch form.
-  const EventBatch batch = decode_binary_batch(v1_blob);
-  EXPECT_EQ(batch.to_events(), original);
-}
-
-TEST(BinaryV2, DecodesToBatchWithInternedTable) {
-  const auto original = sample_stream();
-  const auto blob = encode_binary_v2(original, {});
+  const auto blob = encode_binary_v3(original, {});
   const EventBatch batch = decode_binary_batch(blob);
   ASSERT_EQ(batch.size(), original.size());
   EXPECT_EQ(batch.to_events(), original);
@@ -371,35 +323,10 @@ TEST(BinaryV2, DecodesToBatchWithInternedTable) {
             EventBatch::from_events(original).pool().size());
 }
 
-TEST(BinaryV2, StringTableShrinksRepetitiveTraces) {
-  std::vector<TraceEvent> events;
-  for (int i = 0; i < 2000; ++i) {
-    TraceEvent ev = make_syscall(
-        "SYS_write", {"5", "65536", strprintf("%d", i * 65536)}, 65536);
-    ev.host = "host13.lanl.gov";
-    ev.path = "/pfs/shared/out.dat";
-    ev.rank = 7;
-    events.push_back(ev);
-  }
+TEST(BinaryContainer, HugeRecordCountIsFormatErrorNotBadAlloc) {
   BinaryOptions plain;
   plain.checksum = false;
-  // Interning alone (no compression, no varints) must clearly beat v1's
-  // inline strings: every name/host/path repeats per record there.
-  EXPECT_LT(encode_binary_v2(events, plain).size(),
-            encode_binary(events, plain).size() * 3 / 4);
-}
-
-TEST(BinaryV2, ChecksumDetectsCorruption) {
-  const auto blob = encode_binary_v2(sample_stream(), BinaryOptions{});
-  auto corrupted = blob;
-  corrupted[corrupted.size() / 2] ^= 0xFF;
-  EXPECT_THROW((void)decode_binary(corrupted), FormatError);
-}
-
-TEST(BinaryV1, HugeRecordCountIsFormatErrorNotBadAlloc) {
-  BinaryOptions plain;
-  plain.checksum = false;
-  auto blob = encode_binary(sample_stream(), plain);
+  auto blob = encode_binary_v3(sample_stream(), plain);
   // count is the u64 at offset 7 (after magic + flags).
   for (int i = 0; i < 8; ++i) {
     blob[7 + static_cast<std::size_t>(i)] = 0xFF;
@@ -407,13 +334,13 @@ TEST(BinaryV1, HugeRecordCountIsFormatErrorNotBadAlloc) {
   EXPECT_THROW((void)decode_binary(blob), FormatError);
 }
 
-TEST(BinaryV2, HugeArgTableCountIsFormatErrorNotBadAlloc) {
+TEST(BinaryContainer, HugeCountsAnywhereAreFormatErrors) {
   BinaryOptions plain;
   plain.checksum = false;  // unchecksummed, so the tampered body is decoded
-  auto blob = encode_binary_v2(sample_stream(), plain);
-  // The arg-id count lives right after the string table; rather than
-  // locating it, just assert that *any* 8 bytes overwritten with a huge
-  // count still surfaces as FormatError (never bad_alloc/length_error).
+  const auto blob = encode_binary_v3(sample_stream(), plain);
+  // Rather than locating each count field, assert that *any* 8 bytes
+  // overwritten with a huge value still surfaces as FormatError (never
+  // bad_alloc/length_error).
   const std::size_t header = 6 + 1 + 8 + 8;
   for (std::size_t pos = header; pos + 8 <= blob.size(); pos += 7) {
     auto corrupted = blob;
@@ -426,16 +353,6 @@ TEST(BinaryV2, HugeArgTableCountIsFormatErrorNotBadAlloc) {
       // expected failure mode
     }
   }
-}
-
-TEST(BinaryV2, EncryptedNeedsKey) {
-  BinaryOptions o;
-  o.encrypt = true;
-  o.key = derive_key("k1");
-  const auto blob = encode_binary_v2(sample_stream(), o);
-  EXPECT_THROW((void)decode_binary(blob), FormatError);
-  EXPECT_EQ(decode_binary(blob, derive_key("k1")).size(),
-            sample_stream().size());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the DFG mining subsystem (PR 4): builder determinism (serial
-// == parallel, owned == view-backed, pre- == post-compaction, invariance
+// == parallel, owned == block-backed, pre- == post-compaction, invariance
 // to source splits), edge/gap/byte statistics, rank filtering and edge
 // cases, phase segmentation (gap cuts, loop detection, labels), graph
 // comparison and outlier flagging, DOT/JSON export, and the store's
@@ -157,24 +157,25 @@ TEST(DfgBuilder, InvariantToSourceSplits) {
   EXPECT_EQ(one, four);
 }
 
-TEST(DfgBuilder, OwnedEqualsViewBacked) {
+TEST(DfgBuilder, OwnedEqualsBlockBacked) {
   const std::vector<TraceEvent> events = small_stream();
   const Dfg owned = DfgBuilder(store_of(events, 2)).build();
 
-  const std::vector<std::uint8_t> bytes =
-      trace::encode_binary_v2(EventBatch::from_events(events),
-                              trace::BinaryOptions{});
-  const std::string path = "dfg_test_view.iotb";
+  trace::BinaryOptions options;
+  options.compress = true;
+  const std::vector<std::uint8_t> bytes = trace::encode_binary_v3(
+      EventBatch::from_events(events), options, /*block_records=*/4);
+  const std::string path = "dfg_test_block.iotb3";
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
   std::fclose(f);
-  UnifiedTraceStore view_store;
-  view_store.ingest_view(path, {{"framework", "test"}});
-  const Dfg viewed = DfgBuilder(view_store).build();
+  UnifiedTraceStore block_store;
+  block_store.ingest_view(path, {{"framework", "test"}});
+  const Dfg blocked = DfgBuilder(block_store).build();
   std::remove(path.c_str());
 
-  EXPECT_EQ(owned, viewed);
+  EXPECT_EQ(owned, blocked);
 }
 
 TEST(DfgBuilder, CompactionPreservesGraphs) {
@@ -469,14 +470,13 @@ TEST(DfgExport, EqualGraphsExportByteEqual) {
 
 // ------------------------------------------------------------ pool_infos
 
-TEST(PoolInfos, ReportsShapeOwnedViewAndCompacted) {
+TEST(PoolInfos, ReportsShapeOwnedBlockAndCompacted) {
   const std::vector<TraceEvent> events = small_stream();
   UnifiedTraceStore store = store_of(events, 2);
 
-  const std::vector<std::uint8_t> bytes =
-      trace::encode_binary_v2(EventBatch::from_events(events),
-                              trace::BinaryOptions{});
-  const std::string path = "dfg_test_pool_infos.iotb";
+  const std::vector<std::uint8_t> bytes = trace::encode_binary_v3(
+      EventBatch::from_events(events), trace::BinaryOptions{});
+  const std::string path = "dfg_test_pool_infos.iotb3";
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
@@ -486,9 +486,9 @@ TEST(PoolInfos, ReportsShapeOwnedViewAndCompacted) {
 
   std::vector<StorePoolInfo> infos = store.pool_infos();
   ASSERT_EQ(infos.size(), 3u);
-  EXPECT_FALSE(infos[0].view_backed);
-  EXPECT_FALSE(infos[1].view_backed);
-  EXPECT_TRUE(infos[2].view_backed);
+  EXPECT_FALSE(infos[0].block_backed);
+  EXPECT_FALSE(infos[1].block_backed);
+  EXPECT_TRUE(infos[2].block_backed);
   EXPECT_EQ(infos[2].records, static_cast<long long>(events.size()));
   EXPECT_EQ(infos[2].approx_bytes, bytes.size());
   long long total = 0;
@@ -503,21 +503,20 @@ TEST(PoolInfos, ReportsShapeOwnedViewAndCompacted) {
   EXPECT_EQ(infos[1].first_source, 1u);
   EXPECT_EQ(infos[2].first_source, 2u);
 
-  // Compaction merges the two owned pools; the view pool stays.
+  // Compaction merges the two owned pools; the block pool stays.
   EXPECT_EQ(store.compact(64 * kMiB), 2u);
   infos = store.pool_infos();
   ASSERT_EQ(infos.size(), 2u);
   EXPECT_EQ(infos[0].source_count, 2u);
-  EXPECT_FALSE(infos[0].view_backed);
-  EXPECT_TRUE(infos[1].view_backed);
+  EXPECT_FALSE(infos[0].block_backed);
+  EXPECT_TRUE(infos[1].block_backed);
 }
 
 TEST(PoolInfos, ValidatedPairIngestMatchesPathIngest) {
   const std::vector<TraceEvent> events = small_stream();
-  const std::vector<std::uint8_t> bytes =
-      trace::encode_binary_v2(EventBatch::from_events(events),
-                              trace::BinaryOptions{});
-  const std::string path = "dfg_test_pair.iotb";
+  const std::vector<std::uint8_t> bytes = trace::encode_binary_v3(
+      EventBatch::from_events(events), trace::BinaryOptions{});
+  const std::string path = "dfg_test_pair.iotb3";
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
@@ -530,7 +529,7 @@ TEST(PoolInfos, ValidatedPairIngestMatchesPathIngest) {
   // second open-time validation, and must behave identically.
   UnifiedTraceStore by_pair;
   trace::MappedTraceFile file(path);
-  trace::BatchView view(file.bytes());
+  trace::BlockView view(file.bytes());
   by_pair.ingest_view(std::move(file), std::move(view),
                       {{"framework", "test"}});
   EXPECT_EQ(by_path.total_events(), by_pair.total_events());
@@ -539,7 +538,7 @@ TEST(PoolInfos, ValidatedPairIngestMatchesPathIngest) {
 
   // A view that does not borrow the given file is rejected.
   trace::MappedTraceFile file2(path);
-  const trace::BatchView foreign(bytes);  // borrows the local buffer
+  const trace::BlockView foreign(bytes);  // borrows the local buffer
   UnifiedTraceStore store;
   EXPECT_THROW(store.ingest_view(std::move(file2), foreign, {}), ConfigError);
   std::remove(path.c_str());

@@ -2,7 +2,11 @@
 // -> replay pipelines crossing every module boundary.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <set>
+#include <span>
+#include <string_view>
 
 #include "analysis/bandwidth.h"
 #include "analysis/call_summary.h"
@@ -17,6 +21,7 @@
 #include "sim/cluster.h"
 #include "taxonomy/overhead.h"
 #include "trace/binary_format.h"
+#include "trace/block_view.h"
 #include "trace/text_format.h"
 #include "util/error.h"
 #include "workload/io_intensive.h"
@@ -188,6 +193,114 @@ TEST_F(IntegrationFixture, TracefsEncryptedArchiveRoundTrip) {
               }
               return n;
             }());
+}
+
+TEST_F(IntegrationFixture, TracefsEncryptionCoversRecordsNotStrings) {
+  // Tracefs's encrypt option is IOTB3's per-block encryption: the record
+  // blocks are ciphertext, while the string table and the block index
+  // stay plaintext so the file remains queryable by block. Names are kept
+  // secret by exporting the anonymized bundle.
+  frameworks::TracefsParams params;
+  params.shim.encrypt = true;
+  params.passphrase = "archive-key";
+  frameworks::Tracefs tracefs(params);
+  workload::IoIntensiveParams app;
+  app.nranks = 2;
+  app.files_per_rank = 6;
+  frameworks::TraceJobOptions topts;
+  topts.store_raw_streams = true;
+  const auto traced = tracefs.trace(cluster_, workload::make_io_intensive(app),
+                                    std::make_shared<fs::MemFs>(), topts);
+  const trace::TraceBundle& bundle = traced.bundle;
+
+  std::set<std::string> paths;
+  std::set<std::string> hosts;
+  std::set<std::string> args;
+  std::size_t n_events = 0;
+  for (const trace::RankStream& rs : bundle.ranks) {
+    for (const trace::TraceEvent& ev : rs.events) {
+      ++n_events;
+      if (!ev.path.empty()) {
+        paths.insert(ev.path);
+      }
+      if (!ev.host.empty()) {
+        hosts.insert(ev.host);
+      }
+      for (const std::string& a : ev.args) {
+        if (!a.empty()) {
+          args.insert(a);
+        }
+      }
+    }
+  }
+  ASSERT_FALSE(paths.empty());
+  ASSERT_FALSE(hosts.empty());
+  ASSERT_FALSE(args.empty());
+
+  auto contains = [](std::span<const std::uint8_t> blob,
+                     std::span<const std::uint8_t> needle) {
+    return std::search(blob.begin(), blob.end(), needle.begin(),
+                       needle.end()) != blob.end();
+  };
+  auto contains_text = [&](std::span<const std::uint8_t> blob,
+                           std::string_view s) {
+    return contains(blob, {reinterpret_cast<const std::uint8_t*>(s.data()),
+                           s.size()});
+  };
+
+  // Neither reader opens the container without the key...
+  const auto blob = tracefs.export_native(bundle);
+  EXPECT_THROW((void)trace::decode_binary(blob), FormatError);
+  EXPECT_THROW((void)trace::BlockView(blob), FormatError);
+
+  // ...and no record is stored in the clear: none of the 81-byte records
+  // of the same export without encryption appears in the encrypted one.
+  frameworks::TracefsParams plain_params = params;
+  plain_params.shim.encrypt = false;
+  const auto plain_blob =
+      frameworks::Tracefs(plain_params).export_native(bundle);
+  const trace::BlockView plain(plain_blob);
+  ASSERT_EQ(plain.size(), n_events);
+  for (std::size_t b = 0; b < plain.block_count(); ++b) {
+    const auto records = plain.block_bytes(b);
+    for (std::size_t off = 0; off < records.size();
+         off += trace::v2layout::kStride) {
+      const auto record = records.subspan(off, trace::v2layout::kStride);
+      ASSERT_TRUE(contains(plain_blob, record));
+      EXPECT_FALSE(contains(blob, record)) << "record at byte " << off;
+    }
+  }
+
+  // The head is plaintext: every path, host and argument string can be
+  // read without the key.
+  for (const auto* strings : {&paths, &hosts, &args}) {
+    for (const std::string& s : *strings) {
+      EXPECT_TRUE(contains_text(blob, s)) << s;
+    }
+  }
+
+  // Exporting the anonymized bundle keeps paths and hosts secret: they are
+  // field-encrypted before they reach the string table, and the same
+  // passphrase reverses them after decoding.
+  const auto anon_blob = tracefs.export_native(tracefs.anonymize(bundle));
+  for (const auto* strings : {&paths, &hosts}) {
+    for (const std::string& s : *strings) {
+      EXPECT_FALSE(contains_text(anon_blob, s)) << s;
+    }
+  }
+  const auto decoded =
+      trace::decode_binary(anon_blob, derive_key(params.passphrase));
+  ASSERT_EQ(decoded.size(), n_events);
+  const anon::EncryptingAnonymizer anonymizer(params.anonymize_fields,
+                                              params.passphrase);
+  std::size_t i = 0;
+  for (const trace::RankStream& rs : bundle.ranks) {
+    for (const trace::TraceEvent& ev : rs.events) {
+      const trace::TraceEvent restored = anonymizer.reverse(decoded[i++]);
+      EXPECT_EQ(restored.path, ev.path);
+      EXPECT_EQ(restored.host, ev.host);
+    }
+  }
 }
 
 TEST_F(IntegrationFixture, PatternsOrderAsInFigures) {

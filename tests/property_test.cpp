@@ -101,15 +101,16 @@ class StreamSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(StreamSeeds, BinaryRoundTripIsLossless) {
   Rng rng(GetParam());
   const auto events = random_stream(rng, 200);
-  for (const int mask : {0, 1, 3, 7}) {
+  for (const int mask : {0, 1, 3, 7, 15}) {
     trace::BinaryOptions options;
     options.compress = (mask & 1) != 0;
     options.encrypt = (mask & 2) != 0;
     options.checksum = (mask & 4) != 0;
+    options.project = (mask & 8) != 0;
     if (options.encrypt) {
       options.key = derive_key("prop");
     }
-    const auto blob = trace::encode_binary(events, options);
+    const auto blob = trace::encode_binary_v3(events, options, 64);
     const auto decoded = trace::decode_binary(
         blob, options.encrypt ? options.key : std::nullopt);
     ASSERT_EQ(decoded.size(), events.size());

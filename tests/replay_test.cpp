@@ -211,8 +211,8 @@ TEST_F(ReplayFixture, LanlTraceRawStreamsAreReplayableToo) {
   EXPECT_GT(result.run.bytes_written, 0);
 }
 
-// The zero-copy adapter must generate exactly the programs the owned-batch
-// path generates: same ops in the same order, field for field.
+// A decoded container must generate exactly the programs the capture batch
+// generates: same ops in the same order, field for field.
 void expect_programs_equal(const std::vector<mpi::Program>& a,
                            const std::vector<mpi::Program>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -237,7 +237,10 @@ void expect_programs_equal(const std::vector<mpi::Program>& a,
   }
 }
 
-TEST_F(ReplayFixture, ViewBackedGenerationMatchesBatchGeneration) {
+TEST_F(ReplayFixture, DecodedContainerReplaysLikeTheBatch) {
+  // A container replays through decode_binary_batch and the batch
+  // overloads: the generated programs and the replay itself match the
+  // capture batch they were encoded from.
   const frameworks::TraceRunResult result = capture_with_partrace();
   trace::EventBatch batch;
   for (const trace::RankStream& rs : result.bundle.ranks) {
@@ -245,45 +248,31 @@ TEST_F(ReplayFixture, ViewBackedGenerationMatchesBatchGeneration) {
       batch.append(ev);
     }
   }
-  const std::vector<std::uint8_t> bytes =
-      trace::encode_binary_v2(batch, trace::BinaryOptions{});
-  const trace::BatchView view(bytes);
+  trace::BinaryOptions options;
+  options.compress = true;
+  const trace::EventBatch decoded =
+      trace::decode_binary_batch(trace::encode_binary_v3(batch, options));
 
-  const std::vector<mpi::Program> from_batch =
-      generate_pseudo_app(batch, result.bundle.dependencies);
-  const std::vector<mpi::Program> from_view =
-      generate_pseudo_app(view, result.bundle.dependencies);
-  expect_programs_equal(from_batch, from_view);
-}
-
-TEST_F(ReplayFixture, ViewBackedReplayMatchesBatchReplay) {
-  const frameworks::TraceRunResult result = capture_with_partrace();
-  trace::EventBatch batch;
-  for (const trace::RankStream& rs : result.bundle.ranks) {
-    for (const trace::TraceEvent& ev : rs.events) {
-      batch.append(ev);
-    }
-  }
-  const std::vector<std::uint8_t> bytes =
-      trace::encode_binary_v2(batch, trace::BinaryOptions{});
-  const trace::BatchView view(bytes);
-
+  expect_programs_equal(
+      generate_pseudo_app(batch, result.bundle.dependencies),
+      generate_pseudo_app(decoded, result.bundle.dependencies));
   Replayer batch_replayer(cluster_, std::make_shared<pfs::Pfs>());
   const ReplayResult from_batch =
       batch_replayer.replay(batch, result.bundle.dependencies);
-  Replayer view_replayer(cluster_, std::make_shared<pfs::Pfs>());
-  const ReplayResult from_view =
-      view_replayer.replay(view, result.bundle.dependencies);
-  EXPECT_EQ(from_batch.run.elapsed, from_view.run.elapsed);
-  EXPECT_EQ(from_batch.run.bytes_written, from_view.run.bytes_written);
-  EXPECT_EQ(from_batch.bundle.total_events(), from_view.bundle.total_events());
-}
+  Replayer decoded_replayer(cluster_, std::make_shared<pfs::Pfs>());
+  const ReplayResult from_decoded =
+      decoded_replayer.replay(decoded, result.bundle.dependencies);
+  EXPECT_EQ(from_batch.run.elapsed, from_decoded.run.elapsed);
+  EXPECT_EQ(from_batch.run.bytes_written, from_decoded.run.bytes_written);
+  EXPECT_EQ(from_batch.bundle.total_events(),
+            from_decoded.bundle.total_events());
 
-TEST_F(ReplayFixture, ViewBackedGenerationRejectsEmptyContainer) {
-  const std::vector<std::uint8_t> bytes =
-      trace::encode_binary_v2(trace::EventBatch{}, trace::BinaryOptions{});
-  const trace::BatchView view(bytes);
-  EXPECT_THROW((void)generate_pseudo_app(view, {}), FormatError);
+  // An empty container decodes to an empty batch, which generation refuses.
+  EXPECT_THROW((void)generate_pseudo_app(
+                   trace::decode_binary_batch(
+                       trace::encode_binary_v3(trace::EventBatch{}, {})),
+                   {}),
+               FormatError);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Streaming-ingest tests: the v2 persisted index footer (round-trip,
-// corrupt/truncated fallback-to-scan, adopted-vs-rebuilt query identity),
-// era-aware open batches (bit-identical to one-pool-per-flush across every
-// query and the mined DFG, bounded pool counts, seal semantics), and the
-// live DFG maintainer (snapshot == cold rebuild at any thread count, for
-// any flush interleaving, rank filters and sequences included).
+// Streaming-ingest tests: restarts that index attached containers from
+// their footers (no block decoded) in era order, era-aware open batches
+// (bit-identical to one-pool-per-flush across every query and the mined
+// DFG, bounded pool counts, seal semantics), and the live DFG maintainer
+// (snapshot == cold rebuild at any thread count, for any flush
+// interleaving, rank filters and sequences included).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -15,7 +15,6 @@
 #include "analysis/unified_store.h"
 #include "trace/binary_format.h"
 #include "trace/event_batch.h"
-#include "trace/record_view.h"
 #include "util/error.h"
 #include "util/metrics.h"
 #include "util/strings.h"
@@ -87,242 +86,66 @@ struct ObsGuard {
   return dir;
 }
 
-// ------------------------------------------------------ persisted footer
+// ------------------------------------------------------ restart / attach
 
-TEST(IndexFooter, RoundTripMatchesScan) {
-  const EventBatch batch = EventBatch::from_events(flush_events(0, 64));
+TEST(IndexFooter, AttachDirIndexesFromFootersWithoutDecoding) {
+  const std::string dir = scratch_dir("attach_footer");
   BinaryOptions options;
+  options.compress = true;
   options.checksum = true;
-  options.index_footer = true;
-  const std::vector<std::uint8_t> bytes = encode_binary_v2(batch, options);
-
-  const BatchView view(bytes);
-  EXPECT_TRUE(view.header().indexed);
-  ASSERT_TRUE(view.persisted_index().has_value());
-  EXPECT_TRUE(view.footer_error().empty());
-  const PoolIndexFooter& footer = *view.persisted_index();
-
-  // Recompute what index_pool's scan would find and compare field by field.
-  bool any = false;
-  SimTime min_time = 0;
-  SimTime max_time = 0;
-  bool has_fd_path = false;
-  bool has_io_bytes = false;
-  std::vector<bool> names(batch.pool().size(), false);
-  for (const EventRecord& rec : batch.records()) {
-    if (!any || rec.local_start < min_time) {
-      min_time = rec.local_start;
-    }
-    if (!any || rec.local_start > max_time) {
-      max_time = rec.local_start;
-    }
-    any = true;
-    names[rec.name] = true;
-    has_fd_path = has_fd_path || (rec.path != 0 && rec.fd >= 0);
-    has_io_bytes = has_io_bytes || (rec.is_io_call() && rec.bytes > 0);
-  }
-  EXPECT_EQ(footer.any, any);
-  EXPECT_EQ(footer.min_time, min_time);
-  EXPECT_EQ(footer.max_time, max_time);
-  EXPECT_EQ(footer.has_fd_path, has_fd_path);
-  EXPECT_EQ(footer.has_io_bytes, has_io_bytes);
-  EXPECT_EQ(footer.records, batch.size());
-  for (StrId id = 0; id < names.size(); ++id) {
-    EXPECT_EQ(footer.has_name(id), names[id]) << "name id " << id;
-  }
-  // Out-of-range ids are simply absent, not UB.
-  EXPECT_FALSE(footer.has_name(static_cast<StrId>(names.size() + 100)));
-
-  // The records themselves are untouched by the footer.
-  ASSERT_EQ(view.size(), batch.size());
-  const EventBatch decoded = decode_binary_batch(bytes);
-  ASSERT_EQ(decoded.size(), batch.size());
-  for (std::size_t i = 0; i < decoded.size(); ++i) {
-    EXPECT_EQ(decoded.record(i), batch.record(i)) << "record " << i;
-  }
-}
-
-TEST(IndexFooter, FooterlessContainersStillParse) {
-  const EventBatch batch = EventBatch::from_events(flush_events(0, 16));
-  const std::vector<std::uint8_t> bytes =
-      encode_binary_v2(batch, BinaryOptions{});
-  const BatchView view(bytes);
-  EXPECT_FALSE(view.header().indexed);
-  EXPECT_FALSE(view.persisted_index().has_value());
-  EXPECT_EQ(view.size(), batch.size());
-}
-
-TEST(IndexFooter, CorruptFooterFallsBackToScan) {
-  const EventBatch batch = EventBatch::from_events(flush_events(0, 48));
-  BinaryOptions options;
-  options.checksum = false;  // isolate the footer's own CRC
-  options.index_footer = true;
-  std::vector<std::uint8_t> bytes = encode_binary_v2(batch, options);
-
-  // Flip the last footer byte (just before the 16-byte trailer): the
-  // footer CRC no longer matches, but the container must still open with
-  // every record served — adoption degrades to a scan, never to a failure.
-  bytes[bytes.size() - v2footer::kTrailerSize - 1] ^= 0x01u;
-  const BatchView view(bytes);
-  EXPECT_FALSE(view.persisted_index().has_value());
-  EXPECT_FALSE(view.footer_error().empty());
-  ASSERT_EQ(view.size(), batch.size());
-  const EventBatch redecoded = decode_binary_batch(bytes);
-  ASSERT_EQ(redecoded.size(), batch.size());
-  for (std::size_t i = 0; i < redecoded.size(); ++i) {
-    EXPECT_EQ(redecoded.record(i), batch.record(i)) << "record " << i;
-  }
-
-  // A store ingesting the damaged container rebuilds the index by scan and
-  // answers queries identically to one fed the pristine bytes.
-  ObsGuard obs_guard;
-  const obs::MetricsSnapshot before = obs::snapshot();
-  UnifiedTraceStore damaged;
-  damaged.ingest(decode_binary_batch(bytes), {{"framework", "test"}});
-  UnifiedTraceStore pristine;
-  pristine.ingest(batch, {{"framework", "test"}});
-  EXPECT_EQ(all_queries(damaged), all_queries(pristine));
-  EXPECT_EQ(metric_delta(before, "ingest.index_adopted"), 0u);
-}
-
-TEST(IndexFooter, TruncatedFooterFallsBackToScan) {
-  const EventBatch batch = EventBatch::from_events(flush_events(1, 48));
-  BinaryOptions options;
-  options.checksum = false;  // the paylen patch below assumes no file CRC
-  options.index_footer = true;
-  std::vector<std::uint8_t> bytes = encode_binary_v2(batch, options);
-
-  // Truncate the trailer's second half and patch the envelope's payload
-  // length to match — a crash that tore the tail off the footer region but
-  // left the records intact. The footer parse must fail cleanly.
-  const std::uint64_t paylen = static_cast<std::uint64_t>(bytes.size()) -
-                               kContainerHeaderSize - 8;
-  for (std::size_t b = 0; b < 8; ++b) {
-    bytes[15 + b] = static_cast<std::uint8_t>(paylen >> (8 * b));
-  }
-  bytes.resize(bytes.size() - 8);
-  const BatchView view(bytes);
-  EXPECT_FALSE(view.persisted_index().has_value());
-  EXPECT_FALSE(view.footer_error().empty());
-  EXPECT_EQ(view.size(), batch.size());
-}
-
-TEST(IndexFooter, DeferredRecordValidationCatchesCorruptRecords) {
-  // A valid footer defers the structural record pass past open (that is
-  // what makes index-adopting restarts O(strings)); the pass still runs —
-  // behind the verification gate — before any record content is served.
-  const EventBatch batch = EventBatch::from_events(flush_events(2, 48));
-  BinaryOptions options;
-  options.checksum = false;  // isolate the structural check from the CRC
-  options.index_footer = true;
-  std::vector<std::uint8_t> bytes = encode_binary_v2(batch, options);
-
-  // Clobber the last record's class byte. The record section ends where
-  // the footer begins (trailer = footer_len u64 + footer CRC u32 + magic).
-  std::uint64_t footer_len = 0;
-  for (std::size_t b = 0; b < 8; ++b) {
-    footer_len |= static_cast<std::uint64_t>(
-                      bytes[bytes.size() - v2footer::kTrailerSize + b])
-                  << (8 * b);
-  }
-  const std::size_t records_end =
-      bytes.size() - v2footer::kTrailerSize - footer_len;
-  bytes[records_end - v2layout::kStride + v2layout::kCls] = 0xFF;
-
-  const BatchView view(bytes);  // open succeeds: the pass is deferred
-  ASSERT_TRUE(view.persisted_index().has_value());
-  EXPECT_EQ(view.size(), batch.size());
-  // Index facts are served from the footer without touching records...
-  EXPECT_EQ(view.persisted_index()->records, batch.size());
-  // ...but the first record touch runs the deferred pass and fails sticky.
-  EXPECT_THROW((void)view.record(0), FormatError);
-  EXPECT_THROW((void)view.record_bytes(), FormatError);
-
-  // A checksummed container reports even non-structural record damage (a
-  // flipped ret value, which no validation pass inspects) as a CRC
-  // mismatch on first touch — also after a clean, deferring open.
-  options.checksum = true;
-  std::vector<std::uint8_t> summed = encode_binary_v2(batch, options);
-  std::uint64_t summed_footer_len = 0;
-  for (std::size_t b = 0; b < 8; ++b) {
-    summed_footer_len |=
-        static_cast<std::uint64_t>(
-            summed[summed.size() - 4 - v2footer::kTrailerSize + b])
-        << (8 * b);
-  }
-  const std::size_t summed_records_end =
-      summed.size() - 4 - v2footer::kTrailerSize - summed_footer_len;
-  summed[summed_records_end - v2layout::kStride + v2layout::kRet] ^= 0x01u;
-  const BatchView summed_view(summed);
-  ASSERT_TRUE(summed_view.persisted_index().has_value());
-  EXPECT_THROW((void)summed_view.record(0), FormatError);
-}
-
-TEST(IndexFooter, AdoptedVsRebuiltQueriesIdentical) {
-  const std::string dir = scratch_dir("adopt");
-  BinaryOptions options;
-  options.checksum = true;
-  options.index_footer = true;
-  for (int era = 0; era < 4; ++era) {
-    write_binary_file(
-        strprintf("%s/era-%d.iotb", dir.c_str(), era),
-        encode_binary_v2(EventBatch::from_events(flush_events(era, 64)),
-                         options));
-  }
-
-  ObsGuard obs_guard;
-  const obs::MetricsSnapshot before_adopt = obs::snapshot();
-  UnifiedTraceStore adopted;
-  for (int era = 0; era < 4; ++era) {
-    adopted.ingest_view(strprintf("%s/era-%d.iotb", dir.c_str(), era),
-                        {{"framework", "test"}});
-  }
-  EXPECT_EQ(metric_delta(before_adopt, "ingest.index_adopted"), 4u);
-  EXPECT_EQ(metric_delta(before_adopt, "ingest.index_rebuilt"), 0u);
-
-  const obs::MetricsSnapshot before_rebuild = obs::snapshot();
-  UnifiedTraceStore rebuilt;
-  rebuilt.set_adopt_indexes(false);
-  for (int era = 0; era < 4; ++era) {
-    rebuilt.ingest_view(strprintf("%s/era-%d.iotb", dir.c_str(), era),
-                        {{"framework", "test"}});
-  }
-  EXPECT_EQ(metric_delta(before_rebuild, "ingest.index_adopted"), 0u);
-  EXPECT_EQ(metric_delta(before_rebuild, "ingest.index_rebuilt"), 4u);
-
-  EXPECT_EQ(all_queries(adopted), all_queries(rebuilt));
-  namespace dfg = analysis::dfg;
-  EXPECT_EQ(dfg::DfgBuilder(adopted).build(), dfg::DfgBuilder(rebuilt).build());
-
-  std::size_t persisted = 0;
-  for (const analysis::StorePoolInfo& info : adopted.pool_infos()) {
-    persisted += info.persisted_index ? 1 : 0;
-  }
-  EXPECT_EQ(persisted, 4u);
-  for (const analysis::StorePoolInfo& info : rebuilt.pool_infos()) {
-    EXPECT_FALSE(info.persisted_index);
-  }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(IndexFooter, AttachDirAdoptsPersistedIndexes) {
-  const std::string dir = scratch_dir("attach_adopt");
-  BinaryOptions options;
-  options.checksum = true;
-  options.index_footer = true;
-  for (int era = 0; era < 3; ++era) {
-    write_binary_file(
-        strprintf("%s/era-%d.iotb", dir.c_str(), era),
-        encode_binary_v2(EventBatch::from_events(flush_events(era, 32)),
-                         options));
+  constexpr int kEras = 3;
+  UnifiedTraceStore owned;
+  for (int era = 0; era < kEras; ++era) {
+    const EventBatch batch = EventBatch::from_events(flush_events(era, 32));
+    write_binary_file(strprintf("%s/era-%d.iotb3", dir.c_str(), era),
+                      encode_binary_v3(batch, options, 8));
+    owned.ingest(batch, {{"framework", "test"}});
   }
   ObsGuard obs_guard;
   const obs::MetricsSnapshot before = obs::snapshot();
   UnifiedTraceStore store;
   const analysis::StoreHealth health = store.attach_dir(dir);
   EXPECT_TRUE(health.healthy());
-  EXPECT_EQ(store.pool_count(), 3u);
-  EXPECT_EQ(metric_delta(before, "attach.index_adopted"), 3u);
+  EXPECT_EQ(store.pool_count(), static_cast<std::size_t>(kEras));
+  // Every attached container's pool index came from its footer: one
+  // adoption per container, and not a single block decoded to build them.
+  EXPECT_EQ(metric_delta(before, "ingest.index_adopted"),
+            static_cast<std::uint64_t>(kEras));
+  EXPECT_EQ(metric_delta(before, "block.decode.full_blocks"), 0u);
+  EXPECT_EQ(metric_delta(before, "block.decode.hot_blocks"), 0u);
+  EXPECT_EQ(metric_delta(before, "block.decode.stored_bytes"), 0u);
+  for (const analysis::StorePoolInfo& info : store.pool_infos()) {
+    EXPECT_TRUE(info.block_backed);
+    EXPECT_EQ(info.decoded_stored_bytes, 0u);
+  }
+  // The footer-built indexes answer exactly as scanned owned pools do.
+  EXPECT_EQ(all_queries(store), all_queries(owned));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(AttachDir, AttachesErasInSequenceOrderUnnumberedLast) {
+  // A manifest-less directory: attach order must be era order (pool order
+  // is the DFG's directly-follows order and the order hottest_files
+  // carries fds across pools), with names lacking a "-<n>" suffix last.
+  const std::string dir = scratch_dir("attach_order");
+  const auto write_era = [&dir](const char* name, SimTime stamp) {
+    TraceEvent ev = make_syscall("SYS_write", {"5", "4096"}, 4096);
+    ev.rank = 0;
+    ev.local_start = stamp;
+    write_binary_file(dir + "/" + name,
+                      encode_binary_v3(std::vector<TraceEvent>{ev}, {}));
+  };
+  write_era("era-1.iotb3", 1000);
+  write_era("era-0.iotb3", 0);
+  write_era("zz.iotb3", 2000);
+
+  UnifiedTraceStore store;
+  EXPECT_TRUE(store.attach_dir(dir).healthy());
+  const std::vector<analysis::StorePoolInfo> infos = store.pool_infos();
+  ASSERT_EQ(infos.size(), 3u);
+  EXPECT_EQ(infos[0].min_time, 0);     // era-0
+  EXPECT_EQ(infos[1].min_time, 1000);  // era-1
+  EXPECT_EQ(infos[2].min_time, 2000);  // zz, unnumbered
   std::filesystem::remove_all(dir);
 }
 

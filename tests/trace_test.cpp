@@ -175,6 +175,7 @@ class BinaryRoundTrip : public ::testing::TestWithParam<int> {
     o.compress = (mask & 1) != 0;
     o.encrypt = (mask & 2) != 0;
     o.checksum = (mask & 4) != 0;
+    o.project = (mask & 8) != 0;
     if (o.encrypt) {
       o.key = derive_key("test-key");
     }
@@ -185,7 +186,8 @@ class BinaryRoundTrip : public ::testing::TestWithParam<int> {
 TEST_P(BinaryRoundTrip, EncodeDecode) {
   const BinaryOptions options = options_for(GetParam());
   const auto original = sample_stream();
-  const auto blob = encode_binary(original, options);
+  // Two-record blocks, so every flag combination spans several blocks.
+  const auto blob = encode_binary_v3(original, options, 2);
   const auto decoded = decode_binary(
       blob, options.encrypt ? options.key : std::nullopt);
   ASSERT_EQ(decoded.size(), original.size());
@@ -195,12 +197,12 @@ TEST_P(BinaryRoundTrip, EncodeDecode) {
 }
 
 INSTANTIATE_TEST_SUITE_P(FlagCombos, BinaryRoundTrip,
-                         ::testing::Range(0, 8));
+                         ::testing::Range(0, 16));
 
 TEST(BinaryFormat, HeaderPeek) {
   BinaryOptions o;
   o.compress = true;
-  const auto blob = encode_binary(sample_stream(), o);
+  const auto blob = encode_binary_v3(sample_stream(), o);
   const BinaryHeader h = peek_binary_header(blob);
   EXPECT_TRUE(h.compressed);
   EXPECT_FALSE(h.encrypted);
@@ -210,7 +212,7 @@ TEST(BinaryFormat, HeaderPeek) {
 }
 
 TEST(BinaryFormat, ChecksumDetectsCorruption) {
-  const auto blob = encode_binary(sample_stream(), BinaryOptions{});
+  const auto blob = encode_binary_v3(sample_stream(), BinaryOptions{});
   auto corrupted = blob;
   corrupted[corrupted.size() / 2] ^= 0xFF;
   EXPECT_THROW((void)decode_binary(corrupted), FormatError);
@@ -220,7 +222,7 @@ TEST(BinaryFormat, EncryptedNeedsKey) {
   BinaryOptions o;
   o.encrypt = true;
   o.key = derive_key("k1");
-  const auto blob = encode_binary(sample_stream(), o);
+  const auto blob = encode_binary_v3(sample_stream(), o);
   EXPECT_THROW((void)decode_binary(blob), FormatError);
   EXPECT_THROW((void)decode_binary(blob, derive_key("wrong")), FormatError);
   EXPECT_EQ(decode_binary(blob, derive_key("k1")).size(), 5u);
@@ -229,7 +231,7 @@ TEST(BinaryFormat, EncryptedNeedsKey) {
 TEST(BinaryFormat, EncryptWithoutKeyRejected) {
   BinaryOptions o;
   o.encrypt = true;
-  EXPECT_THROW((void)encode_binary(sample_stream(), o), ConfigError);
+  EXPECT_THROW((void)encode_binary_v3(sample_stream(), o), ConfigError);
 }
 
 TEST(BinaryFormat, TextIsNotBinary) {
@@ -250,8 +252,8 @@ TEST(BinaryFormat, CompressionShrinksRepetitiveTraces) {
   BinaryOptions plain;
   BinaryOptions compressed;
   compressed.compress = true;
-  EXPECT_LT(encode_binary(events, compressed).size(),
-            encode_binary(events, plain).size() / 2);
+  EXPECT_LT(encode_binary_v3(events, compressed).size(),
+            encode_binary_v3(events, plain).size() / 2);
 }
 
 TEST(Bundle, SummaryMergeAndTotals) {

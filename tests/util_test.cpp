@@ -241,7 +241,6 @@ TEST_P(CompressRoundTrip, RandomData) {
     b = static_cast<std::uint8_t>(rng.uniform(0, 255));
   }
   const auto compressed = lz_compress(data);
-  EXPECT_EQ(lz_decompress(compressed), data);
   EXPECT_EQ(lz_decompress(compressed, data.size()), data);
 }
 
@@ -251,7 +250,6 @@ TEST_P(CompressRoundTrip, RepetitiveDataCompresses) {
     data[i] = static_cast<std::uint8_t>(i % 17);
   }
   const auto compressed = lz_compress(data);
-  EXPECT_EQ(lz_decompress(compressed), data);
   EXPECT_EQ(lz_decompress(compressed, data.size()), data);
   if (data.size() > 256) {
     EXPECT_LT(compressed.size(), data.size() / 2);
@@ -271,14 +269,16 @@ TEST(Compress, TraceLikeTextCompressesWell) {
   const std::vector<std::uint8_t> data(text.begin(), text.end());
   const auto compressed = lz_compress(data);
   EXPECT_LT(compressed.size(), data.size() / 3);
-  EXPECT_EQ(lz_decompress(compressed), data);
+  EXPECT_EQ(lz_decompress(compressed, data.size()), data);
 }
 
 TEST(Compress, RejectsCorruptStream) {
+  // Each declared size is one the input could encode, so the op itself is
+  // what gets rejected, not the size.
   const std::vector<std::uint8_t> bogus = {0x85, 0x01};  // truncated match
-  EXPECT_THROW((void)lz_decompress(bogus), FormatError);
+  EXPECT_THROW((void)lz_decompress(bogus, 2), FormatError);
   const std::vector<std::uint8_t> bad_dist = {0x80, 0xFF, 0x00};
-  EXPECT_THROW((void)lz_decompress(bad_dist), FormatError);
+  EXPECT_THROW((void)lz_decompress(bad_dist, 4), FormatError);
 }
 
 TEST(Compress, SizedDecodeRejectsHostileStreams) {
@@ -307,10 +307,8 @@ TEST(Compress, SizedDecodeRejectsHostileStreams) {
   const std::vector<std::uint8_t> short_match = {0x01, 'a', 'b', 0x80, 0x02};
   for (const auto* hostile : {&dist0, &dist_past, &short_match}) {
     EXPECT_THROW((void)lz_decompress(*hostile, 6), FormatError);
-    EXPECT_THROW((void)lz_decompress(*hostile), FormatError);
   }
   EXPECT_THROW((void)lz_decompress(short_literal, 7), FormatError);
-  EXPECT_THROW((void)lz_decompress(short_literal), FormatError);
 }
 
 TEST(Compress, OverlappingMatchesEndOnTheLastByte) {
@@ -334,8 +332,6 @@ TEST(Compress, OverlappingMatchesEndOnTheLastByte) {
         want.push_back(want[want.size() - dist]);
       }
       EXPECT_EQ(lz_decompress(stream, want.size()), want)
-          << "dist " << dist << " len " << len;
-      EXPECT_EQ(lz_decompress(stream), want)
           << "dist " << dist << " len " << len;
     }
   }

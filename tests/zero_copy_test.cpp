@@ -1,15 +1,15 @@
-// Tests for the zero-copy read paths: the IOTB2 BatchView/RecordView pair
-// (PR 3) — decoder equivalence, hostile-input rejection, the deferred
-// payload CRC — and the IOTB3 BlockView (per-block CRC/compression/
-// encryption, columnar projection, footer mini-index cross-checks,
-// lying-index rejection, block-parallel decode), plus MappedTraceFile,
-// view/block-backed and compacted unified-store sources, the pool-index
-// query skips, and the cold-tier era spill.
+// Tests for the in-place read path over IOTB3 containers: the BlockView
+// (hostile-input rejection, old-version rejection, per-block CRC/
+// compression/encryption, columnar projection, footer mini-index
+// cross-checks, lying-index rejection, block-parallel decode), plus
+// MappedTraceFile, block-backed and compacted unified-store sources, the
+// pool-index query skips, and the cold-tier era spill.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <thread>
 
 #include "analysis/dfg/dfg.h"
@@ -69,9 +69,11 @@ namespace {
   return events;
 }
 
+/// The sample stream in 8-record blocks, so edits can target one block.
 [[nodiscard]] std::vector<std::uint8_t> encode_sample(
     const BinaryOptions& options = {}) {
-  return encode_binary_v2(EventBatch::from_events(sample_stream()), options);
+  return encode_binary_v3(EventBatch::from_events(sample_stream()), options,
+                          8);
 }
 
 // Header field offsets of the shared container envelope (binary_format.h):
@@ -96,294 +98,6 @@ void put_u64(std::vector<std::uint8_t>& buf, std::size_t off,
          << (8 * i);
   }
   return v;
-}
-
-TEST(BatchView, MatchesDecodedBatch) {
-  const std::vector<std::uint8_t> bytes = encode_sample();
-  const EventBatch decoded = decode_binary_batch(bytes);
-  const BatchView view(bytes);
-
-  ASSERT_EQ(view.size(), decoded.size());
-  ASSERT_EQ(view.string_count(), decoded.pool().size());
-  for (StrId id = 0; id < view.string_count(); ++id) {
-    EXPECT_EQ(view.string(id), decoded.pool().view(id));
-  }
-  ASSERT_EQ(view.arg_id_count(), decoded.arg_ids().size());
-
-  view.for_each([&](std::size_t i, const RecordView& rec,
-                    std::uint32_t args_begin) {
-    const EventRecord& want = decoded.record(i);
-    EXPECT_EQ(rec.to_record(args_begin), want) << "record " << i;
-    EXPECT_EQ(args_begin, want.args_begin) << "record " << i;
-    EXPECT_EQ(view.materialize(i, args_begin), decoded.materialize(i))
-        << "record " << i;
-  });
-}
-
-TEST(BatchView, HeaderAndStringTableAccessors) {
-  const std::vector<std::uint8_t> bytes = encode_sample();
-  const BatchView view(bytes);
-  EXPECT_EQ(view.header().version, 2);
-  EXPECT_TRUE(view.header().checksummed);
-  EXPECT_FALSE(view.header().compressed);
-  EXPECT_EQ(view.string(0), "");
-  EXPECT_GT(view.string_table_bytes(), 0u);
-  ASSERT_TRUE(view.find_string("SYS_write").has_value());
-  EXPECT_EQ(view.string(*view.find_string("SYS_write")), "SYS_write");
-  EXPECT_FALSE(view.find_string("not-in-table").has_value());
-  EXPECT_THROW((void)view.string(static_cast<StrId>(view.string_count())),
-               FormatError);
-  EXPECT_THROW((void)view.arg_id(view.arg_id_count()), FormatError);
-}
-
-TEST(BatchView, RejectsV1Containers) {
-  const std::vector<std::uint8_t> v1 = encode_binary(sample_stream(), {});
-  EXPECT_THROW((void)BatchView(v1), FormatError);
-  // ... while the decoding path still accepts them.
-  EXPECT_EQ(decode_binary_batch(v1).size(), sample_stream().size());
-}
-
-TEST(BatchView, RejectsCompressedAndEncryptedContainers) {
-  BinaryOptions compressed;
-  compressed.compress = true;
-  EXPECT_THROW((void)BatchView(encode_sample(compressed)), FormatError);
-
-  BinaryOptions encrypted;
-  encrypted.encrypt = true;
-  encrypted.key = CipherKey{0x1111, 0x2222, 0x3333, 0x4444};
-  const std::vector<std::uint8_t> bytes = encode_sample(encrypted);
-  EXPECT_THROW((void)BatchView(bytes), FormatError);
-  // The same payload decodes fine through the decrypting path.
-  EXPECT_EQ(decode_binary_batch(bytes, encrypted.key).size(),
-            sample_stream().size());
-}
-
-TEST(BatchView, RejectsFlippedCrcOnFirstTouch) {
-  std::vector<std::uint8_t> bytes = encode_sample();
-  bytes.back() ^= 0x01;  // CRC trails the payload
-  // The CRC is deferred: the container is structurally intact, so the view
-  // opens — but the first record (or string) touch verifies and rejects,
-  // and the failure is sticky.
-  const BatchView view(bytes);
-  EXPECT_THROW((void)view.record(0), FormatError);
-  EXPECT_THROW((void)view.string(0), FormatError);
-  EXPECT_THROW((void)view.record_bytes(), FormatError);
-}
-
-TEST(BatchView, RejectsFlippedPayloadByte) {
-  std::vector<std::uint8_t> bytes = encode_sample();
-  bytes[bytes.size() / 2] ^= 0x40;
-  // Depending on where the flip lands the open-time structural pass may
-  // already reject; if it does not, the deferred CRC must on first touch.
-  EXPECT_THROW(
-      {
-        const BatchView view(bytes);
-        (void)view.record(0);
-      },
-      FormatError);
-}
-
-TEST(BatchView, ChecksummedViewVerifiesOncePerCopySet) {
-  const std::vector<std::uint8_t> bytes = encode_sample();
-  const BatchView view(bytes);
-  ASSERT_TRUE(view.header().checksummed);
-  // Copies share the CRC gate; a clean container's records read fine
-  // through either copy.
-  const BatchView copy = view;
-  EXPECT_EQ(copy.record(0).to_record(), view.record(0).to_record());
-  view.ensure_checksum();  // idempotent
-}
-
-TEST(BatchView, RejectsTruncatedBuffer) {
-  const std::vector<std::uint8_t> bytes = encode_sample();
-  for (const std::size_t keep :
-       {std::size_t{0}, std::size_t{5}, std::size_t{22}, bytes.size() / 2,
-        bytes.size() - 1}) {
-    const std::vector<std::uint8_t> cut(bytes.begin(),
-                                        bytes.begin() + static_cast<long>(keep));
-    EXPECT_THROW((void)BatchView(cut), FormatError) << "keep=" << keep;
-  }
-}
-
-TEST(BatchView, RejectsTruncatedRecordSection) {
-  BinaryOptions plain;
-  plain.checksum = false;  // reach the structural checks, not the CRC
-  std::vector<std::uint8_t> bytes = encode_sample(plain);
-  // Drop half a record's bytes off the end and fix up paylen so the
-  // envelope stays self-consistent: the record section is no longer
-  // count * stride.
-  const std::size_t cut = v2layout::kStride / 2;
-  bytes.resize(bytes.size() - cut);
-  put_u64(bytes, kPaylenOff, get_u64(bytes, kPaylenOff) - cut);
-  EXPECT_THROW((void)BatchView(bytes), FormatError);
-  EXPECT_THROW((void)decode_binary_batch(bytes), FormatError);
-}
-
-TEST(BatchView, RejectsOversizedRecordSection) {
-  BinaryOptions plain;
-  plain.checksum = false;
-  std::vector<std::uint8_t> bytes = encode_sample(plain);
-  // Trailing garbage after the records, paylen patched to cover it.
-  bytes.insert(bytes.end(), {0xde, 0xad, 0xbe, 0xef});
-  put_u64(bytes, kPaylenOff, get_u64(bytes, kPaylenOff) + 4);
-  EXPECT_THROW((void)BatchView(bytes), FormatError);
-  EXPECT_THROW((void)decode_binary_batch(bytes), FormatError);
-}
-
-TEST(BatchView, RejectsOverstatedRecordCount) {
-  BinaryOptions plain;
-  plain.checksum = false;
-  std::vector<std::uint8_t> bytes = encode_sample(plain);
-  put_u64(bytes, kCountOff, get_u64(bytes, kCountOff) + 3);
-  EXPECT_THROW((void)BatchView(bytes), FormatError);
-  EXPECT_THROW((void)decode_binary_batch(bytes), FormatError);
-  // A wildly corrupt count must be rejected up front, not fed to reserve().
-  put_u64(bytes, kCountOff, ~0ULL);
-  EXPECT_THROW((void)BatchView(bytes), FormatError);
-  EXPECT_THROW((void)decode_binary_batch(bytes), FormatError);
-}
-
-TEST(BatchView, RejectsOverflowingPayloadLength) {
-  BinaryOptions plain;
-  plain.checksum = false;
-  std::vector<std::uint8_t> bytes = encode_sample(plain);
-  // A paylen chosen so header + paylen (+ crc) wraps around 2^64 to the
-  // true buffer size must not pass the envelope length check.
-  put_u64(bytes, kPaylenOff,
-          ~std::uint64_t{0} - kContainerHeaderSize + 1 +
-              (bytes.size() - kContainerHeaderSize));
-  EXPECT_THROW((void)BatchView(bytes), FormatError);
-  EXPECT_THROW((void)decode_binary_batch(bytes), FormatError);
-}
-
-TEST(BatchView, RejectsDuplicateStringTableEntries) {
-  // Hand-build v2 and v3 bodies whose string table interns "dup" twice; the
-  // decoder rejects them ("not interned") and both views must too — records
-  // could otherwise reference the second copy and dodge id-equality scans.
-  // The same containers with a distinct third entry open cleanly, so the
-  // duplicate is what each rejection is about.
-  const auto container = [](char version, std::string_view third) {
-    std::vector<std::uint8_t> body;
-    const auto u32 = [&body](std::uint32_t v) {
-      for (int i = 0; i < 4; ++i) {
-        body.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-      }
-    };
-    const auto u64 = [&body](std::uint64_t v) {
-      for (int i = 0; i < 8; ++i) {
-        body.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-      }
-    };
-    u32(3);  // nstrings: "", "dup", third
-    u32(0);
-    u32(3);
-    body.insert(body.end(), {'d', 'u', 'p'});
-    u32(static_cast<std::uint32_t>(third.size()));
-    body.insert(body.end(), third.begin(), third.end());
-    u64(0);  // nargids
-    if (version == '3') {
-      u32(1);  // block_records; zero blocks, so an empty footer
-      u64(0);  // trailer: footer_len
-      u64(0);  //          nblocks
-      u32(0);  //          footer CRC (CRC-32 of no bytes)
-      u32(v3layout::kFooterMagic);
-    }
-    // zero records
-
-    std::vector<std::uint8_t> bytes;
-    bytes.insert(bytes.end(), {'I', 'O', 'T', 'B',
-                               static_cast<std::uint8_t>(version), '\n'});
-    bytes.push_back(0);  // flags: plain
-    bytes.resize(kContainerHeaderSize, 0);
-    put_u64(bytes, kCountOff, 0);
-    put_u64(bytes, kPaylenOff, body.size());
-    bytes.insert(bytes.end(), body.begin(), body.end());
-    return bytes;
-  };
-  EXPECT_THROW((void)BatchView(container('2', "dup")), FormatError);
-  EXPECT_THROW((void)decode_binary_batch(container('2', "dup")), FormatError);
-  EXPECT_THROW((void)BlockView(container('3', "dup")), FormatError);
-  EXPECT_THROW((void)decode_binary_batch(container('3', "dup")), FormatError);
-  EXPECT_NO_THROW((void)BatchView(container('2', "dup2")));
-  EXPECT_NO_THROW((void)BlockView(container('3', "dup2")));
-}
-
-TEST(BatchView, HugeStringTableCountIsFormatErrorNotBadAlloc) {
-  BinaryOptions plain;
-  plain.checksum = false;
-  std::vector<std::uint8_t> bytes = encode_sample(plain);
-  // nstrings is the first u32 of the body; a wildly corrupt count must be
-  // rejected up front, never fed to reserve() as a giant allocation.
-  constexpr std::size_t kNstringsOff = kContainerHeaderSize;
-  for (std::size_t i = 0; i < 4; ++i) {
-    bytes[kNstringsOff + i] = 0xff;
-  }
-  EXPECT_THROW((void)BatchView(bytes), FormatError);
-  EXPECT_THROW((void)decode_binary_batch(bytes), FormatError);
-}
-
-TEST(BatchView, RejectsOutOfRangeStringId) {
-  BinaryOptions plain;
-  plain.checksum = false;
-  std::vector<std::uint8_t> bytes = encode_sample(plain);
-  // Clobber the last record's name id (offset 1 within the record) with an
-  // id far beyond the string table.
-  const std::size_t name_off =
-      bytes.size() - v2layout::kStride + v2layout::kName;
-  bytes[name_off] = 0xff;
-  bytes[name_off + 1] = 0xff;
-  EXPECT_THROW((void)BatchView(bytes), FormatError);
-  EXPECT_THROW((void)decode_binary_batch(bytes), FormatError);
-}
-
-TEST(BatchView, RejectsOutOfRangeArgIdValue) {
-  BinaryOptions plain;
-  plain.checksum = false;
-  std::vector<std::uint8_t> bytes = encode_sample(plain);
-  // Walk to the argument-id table: nstrings, the length-prefixed strings,
-  // the u64 id count — then clobber the first id. The view must reject at
-  // open (its contract: reject anything the decoder rejects), not throw
-  // later from materialize()/the replay adapter mid-scan.
-  const auto u32_at = [&bytes](std::size_t off) {
-    std::uint32_t v = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(bytes[off + i]) << (8 * i);
-    }
-    return v;
-  };
-  std::size_t pos = kContainerHeaderSize;
-  const std::uint32_t nstrings = u32_at(pos);
-  pos += 4;
-  for (std::uint32_t i = 0; i < nstrings; ++i) {
-    pos += 4 + u32_at(pos);
-  }
-  ASSERT_GT(get_u64(bytes, pos), 0u);  // sample stream has args
-  pos += 8;
-  for (std::size_t i = 0; i < 4; ++i) {
-    bytes[pos + i] = 0xff;
-  }
-  EXPECT_THROW((void)BatchView(bytes), FormatError);
-  EXPECT_THROW((void)decode_binary_batch(bytes), FormatError);
-}
-
-TEST(BatchView, RejectsArgSliceOverrun) {
-  BinaryOptions plain;
-  plain.checksum = false;
-  std::vector<std::uint8_t> bytes = encode_sample(plain);
-  const std::size_t argc_off =
-      bytes.size() - v2layout::kStride + v2layout::kArgsCount;
-  bytes[argc_off] = 0xff;  // args_count far beyond the arg-id table
-  bytes[argc_off + 1] = 0xff;
-  EXPECT_THROW((void)BatchView(bytes), FormatError);
-  EXPECT_THROW((void)decode_binary_batch(bytes), FormatError);
-}
-
-TEST(BatchView, EmptyBatchViews) {
-  const std::vector<std::uint8_t> bytes = encode_binary_v2(EventBatch{}, {});
-  const BatchView view(bytes);
-  EXPECT_EQ(view.size(), 0u);
-  EXPECT_TRUE(view.empty());
-  EXPECT_EQ(view.string_count(), 1u);  // the implicit empty string
 }
 
 class MappedFileTest : public ::testing::Test {
@@ -415,7 +129,7 @@ TEST_F(MappedFileTest, MapsAndViewsRoundTrip) {
   ASSERT_EQ(file.size(), bytes.size());
   EXPECT_EQ(std::memcmp(file.bytes().data(), bytes.data(), bytes.size()), 0);
 
-  const BatchView view(file.bytes());
+  const BlockView view(file.bytes());
   EXPECT_EQ(view.size(), sample_stream().size());
 
   // Views must survive moves of the backing file object.
@@ -505,6 +219,213 @@ void reseal_footer_crc(std::vector<std::uint8_t>& bytes) {
   for (std::size_t i = 0; i < 4; ++i) {
     bytes[bytes.size() - 8 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
   }
+}
+
+TEST(BlockView, HeaderAndStringTableAccessors) {
+  const std::vector<std::uint8_t> bytes = encode_sample();
+  const BlockView view(bytes);
+  EXPECT_TRUE(view.header().checksummed);
+  EXPECT_FALSE(view.header().compressed);
+  EXPECT_EQ(view.header().count, sample_stream().size());
+  EXPECT_EQ(view.string(0), "");
+  EXPECT_GT(view.string_table_bytes(), 0u);
+  ASSERT_TRUE(view.find_string("SYS_write").has_value());
+  EXPECT_EQ(view.string(*view.find_string("SYS_write")), "SYS_write");
+  EXPECT_FALSE(view.find_string("not-in-table").has_value());
+  EXPECT_THROW((void)view.string(static_cast<StrId>(view.string_count())),
+               FormatError);
+  EXPECT_THROW((void)view.arg_id(view.arg_id_count()), FormatError);
+}
+
+TEST(BlockView, RejectsTruncatedBuffer) {
+  const std::vector<std::uint8_t> bytes = encode_sample();
+  for (const std::size_t keep :
+       {std::size_t{0}, std::size_t{5}, std::size_t{22}, bytes.size() / 2,
+        bytes.size() - 1}) {
+    const std::vector<std::uint8_t> cut(bytes.begin(),
+                                        bytes.begin() + static_cast<long>(keep));
+    EXPECT_THROW((void)BlockView(cut), FormatError) << "keep=" << keep;
+  }
+}
+
+/// Open `bytes` and touch every block: hostile input must surface as a
+/// FormatError at open or on the first touch of the damaged block.
+void open_and_touch_all(const std::vector<std::uint8_t>& bytes) {
+  const BlockView view(bytes);
+  for (std::size_t b = 0; b < view.block_count(); ++b) {
+    (void)view.block_bytes(b);
+  }
+}
+
+TEST(BlockView, RejectsHostileHeadAndRecordEdits) {
+  // A plain container (no checksum, no compression) so each edit reaches
+  // the structural check it targets instead of a CRC mismatch.
+  BinaryOptions plain;
+  plain.checksum = false;
+  const std::vector<std::uint8_t> base = encode_sample(plain);
+  const auto u32_at = [&base](std::size_t off) {
+    std::uint32_t v = 0;
+    for (std::size_t i = 0; i < 4; ++i) {
+      v |= static_cast<std::uint32_t>(base[off + i]) << (8 * i);
+    }
+    return v;
+  };
+  // The argument-id table follows the length-prefixed strings and its u64
+  // count; the last record ends where the footer begins.
+  std::size_t args_off = kContainerHeaderSize + 4;
+  for (std::uint32_t i = 0; i < u32_at(kContainerHeaderSize); ++i) {
+    args_off += 4 + u32_at(args_off);
+  }
+  ASSERT_GT(get_u64(base, args_off), 0u);  // sample stream has args
+  args_off += 8;
+  const std::size_t last_record =
+      locate_v3(base).footer_begin - v2layout::kStride;
+  const auto fill = [](std::vector<std::uint8_t>& b, std::size_t off,
+                       std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      b[off + i] = 0xff;
+    }
+  };
+  struct Case {
+    const char* what;
+    std::function<void(std::vector<std::uint8_t>&)> edit;
+  };
+  const std::vector<Case> cases = {
+      // Rejected up front, never fed to reserve() as a giant allocation.
+      {"huge nstrings",
+       [&](std::vector<std::uint8_t>& b) { fill(b, kContainerHeaderSize, 4); }},
+      // header + paylen wraps around 2^64 to the true buffer size.
+      {"payload_length wrapping 2^64",
+       [](std::vector<std::uint8_t>& b) {
+         put_u64(b, kPaylenOff,
+                 ~std::uint64_t{0} - kContainerHeaderSize + 1 +
+                     (b.size() - kContainerHeaderSize));
+       }},
+      {"overstated record count",
+       [](std::vector<std::uint8_t>& b) {
+         put_u64(b, kCountOff, get_u64(b, kCountOff) + 3);
+       }},
+      {"huge record count",
+       [](std::vector<std::uint8_t>& b) { put_u64(b, kCountOff, ~0ULL); }},
+      {"trailing bytes after the trailer",
+       [](std::vector<std::uint8_t>& b) {
+         b.insert(b.end(), {0xde, 0xad, 0xbe, 0xef});
+         put_u64(b, kPaylenOff, get_u64(b, kPaylenOff) + 4);
+       }},
+      // Consumers dereference arg ids long after open (materialize, the
+      // replay generator), so the table's values are checked at open.
+      {"out-of-range arg-id value",
+       [&](std::vector<std::uint8_t>& b) { fill(b, args_off, 4); }},
+      {"out-of-range record name id",
+       [&](std::vector<std::uint8_t>& b) {
+         fill(b, last_record + v2layout::kName, 2);
+       }},
+      {"args_count overrun",
+       [&](std::vector<std::uint8_t>& b) {
+         fill(b, last_record + v2layout::kArgsCount, 2);
+       }},
+  };
+  ASSERT_NO_THROW(open_and_touch_all(base));
+  for (const Case& c : cases) {
+    std::vector<std::uint8_t> bytes = base;
+    c.edit(bytes);
+    EXPECT_THROW(open_and_touch_all(bytes), FormatError) << c.what;
+    EXPECT_THROW((void)decode_binary_batch(bytes), FormatError) << c.what;
+  }
+}
+
+TEST(BlockView, RejectsOldContainerVersionsByName) {
+  // IOTB1 and IOTB2 bytes (the envelope magic is all that is read before
+  // the version is refused) get a FormatError naming the version from
+  // every reader.
+  const std::vector<std::uint8_t> v3 = encode_sample();
+  for (const char version : {'1', '2'}) {
+    std::vector<std::uint8_t> old = v3;
+    old[4] = static_cast<std::uint8_t>(version);
+    const std::string name = std::string("IOTB") + version;
+    EXPECT_TRUE(looks_binary(old));
+    const auto expect_named = [&name](const auto& read) {
+      try {
+        read();
+        FAIL() << name << " was read";
+      } catch (const FormatError& err) {
+        EXPECT_NE(std::string(err.what()).find(name), std::string::npos)
+            << err.what();
+      }
+    };
+    expect_named([&] { (void)peek_binary_header(old); });
+    expect_named([&] { (void)BlockView(old); });
+    expect_named([&] { (void)decode_binary_batch(old); });
+  }
+
+  // Recovery quarantines old-version files beside a healthy container
+  // instead of failing the attach.
+  const std::string dir =
+      strprintf("/tmp/iotaxo_old_versions_%d",
+                ::testing::UnitTest::GetInstance()->random_seed());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  write_binary_file(dir + "/era-0.iotb3", v3);
+  for (const char version : {'1', '2'}) {
+    std::vector<std::uint8_t> old = v3;
+    old[4] = static_cast<std::uint8_t>(version);
+    write_binary_file(dir + "/old-" + version + ".iotb", old);
+  }
+  analysis::UnifiedTraceStore store;
+  const analysis::StoreHealth health = store.attach_dir(dir);
+  EXPECT_EQ(health.recovered_eras, 1u);
+  ASSERT_EQ(health.quarantined.size(), 2u);
+  for (const analysis::QuarantinedFile& q : health.quarantined) {
+    const std::string name = std::string("IOTB") + q.file[4];
+    EXPECT_NE(q.reason.find(name), std::string::npos) << q.reason;
+  }
+  EXPECT_EQ(store.total_events(),
+            static_cast<long long>(sample_stream().size()));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(BlockView, RejectsDuplicateStringTableEntries) {
+  // A hand-built body whose string table interns "dup" twice must be
+  // rejected ("not interned") — records could otherwise reference the
+  // second copy and dodge id-equality scans. The same container with a
+  // distinct third entry opens cleanly, so the duplicate is what the
+  // rejection is about.
+  const auto container = [](std::string_view third) {
+    std::vector<std::uint8_t> body;
+    const auto u32 = [&body](std::uint32_t v) {
+      for (int i = 0; i < 4; ++i) {
+        body.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      }
+    };
+    const auto u64 = [&body](std::uint64_t v) {
+      for (int i = 0; i < 8; ++i) {
+        body.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      }
+    };
+    u32(3);  // nstrings: "", "dup", third
+    u32(0);
+    u32(3);
+    body.insert(body.end(), {'d', 'u', 'p'});
+    u32(static_cast<std::uint32_t>(third.size()));
+    body.insert(body.end(), third.begin(), third.end());
+    u64(0);  // nargids
+    u32(1);  // block_records; zero blocks, so an empty footer
+    u64(0);  // trailer: footer_len
+    u64(0);  //          nblocks
+    u32(0);  //          footer CRC (CRC-32 of no bytes)
+    u32(v3layout::kFooterMagic);
+
+    std::vector<std::uint8_t> bytes = {'I', 'O', 'T', 'B', '3', '\n'};
+    bytes.push_back(0);  // flags: plain
+    bytes.resize(kContainerHeaderSize, 0);
+    put_u64(bytes, kCountOff, 0);
+    put_u64(bytes, kPaylenOff, body.size());
+    bytes.insert(bytes.end(), body.begin(), body.end());
+    return bytes;
+  };
+  EXPECT_THROW((void)BlockView(container("dup")), FormatError);
+  EXPECT_THROW((void)decode_binary_batch(container("dup")), FormatError);
+  EXPECT_NO_THROW((void)BlockView(container("dup2")));
 }
 
 TEST(BlockView, RoundTripMatchesOwnedBatch) {
@@ -1105,35 +1026,6 @@ using trace::TraceEvent;
                     store.hottest_files(8)};
 }
 
-TEST(StoreZeroCopy, ViewBackedSourceMatchesOwnedIngest) {
-  const std::vector<TraceEvent> events = era_events(0, 60);
-  const EventBatch batch = EventBatch::from_events(events);
-  const std::vector<std::uint8_t> bytes = trace::encode_binary_v2(batch, {});
-  const std::string path = "/tmp/iotaxo_store_view_test.iotb";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
-    std::fclose(f);
-  }
-
-  UnifiedTraceStore owned;
-  owned.ingest(batch, {{"framework", "test"}, {"application", "a"}});
-  UnifiedTraceStore viewed;
-  viewed.ingest_view(path, {{"framework", "test"}, {"application", "a"}});
-  std::remove(path.c_str());
-
-  ASSERT_EQ(viewed.sources().size(), 1u);
-  EXPECT_TRUE(viewed.sources()[0].view_backed);
-  EXPECT_FALSE(owned.sources()[0].view_backed);
-  EXPECT_EQ(viewed.total_events(), owned.total_events());
-  EXPECT_EQ(all_queries(viewed), all_queries(owned));
-  EXPECT_EQ(viewed.rank_timeline(1), owned.rank_timeline(1));
-  // The view-backed source has no owned batch to hand out.
-  EXPECT_THROW((void)viewed.source_batch(0), ConfigError);
-  EXPECT_EQ(owned.source_batch(0).size(), events.size());
-}
-
 TEST(StoreZeroCopy, IndexSkipsKeepResultsIdentical) {
   UnifiedTraceStore store;
   for (int era = 0; era < 6; ++era) {
@@ -1189,10 +1081,10 @@ TEST(StoreZeroCopy, CompactMergesOwnedPoolsAndPreservesResults) {
   EXPECT_THROW((void)store.source_batch(0), ConfigError);
 }
 
-TEST(StoreZeroCopy, CompactLeavesViewPoolsAlone) {
+TEST(StoreZeroCopy, CompactLeavesBlockPoolsAlone) {
   const EventBatch batch = EventBatch::from_events(era_events(1, 30));
-  const std::vector<std::uint8_t> bytes = trace::encode_binary_v2(batch, {});
-  const std::string path = "/tmp/iotaxo_store_compact_view_test.iotb";
+  const std::vector<std::uint8_t> bytes = trace::encode_binary_v3(batch, {});
+  const std::string path = "/tmp/iotaxo_store_compact_block_test.iotb3";
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
@@ -1209,10 +1101,10 @@ TEST(StoreZeroCopy, CompactLeavesViewPoolsAlone) {
   std::remove(path.c_str());
 
   const auto before = all_queries(store);
-  // The view pool splits the owned run, so nothing can merge across it.
+  // The block pool splits the owned run, so nothing can merge across it.
   EXPECT_EQ(store.compact(1u << 30), 3u);
   EXPECT_EQ(all_queries(store), before);
-  // The view source still refuses to hand out an owned batch.
+  // The block source still refuses to hand out an owned batch.
   EXPECT_THROW((void)store.source_batch(1), ConfigError);
 }
 
@@ -1253,6 +1145,7 @@ TEST(StoreZeroCopy, BlockBackedSourceMatchesOwnedIngest) {
 
   ASSERT_EQ(blocked.sources().size(), 1u);
   EXPECT_TRUE(blocked.sources()[0].view_backed);
+  EXPECT_FALSE(owned.sources()[0].view_backed);
   ASSERT_EQ(blocked.pool_infos().size(), 1u);
   EXPECT_TRUE(blocked.pool_infos()[0].block_backed);
   EXPECT_EQ(blocked.pool_infos()[0].blocks, 8u);  // 120 records / 16
@@ -1267,6 +1160,7 @@ TEST(StoreZeroCopy, BlockBackedSourceMatchesOwnedIngest) {
   blocked.set_use_indexes(true);
   // Block-backed sources have no owned batch to hand out.
   EXPECT_THROW((void)blocked.source_batch(0), ConfigError);
+  EXPECT_EQ(owned.source_batch(0).size(), events.size());
 }
 
 /// Fresh scratch directory for cold-tier spills. Cold compaction now

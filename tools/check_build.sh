@@ -28,8 +28,9 @@
 #                                               # 1000 small CLI flushes and
 #                                               # assert the era batcher kept
 #                                               # the pool count bounded and
-#                                               # the restart adopted the
-#                                               # persisted indexes
+#                                               # the restart built its pool
+#                                               # indexes from the container
+#                                               # footers
 #
 # Bench gating convention: a bench that wants a regression gate emits a pair
 # of JSON keys, "<metric>" and "<metric>_floor". The floors live in the JSON
@@ -233,15 +234,15 @@ case "${MODE}" in
     BUILD_DIR="${1:-${REPO_ROOT}/build}"
     cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}"
     cmake --build "${BUILD_DIR}" -j
-    # The streaming-ingest suite: footer round-trips and corruption
-    # fallbacks, era-ingest vs one-pool-per-flush identity, live-DFG vs
-    # cold-rebuild identity.
+    # The streaming-ingest suite: footer-indexed restarts in era order,
+    # era-ingest vs one-pool-per-flush identity, live-DFG vs cold-rebuild
+    # identity.
     ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" \
       -R 'stream_ingest_test'
     # End-to-end smoke: a 1000-flush storm of small flushes must land in a
     # bounded number of era pools (the whole point of the open batch), and
-    # a restart on the written era containers must adopt their persisted
-    # indexes instead of rescanning records.
+    # a restart on the written IOTB3 era containers must build its pool
+    # indexes from their footers instead of decoding records.
     STREAM_TMP="$(mktemp -d)"
     trap 'rm -rf "${STREAM_TMP}"' EXIT
     "${BUILD_DIR}/iotaxo_cli" stream --dir "${STREAM_TMP}" \
@@ -256,11 +257,11 @@ case "${MODE}" in
       > "${STREAM_TMP}/attach.out"
     ADOPTED="$(sed -nE 's/^indexes adopted +: ([0-9]+).*/\1/p' "${STREAM_TMP}/attach.out")"
     if [[ -z "${ADOPTED}" || "${ADOPTED}" -eq 0 ]]; then
-      echo "STREAM FAIL: restart adopted ${ADOPTED:-?} persisted indexes (want > 0)"
+      echo "STREAM FAIL: restart built ${ADOPTED:-?} indexes from footers (want > 0)"
       cat "${STREAM_TMP}/attach.out"
       exit 1
     fi
-    echo "stream ok: 1000 flushes -> ${POOLS} pool(s); restart adopted ${ADOPTED} index(es)"
+    echo "stream ok: 1000 flushes -> ${POOLS} pool(s); restart indexed ${ADOPTED} container(s) from footers"
     ;;
   bench)
     BUILD_DIR="${1:-${REPO_ROOT}/build}"

@@ -3,32 +3,31 @@
 //   iotaxo trace    --framework lanl|tracefs|partrace --workload mpiio|meta
 //                   [--pattern strided|nonstrided|nn] [--ranks N]
 //                   [--block BYTES] [--total BYTES] [--out DIR]
-//                   [--binary-out FILE.iotb|FILE.iotb3]
-//                   [--project] [--key PASSPHRASE]
+//                   [--binary-out FILE.iotb3]
+//                   [--project] [--key PASSPHRASE] [--block-records N]
 //   iotaxo classify [--ranks N]
 //   iotaxo replay   --in DIR [--sync barriers|deps|none]
 //   iotaxo analyze  --in DIR [DIR...]
 //   iotaxo anonymize --in DIR --out DIR [--mode random|encrypt]
-//   iotaxo stat     DIR|FILE.iotb [--blocks] [--key PASSPHRASE]
-//   iotaxo dfg      FILE.iotb [--rank N] [--dot OUT] [--json OUT]
-//                   [--phases] [--blocks] [--compare OTHER.iotb]
+//   iotaxo stat     DIR|FILE.iotb3 [--blocks] [--key PASSPHRASE]
+//   iotaxo dfg      FILE.iotb3 [--rank N] [--dot OUT] [--json OUT]
+//                   [--phases] [--blocks] [--compare OTHER.iotb3]
 //                   [--threads N] [--key PASSPHRASE]
-//   iotaxo fsck     DIR|FILE.iotb [--key PASSPHRASE] [--repair]
+//   iotaxo fsck     DIR|FILE.iotb3 [--key PASSPHRASE] [--repair]
 //   iotaxo stream   --dir DIR [--flushes N] [--events N]
 //                   [--era-bytes BYTES] [--attach]
 //
 // Bundles are the on-disk trace format (one text trace per rank plus TSV
 // sidecars) produced by `trace --out` and consumed by replay/analyze/
 // anonymize — the full LANL trace-distribution workflow from one binary.
-// `trace --binary-out` additionally writes the run as one IOTB container
-// (IOTB2, or block-structured compressed+checksummed IOTB3 when the file
-// name ends in .iotb3), which `stat` inspects through the zero-copy
-// readers (mmap + BatchView for IOTB2, mmap + BlockView for IOTB3 — no
-// decode even for compressed v3, whose blocks decompress lazily;
-// v1/v2-compressed/encrypted containers fall back to decode-then-tally
-// with the refusal reason printed) and `dfg` mines into per-rank
-// directly-follows graphs (phases, rank divergence, DOT/JSON export).
-// `--blocks` prints the IOTB3 footer's per-block mini-index.
+// `trace --binary-out` additionally writes the run as one block-structured,
+// compressed and checksummed IOTB3 container (whatever the file name),
+// which `stat` inspects in place (mmap + BlockView: no decode up front,
+// blocks decompress lazily as the tally touches them) and `dfg` mines into
+// per-rank directly-follows graphs (phases, rank divergence, DOT/JSON
+// export). `--blocks` prints the footer's per-block mini-index. Files in
+// the older IOTB1/IOTB2 formats are rejected with an error naming the
+// version.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -131,17 +130,17 @@ int usage() {
       "mpiio|meta\n"
       "                   [--pattern strided|nonstrided|nn] [--ranks N]\n"
       "                   [--block BYTES] [--total BYTES] [--out DIR]\n"
-      "                   [--binary-out FILE.iotb|FILE.iotb3]\n"
+      "                   [--binary-out FILE.iotb3]\n"
       "                   [--project] [--key PASSPHRASE] [--block-records N]\n"
       "  iotaxo classify  [--ranks N]\n"
       "  iotaxo replay    --in DIR [--sync barriers|deps|none]\n"
       "  iotaxo analyze   --in DIR [--in2 DIR] [--in3 DIR]\n"
       "  iotaxo anonymize --in DIR --out DIR [--mode random|encrypt]\n"
-      "  iotaxo stat      DIR|FILE.iotb [--blocks] [--key PASSPHRASE]\n"
-      "  iotaxo dfg       FILE.iotb [--rank N] [--dot OUT] [--json OUT]\n"
-      "                   [--phases] [--blocks] [--compare OTHER.iotb]\n"
+      "  iotaxo stat      DIR|FILE.iotb3 [--blocks] [--key PASSPHRASE]\n"
+      "  iotaxo dfg       FILE.iotb3 [--rank N] [--dot OUT] [--json OUT]\n"
+      "                   [--phases] [--blocks] [--compare OTHER.iotb3]\n"
       "                   [--threads N] [--key PASSPHRASE]\n"
-      "  iotaxo fsck      DIR|FILE.iotb [--key PASSPHRASE] [--repair]\n"
+      "  iotaxo fsck      DIR|FILE.iotb3 [--key PASSPHRASE] [--repair]\n"
       "  iotaxo stream    --dir DIR [--flushes N] [--events N]\n"
       "                   [--era-bytes BYTES] [--attach]\n"
       "  iotaxo metrics   [--out FILE.json]\n"
@@ -239,46 +238,38 @@ int cmd_trace(const Args& args) {
         batch.append(ev);
       }
     }
-    // The .iotb3 extension selects the block-structured container with
-    // cold-storage defaults (per-block LZ + CRC); --key additionally
+    // Cold-storage defaults (per-block LZ + CRC); --key additionally
     // encrypts each block and --project splits records into hot + cold
-    // column groups. Anything else writes the flat IOTB2 layout.
-    const bool v3 = binary_out.size() >= 6 &&
-                    binary_out.compare(binary_out.size() - 6, 6, ".iotb3") == 0;
-    std::vector<std::uint8_t> bytes;
-    if (v3) {
-      trace::BinaryOptions options;
-      options.compress = true;
-      options.checksum = true;
-      options.project = !args.get("project").empty();
-      const std::string passphrase = args.get("key");
-      if (!passphrase.empty()) {
-        options.encrypt = true;
-        options.key = derive_key(passphrase);
-      }
-      // --block-records caps records per block (default 4096): smaller
-      // blocks mean finer mini-indexes (more skippable) at more per-block
-      // overhead.
-      bytes = trace::encode_binary_v3(
-          batch, options,
-          static_cast<std::size_t>(args.get_int("block-records", 4096)));
-    } else {
-      bytes = trace::encode_binary_v2(batch, trace::BinaryOptions{});
+    // column groups.
+    trace::BinaryOptions options;
+    options.compress = true;
+    options.checksum = true;
+    options.project = !args.get("project").empty();
+    const std::string passphrase = args.get("key");
+    if (!passphrase.empty()) {
+      options.encrypt = true;
+      options.key = derive_key(passphrase);
     }
+    // --block-records caps records per block (default 4096): smaller
+    // blocks mean finer mini-indexes (more skippable) at more per-block
+    // overhead.
+    const std::vector<std::uint8_t> bytes = trace::encode_binary_v3(
+        batch, options,
+        static_cast<std::size_t>(args.get_int("block-records", 4096)));
     // Durable write (tmp + fsync + rename): a crash mid-write never
     // leaves a half-container at the target path.
     trace::write_binary_file(binary_out, bytes);
-    std::printf("binary trace     : %s (%s, %s)\n", binary_out.c_str(),
-                format_bytes(static_cast<Bytes>(bytes.size())).c_str(),
-                v3 ? "IOTB3 block-structured, lazy zero-decode view"
-                   : "viewable zero-copy");
+    std::printf("binary trace     : %s (%s, IOTB3 block-structured, lazy "
+                "zero-decode view)\n",
+                binary_out.c_str(),
+                format_bytes(static_cast<Bytes>(bytes.size())).c_str());
   }
   return 0;
 }
 
 // Per-call tallies keyed by interned name id — one flat vector, no maps.
-// Works through the store's public accessor seam, so the zero-copy view
-// and the decoded-batch fallback print identical tables.
+// Works through the store's public accessor seam, the same one every
+// analysis query scans through.
 template <class Acc>
 void print_call_table(const Acc& acc) {
   struct CallTally {
@@ -370,12 +361,10 @@ void print_block_summary(const trace::BlockView& view) {
 }
 
 // The store's per-pool shape, including streaming-ingest state: whether a
-// pool is the growing open era or sealed, how many flushes it absorbed,
-// and whether a view-backed pool adopted a persisted index footer instead
-// of scanning its records.
+// pool is the growing open era or sealed, and how many flushes it absorbed.
 void print_pool_table(const analysis::UnifiedTraceStore& store) {
   TextTable table(
-      {"Pool", "Sources", "Records", "Kind", "State", "Flushes", "Index"});
+      {"Pool", "Sources", "Records", "Kind", "State", "Flushes"});
   for (std::size_t c = 1; c < 3; ++c) {
     table.set_align(c, Align::kRight);
   }
@@ -385,12 +374,9 @@ void print_pool_table(const analysis::UnifiedTraceStore& store) {
     const analysis::StorePoolInfo& info = infos[p];
     table.add_row({strprintf("%zu", p), strprintf("%zu", info.source_count),
                    strprintf("%lld", info.records),
-                   info.block_backed ? "block"
-                   : info.view_backed ? "view"
-                                      : "owned",
+                   info.block_backed ? "block" : "owned",
                    info.open_era ? "open era" : "sealed",
-                   strprintf("%zu", info.flushes_absorbed),
-                   info.persisted_index ? "adopted" : "scanned"});
+                   strprintf("%zu", info.flushes_absorbed)});
   }
   std::fputs(table.render().c_str(), stdout);
 }
@@ -437,14 +423,10 @@ void stat_window_probe(const analysis::UnifiedTraceStore& store) {
                   metric("store.query.segments_skipped")));
 }
 
-// `stat` prints a container's shape through the zero-copy readers: the
-// file is mmapped and the per-call table is computed straight off the
-// fixed-stride records — no EventBatch is ever built. IOTB3 (including
-// compressed) goes through the lazy BlockView. Containers the views
-// refuse (v1 bodies, v2 compressed or encrypted payloads) are reported
-// with the reader's reason and decoded into a batch instead of failing,
-// so `stat` works — with one decode — on anything decode_binary_batch
-// accepts (`--key` for encrypted files).
+// `stat` prints a container's shape through the lazy BlockView: the file
+// is mmapped and the per-call table is computed straight off the decoded
+// fixed-stride block records — no EventBatch is ever built, even for a
+// compressed or encrypted container (`--key` for encrypted files).
 int cmd_stat(const Args& args) {
   if (args.positional.empty()) {
     return usage();
@@ -452,8 +434,7 @@ int cmd_stat(const Args& args) {
   const std::string& path = args.positional.front();
   if (std::filesystem::is_directory(path)) {
     // A store directory: attach (with crash recovery) and print the pool
-    // table — the streaming-ingest view of the store, including which
-    // attached containers brought a persisted index footer along.
+    // table — the streaming-ingest view of the store.
     analysis::UnifiedTraceStore store;
     analysis::AttachOptions options;
     options.key = key_from_args(args);
@@ -461,12 +442,6 @@ int cmd_stat(const Args& args) {
     std::printf("directory        : %s\n", path.c_str());
     std::printf("attached         : %zu container(s), %zu quarantined\n",
                 health.recovered_eras, health.quarantined.size());
-    std::size_t adopted = 0;
-    for (const analysis::StorePoolInfo& info : store.pool_infos()) {
-      adopted += info.persisted_index ? 1 : 0;
-    }
-    std::printf("indexes adopted  : %zu of %zu pool(s)\n", adopted,
-                store.pool_count());
     print_pool_table(store);
     return health.healthy() ? 0 : 1;
   }
@@ -475,145 +450,56 @@ int cmd_stat(const Args& args) {
   std::printf("file             : %s (%s, %s)\n", path.c_str(),
               format_bytes(static_cast<Bytes>(file.size())).c_str(),
               file.is_mapped() ? "mmapped" : "read");
-  try {
-    if (trace::peek_binary_header(file.bytes()).version == 3) {
-      // Block containers tally through the lazy view: even a compressed
-      // IOTB3 is never decoded into a batch — blocks stream through the
-      // per-block cache, and the summary lines above the table come from
-      // the head and footer alone.
-      trace::BlockView view(file.bytes(), key_from_args(args));
-      std::printf("container        : IOTB3%s%s%s%s, block-structured\n",
-                  view.header().compressed ? ", compressed" : "",
-                  view.encrypted() ? ", encrypted (per block)" : "",
-                  view.projected() ? ", projected (hot+cold columns)" : "",
-                  view.header().checksummed
-                      ? ", checksummed (per block, on touch)"
-                      : "");
-      std::printf("records          : %zu in %zu block(s) of up to %u\n",
-                  view.size(), view.block_count(),
-                  view.block_records_nominal());
-      std::printf("string table     : %zu distinct strings, %s\n",
-                  view.string_count(),
-                  format_bytes(
-                      static_cast<Bytes>(view.string_table_bytes())).c_str());
-      std::printf("argument ids     : %zu\n", view.arg_id_count());
-      if (!args.get("blocks").empty()) {
-        print_block_summary(view);
-      }
-      // Tally through the unified store rather than the bare view so
-      // `stat` exercises — and its metrics account for — the same
-      // accessor seam every analysis query scans through. The filed view
-      // shares the lazy decode cache with the probe above, so no block is
-      // decoded twice and the decode metrics cross-check pool_infos()
-      // exactly.
-      analysis::UnifiedTraceStore store;
-      store.ingest_view(std::move(file), std::move(view),
-                        {{"framework", "iotb"}, {"application", path}});
-      store.with_pool_access(
-          0, [](const auto& acc) { print_call_table(acc); });
-      if (obs::enabled()) {
-        stat_window_probe(store);
-      }
-      return 0;
-    }
-    const trace::BatchView view(file.bytes());
-    std::printf("container        : IOTB2%s, zero-copy\n",
-                view.header().checksummed ? ", checksummed (CRC ok)" : "");
-    if (view.header().indexed) {
-      if (view.persisted_index().has_value()) {
-        const trace::PoolIndexFooter& footer = *view.persisted_index();
-        std::printf("index footer     : present (footer CRC ok, %llu "
-                    "record(s), span %s)\n",
-                    static_cast<unsigned long long>(footer.records),
-                    footer.any
-                        ? format_duration(footer.max_time - footer.min_time)
-                              .c_str()
-                        : "empty");
-      } else {
-        std::printf("index footer     : INVALID (%s) — readers fall back "
-                    "to a record scan\n",
-                    view.footer_error().c_str());
-      }
-    }
-    std::printf("records          : %zu\n", view.size());
-    std::printf("string table     : %zu distinct strings, %s\n",
-                view.string_count(),
-                format_bytes(
-                    static_cast<Bytes>(view.string_table_bytes())).c_str());
-    std::printf("argument ids     : %zu\n", view.arg_id_count());
-    print_call_table(analysis::ViewAccess{&view});
-    return 0;
-  } catch (const FormatError& err) {
-    // Not view-able — say why (the zero-copy reader's own diagnostic),
-    // then tally through the decoder. Containers that are corrupt rather
-    // than merely transformed will throw again below, which is the error
-    // path (exit 1).
-    std::printf("zero-copy        : refused (%s)\n", err.what());
-    const trace::BinaryHeader h = trace::peek_binary_header(file.bytes());
-    if (h.version == 3 && h.encrypted && !key_from_args(args).has_value()) {
-      std::printf("                   (encrypted IOTB3: pass --key "
-                  "PASSPHRASE to open it)\n");
-    }
-    std::printf("                   decoding instead\n");
+  // Block containers tally through the lazy view: even a compressed IOTB3
+  // is never decoded into a batch — blocks stream through the per-block
+  // cache, and the summary lines above the table come from the head and
+  // footer alone.
+  trace::BlockView view(file.bytes(), key_from_args(args));
+  std::printf("container        : IOTB3%s%s%s%s, block-structured\n",
+              view.header().compressed ? ", compressed" : "",
+              view.encrypted() ? ", encrypted (per block)" : "",
+              view.projected() ? ", projected (hot+cold columns)" : "",
+              view.header().checksummed ? ", checksummed (per block, on touch)"
+                                        : "");
+  std::printf("records          : %zu in %zu block(s) of up to %u\n",
+              view.size(), view.block_count(), view.block_records_nominal());
+  std::printf("string table     : %zu distinct strings, %s\n",
+              view.string_count(),
+              format_bytes(static_cast<Bytes>(view.string_table_bytes()))
+                  .c_str());
+  std::printf("argument ids     : %zu\n", view.arg_id_count());
+  if (!args.get("blocks").empty()) {
+    print_block_summary(view);
   }
-  const trace::BinaryHeader header = trace::peek_binary_header(file.bytes());
-  const trace::EventBatch batch =
-      trace::decode_binary_batch(file.bytes(), key_from_args(args));
-  std::printf("container        : IOTB%d%s%s%s, decoded\n", header.version,
-              header.compressed ? ", compressed" : "",
-              header.encrypted ? ", encrypted" : "",
-              header.checksummed ? ", checksummed (CRC ok)" : "");
-  std::printf("records          : %zu\n", batch.size());
-  std::printf("string table     : %zu distinct strings\n",
-              batch.pool().size());
-  std::printf("argument ids     : %zu\n", batch.arg_ids().size());
-  print_call_table(analysis::BatchAccess{&batch});
+  // Tally through the unified store rather than the bare view so `stat`
+  // exercises — and its metrics account for — the same accessor seam every
+  // analysis query scans through. The filed view shares the lazy decode
+  // cache with the probe above, so no block is decoded twice and the decode
+  // metrics cross-check pool_infos() exactly.
+  analysis::UnifiedTraceStore store;
+  store.ingest_view(std::move(file), std::move(view),
+                    {{"framework", "iotb"}, {"application", path}});
+  store.with_pool_access(0, [](const auto& acc) { print_call_table(acc); });
+  if (obs::enabled()) {
+    stat_window_probe(store);
+  }
   return 0;
 }
 
-/// File an IOTB container with the store: zero-copy when the view accepts
-/// it, decode-then-ingest otherwise (with the reader's refusal reason
-/// printed, mirroring `stat`).
+/// File an IOTB3 container with the store in place, printing its block
+/// table first under --blocks. The opened view itself is filed (the pair
+/// overload re-checks nothing), so compressed containers stay undecoded and
+/// their blocks stream lazily into the miner.
 void ingest_container(analysis::UnifiedTraceStore& store,
                       const std::string& path, const Args& args) {
-  const std::map<std::string, std::string> metadata = {
-      {"framework", "iotb"}, {"application", path}};
-  // Map and validate exactly once: on success the probed view itself is
-  // filed (the pair overload re-checks nothing), on refusal the decode
-  // fallback reuses the same mapping. IOTB3 goes through the block view —
-  // compressed v3 containers stay undecoded, their blocks stream lazily
-  // into the miner.
   trace::MappedTraceFile file(path);
-  std::optional<trace::BatchView> probe;
-  std::optional<trace::BlockView> block_probe;
-  try {
-    if (trace::peek_binary_header(file.bytes()).version == 3) {
-      block_probe.emplace(file.bytes(), key_from_args(args));
-      if (!args.get("blocks").empty()) {
-        std::printf("blocks, %s:\n", path.c_str());
-        print_block_summary(*block_probe);
-      }
-    } else {
-      probe.emplace(file.bytes());
-    }
-  } catch (const FormatError& err) {
-    const trace::BinaryHeader h = trace::peek_binary_header(file.bytes());
-    std::fprintf(stderr,
-                 "iotaxo: %s: zero-copy refused (%s); decoding instead%s\n",
-                 path.c_str(), err.what(),
-                 h.version == 3 && h.encrypted &&
-                         !key_from_args(args).has_value()
-                     ? " (encrypted IOTB3: pass --key PASSPHRASE to open it)"
-                     : "");
-    store.ingest(trace::decode_binary_batch(file.bytes(), key_from_args(args)),
-                 metadata);
-    return;
+  trace::BlockView view(file.bytes(), key_from_args(args));
+  if (!args.get("blocks").empty()) {
+    std::printf("blocks, %s:\n", path.c_str());
+    print_block_summary(view);
   }
-  if (block_probe.has_value()) {
-    store.ingest_view(std::move(file), std::move(*block_probe), metadata);
-    return;
-  }
-  store.ingest_view(std::move(file), std::move(*probe), metadata);
+  store.ingest_view(std::move(file), std::move(view),
+                    {{"framework", "iotb"}, {"application", path}});
 }
 
 void write_text_file(const std::string& path, const std::string& text) {
@@ -652,14 +538,14 @@ int cmd_dfg(const Args& args) {
 
   // Store shape through the introspection accessor: what fed the miner.
   Bytes pool_bytes = 0;
-  long long view_pools = 0;
+  long long block_pools = 0;
   for (const analysis::StorePoolInfo& info : store.pool_infos()) {
     pool_bytes += static_cast<Bytes>(info.approx_bytes);
-    view_pools += info.view_backed ? 1 : 0;
+    block_pools += info.block_backed ? 1 : 0;
   }
   std::printf("store            : %zu pool(s) (%lld zero-copy), %s, %lld "
               "events\n",
-              store.pool_count(), view_pools,
+              store.pool_count(), block_pools,
               format_bytes(pool_bytes).c_str(), store.total_events());
   std::printf("mined            : %zu rank graph(s), %lld kept events, %zu "
               "distinct calls\n",
@@ -877,78 +763,27 @@ int cmd_anonymize(const Args& args) {
   return 0;
 }
 
-/// Era sequence number from a container name ("era-7.iotb3" -> 7), used to
-/// keep fsck's report and repaired manifest in on-disk commit order.
-[[nodiscard]] std::optional<std::uint64_t> parse_era_seq(
-    const std::string& name) {
-  const std::string stem = std::filesystem::path(name).stem().string();
-  const std::size_t dash = stem.rfind('-');
-  if (dash == std::string::npos || dash + 1 == stem.size()) {
-    return std::nullopt;
-  }
-  std::uint64_t seq = 0;
-  for (std::size_t i = dash + 1; i < stem.size(); ++i) {
-    if (stem[i] < '0' || stem[i] > '9') {
-      return std::nullopt;
-    }
-    seq = seq * 10 + static_cast<std::uint64_t>(stem[i] - '0');
-  }
-  return seq;
-}
-
 /// Deep-validate one container: envelope, footer, and every block's CRC
 /// (decoding each block exactly once — for projected v3 both column
 /// groups). Returns the list of problems; empty means healthy.
 [[nodiscard]] std::vector<std::string> validate_container(
     const trace::MappedTraceFile& file, const std::optional<CipherKey>& key) {
   std::vector<std::string> problems;
-  trace::BinaryHeader header;
+  std::optional<trace::BlockView> view;
   try {
-    header = trace::peek_binary_header(file.bytes());
+    view.emplace(file.bytes(), key);
   } catch (const Error& err) {
+    // Envelope, head, footer, or key check — nothing block-level is
+    // reachable past this.
     problems.emplace_back(err.what());
     return problems;
   }
-  if (header.version == 3) {
-    std::optional<trace::BlockView> view;
+  for (std::size_t b = 0; b < view->block_count(); ++b) {
     try {
-      view.emplace(file.bytes(), key);
+      (void)view->block_bytes(b);
     } catch (const Error& err) {
-      // Envelope, head, footer, or key check — nothing block-level is
-      // reachable past this.
-      problems.emplace_back(err.what());
-      return problems;
+      problems.push_back(strprintf("block %zu: %s", b, err.what()));
     }
-    for (std::size_t b = 0; b < view->block_count(); ++b) {
-      try {
-        (void)view->block_bytes(b);
-      } catch (const Error& err) {
-        problems.push_back(strprintf("block %zu: %s", b, err.what()));
-      }
-    }
-    return problems;
-  }
-  if (header.version == 2 && !header.compressed && !header.encrypted) {
-    try {
-      const trace::BatchView view(file.bytes());
-      (void)view.record_bytes();  // forces the deferred whole-body CRC
-      // An indexed container whose footer failed its own CRC/shape check
-      // still opens (readers degrade to a record scan), but fsck's job is
-      // to surface the damage.
-      if (view.header().indexed && !view.persisted_index().has_value()) {
-        problems.push_back("index footer: " + view.footer_error());
-      }
-    } catch (const Error& err) {
-      problems.emplace_back(err.what());
-    }
-    return problems;
-  }
-  // v1 and transformed v2 have no zero-copy validator; a full decode
-  // exercises every checksum and length field they carry.
-  try {
-    (void)trace::decode_binary_batch(file.bytes(), key);
-  } catch (const Error& err) {
-    problems.emplace_back(err.what());
   }
   return problems;
 }
@@ -996,7 +831,7 @@ int cmd_fsck(const Args& args) {
     if (name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0) {
       tmps.push_back(name);
     } else if (name != analysis::kManifestFileName &&
-               entry.path().extension().string().rfind(".iotb", 0) == 0) {
+               analysis::is_container_name(name)) {
       names.push_back(name);
     }
   }
@@ -1004,18 +839,7 @@ int cmd_fsck(const Args& args) {
     throw IoError("cannot read directory '" + target + "': " + ec.message());
   }
   std::sort(tmps.begin(), tmps.end());
-  std::sort(names.begin(), names.end(),
-            [](const std::string& a, const std::string& b) {
-              const auto sa = parse_era_seq(a);
-              const auto sb = parse_era_seq(b);
-              if (sa.has_value() != sb.has_value()) {
-                return sa.has_value();  // unnumbered files sort last
-              }
-              if (sa.has_value() && *sa != *sb) {
-                return *sa < *sb;
-              }
-              return a < b;
-            });
+  std::sort(names.begin(), names.end(), analysis::era_order_less);
 
   std::optional<analysis::StoreManifest> manifest;
   std::vector<analysis::QuarantinedFile> quarantined;
@@ -1067,7 +891,7 @@ int cmd_fsck(const Args& args) {
     ++healthy;
     const std::uint64_t seq =
         listed != nullptr ? listed->seq
-                          : parse_era_seq(name).value_or(next_seq);
+                          : analysis::parse_era_seq(name).value_or(next_seq);
     committable.push_back({name, file_size, file_crc, seq});
     next_seq = std::max(next_seq, seq + 1);
     if (listed == nullptr && manifest.has_value() && !repair) {
@@ -1132,10 +956,10 @@ int cmd_fsck(const Args& args) {
 // --flushes small flushes (--events each) and feeds them through a
 // streaming store — the pool table printed at the end shows the open era
 // and how few pools the flush storm produced — while mirroring the same
-// records into era-sized IOTB2 containers written to --dir with checksums
-// and persisted index footers. The --attach half is the restart: a fresh
-// store attaches the directory, and the "indexes adopted" line proves the
-// persisted footers were adopted instead of rescanned.
+// records into era-sized, checksummed IOTB3 containers written to --dir.
+// The --attach half is the restart: a fresh store attaches the directory,
+// and the "indexes adopted" line proves every pool index came from its
+// container's footer instead of a record scan.
 int cmd_stream(const Args& args) {
   const std::string dir = args.get("dir");
   if (dir.empty()) {
@@ -1159,9 +983,6 @@ int cmd_stream(const Args& args) {
     std::printf("indexes adopted  : %llu\n",
                 static_cast<unsigned long long>(
                     metric("ingest.index_adopted")));
-    std::printf("indexes rebuilt  : %llu\n",
-                static_cast<unsigned long long>(
-                    metric("ingest.index_rebuilt")));
     print_pool_table(store);
     return health.healthy() ? 0 : 1;
   }
@@ -1179,7 +1000,6 @@ int cmd_stream(const Args& args) {
 
   trace::BinaryOptions bopts;
   bopts.checksum = true;
-  bopts.index_footer = true;
   trace::EventBatch era_batch;
   std::size_t eras_written = 0;
   const auto write_era = [&] {
@@ -1187,8 +1007,8 @@ int cmd_stream(const Args& args) {
       return;
     }
     trace::write_binary_file(
-        strprintf("%s/era-%zu.iotb", dir.c_str(), eras_written),
-        trace::encode_binary_v2(era_batch, bopts));
+        strprintf("%s/era-%zu.iotb3", dir.c_str(), eras_written),
+        trace::encode_binary_v3(era_batch, bopts));
     era_batch.reset();
     ++eras_written;
   };
@@ -1223,7 +1043,7 @@ int cmd_stream(const Args& args) {
   std::printf("flushes          : %zu of %zu event(s)\n", flushes, events);
   std::printf("pools            : %zu (open era included)\n",
               store.pool_count());
-  std::printf("era files        : %zu written to %s (indexed, checksummed)\n",
+  std::printf("era files        : %zu written to %s (IOTB3, checksummed)\n",
               eras_written, dir.c_str());
   print_pool_table(store);
   return 0;
@@ -1308,14 +1128,14 @@ int main(int argc, char** argv) {
     const Args args = parse_args(argc, argv);
     // Only the container commands (`stat`, `dfg`, `fsck`) take a
     // positional argument — exactly one; any other stray token means the
-    // user dropped an --option (e.g. `dfg a.iotb b.iotb` instead of
+    // user dropped an --option (e.g. `dfg a.iotb3 b.iotb3` instead of
     // `--compare`) and must not be silently ignored.
     const bool takes_file = args.command == "stat" ||
                             args.command == "dfg" || args.command == "fsck";
     if (args.positional.size() > (takes_file ? 1u : 0u)) {
       throw ConfigError(
           strprintf("expected %s, got '%s'",
-                    takes_file ? "one FILE.iotb" : "--option",
+                    takes_file ? "one FILE.iotb3" : "--option",
                     args.positional[takes_file ? 1 : 0].c_str()));
     }
     const bool want_metrics = !args.get("metrics").empty() ||
