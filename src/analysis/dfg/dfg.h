@@ -7,9 +7,11 @@
 // I/O phases, loops, and per-rank behavioral divergence that flat
 // aggregates cannot expose.
 //
-// Graphs are mined straight off the store's pools through the public
-// accessor seam (BatchAccess / BlockAccess): owned batches and mapped IOTB3
-// block pools feed identical graphs, and nothing is materialized. Node and
+// Graphs are mined straight off the store's pools through the store's scan
+// driver (UnifiedTraceStore::scan_pools): owned batches and mapped IOTB3
+// block pools feed identical graphs, nothing is materialized, and the
+// driver's index skips, parallel chunks and ScanPolicy damage handling
+// apply exactly as they do to the store's queries. Node and
 // edge keys are interned call-name ids in the Dfg's own name table
 // (`names`), assigned in sorted-name order (id 0 stays ""), so graph
 // comparisons are id compares — and the table is independent of how the
@@ -77,22 +79,6 @@ struct SeqEvent {
 /// Edge key: (from node, to node) as Dfg-global name ids.
 using EdgeKey = std::pair<trace::StrId, trace::StrId>;
 
-/// Fold one directly-follows transition into an edge. Shared by the cold
-/// builder and the live maintainer so the two fold paths cannot drift —
-/// bit-identity between snapshot() and build() rests on this being the
-/// single place a transition turns into stats.
-inline void add_transition(EdgeStats& edge, SimTime gap, Bytes bytes) {
-  if (edge.count == 0) {
-    edge.gap_min = edge.gap_max = gap;
-  } else {
-    edge.gap_min = std::min(edge.gap_min, gap);
-    edge.gap_max = std::max(edge.gap_max, gap);
-  }
-  edge.gap_sum += gap;
-  ++edge.count;
-  edge.bytes += bytes;
-}
-
 struct RankDfg {
   int rank = -1;
   std::map<trace::StrId, NodeStats> nodes;
@@ -157,12 +143,45 @@ struct DfgOptions {
   bool keep_sequences = false;
 };
 
+/// The one pool pass and merge behind both DfgBuilder and LiveDfg. mine()
+/// streams pools through the store's scan driver into pool-local partial
+/// graphs, then merges them in pool order into this state: a name table,
+/// per-rank graphs, and each rank's last event, which stitches the rank
+/// across partial boundaries (the last kept event of one partial
+/// transitions into the first of the next). Edge and node stats merge
+/// associatively, so the graph does not depend on where the record stream
+/// was cut into partials — whole pools for a cold build, filed record
+/// ranges for the live fold.
+class DfgMerge {
+ public:
+  /// Mine every pool, or just `range`, and merge the result after
+  /// everything merged so far. Every partial is built before any is
+  /// merged, so a scan that throws merges nothing.
+  void mine(const UnifiedTraceStore& store, const DfgOptions& options,
+            const std::optional<ScanRange>& range = {});
+
+  /// The graph over everything merged so far, canonicalized (copy the
+  /// merge first to keep merging).
+  [[nodiscard]] Dfg graph() &&;
+
+  /// Events merged so far (after class/rank filtering).
+  [[nodiscard]] long long events() const noexcept;
+
+ private:
+  struct PoolPartial;
+
+  void merge(const UnifiedTraceStore& store, const PoolPartial& partial);
+
+  /// Merge-global ids, first-seen; graph() re-keys onto sorted names.
+  trace::StringPool names_;
+  std::map<int, RankDfg> ranks_;
+  std::map<int, SeqEvent> last_by_rank_;
+};
+
 /// Mines DFGs from a UnifiedTraceStore without materializing its sources:
-/// each pool is streamed once through the store's accessor seam into a
-/// pool-local partial graph (parallel across pools when options.threads
-/// allows), then partials are merged into Dfg-global ids in pool order
-/// with rank boundaries stitched — bit-identical results at any thread
-/// count. The store must not be mutated (ingest/compact) during build().
+/// one DfgMerge::mine over every pool (parallel across pools when
+/// options.threads allows) — bit-identical results at any thread count.
+/// The store must not be mutated (ingest/compact) during build().
 class DfgBuilder {
  public:
   explicit DfgBuilder(const UnifiedTraceStore& store) : store_(&store) {}
@@ -174,9 +193,9 @@ class DfgBuilder {
 };
 
 /// Re-key a graph onto ids assigned in sorted-name order (id 0 stays "").
-/// Intern-time ids depend on the order names were first seen — pool
-/// chunking for the cold builder, record order for the live maintainer —
-/// so every producer canonicalizes before comparing or returning a Dfg.
+/// Merge-time ids depend on the order names were first seen, which
+/// depends on how the records were cut into partials, so DfgMerge
+/// canonicalizes before returning a Dfg.
 void canonicalize(Dfg& dfg);
 
 }  // namespace iotaxo::analysis::dfg

@@ -1,19 +1,15 @@
 #include "analysis/dfg/dfg.h"
 
 #include <algorithm>
-#include <thread>
-#include <unordered_map>
-
-#include "util/thread_pool.h"
 
 namespace iotaxo::analysis::dfg {
 
 namespace {
 
-/// One pool's contribution, keyed by *pool-local* string ids: built in
-/// isolation (so pools can run in parallel), remapped to Dfg-global ids by
-/// the serial merge. first/last are kept regardless of keep_sequences —
-/// the merge stitches them across pool boundaries.
+/// One rank's contribution to a partial, keyed by *pool-local* string ids:
+/// built in isolation (so pools can run in parallel), remapped to
+/// merge-global ids by DfgMerge::merge. first/last are kept regardless of
+/// keep_sequences — the merge stitches them across partial boundaries.
 struct RankPartial {
   bool any = false;
   SeqEvent first;
@@ -23,10 +19,7 @@ struct RankPartial {
   std::vector<SeqEvent> sequence;
 };
 
-struct PoolPartial {
-  std::map<int, RankPartial> ranks;
-};
-
+/// Fold edge stats `from` into `into`.
 void merge_edge(EdgeStats& into, const EdgeStats& from) {
   if (from.count == 0) {
     return;
@@ -43,126 +36,23 @@ void merge_edge(EdgeStats& into, const EdgeStats& from) {
   into.gap_sum += from.gap_sum;
 }
 
-/// Stream one pool through the store's accessor seam into a partial.
-/// `prefetch_threads` is the intra-pool decode budget left over once the
-/// pool-level chunking has claimed its workers.
-[[nodiscard]] PoolPartial build_pool_partial(const UnifiedTraceStore& store,
-                                             std::size_t pool,
-                                             const DfgOptions& options,
-                                             std::size_t prefetch_threads) {
-  PoolPartial partial;
-  const bool use_indexes = store.use_indexes();
-  store.with_pool_access(pool, [&](const auto& acc) {
-    // Fold one kept event into the rank's accumulating partial. Shared by
-    // the materialized-record and hot-column loops so the two paths cannot
-    // drift.
-    const auto fold = [&](int rank, SimTime duration, const SeqEvent& ev) {
-      RankPartial& rp = partial.ranks[rank];
-      NodeStats& node = rp.nodes[ev.name];
-      ++node.count;
-      node.total_duration += duration;
-      node.bytes += ev.bytes;
-      if (rp.any) {
-        add_transition(rp.edges[{rp.last.name, ev.name}],
-                       ev.start - rp.last.end, ev.bytes);
-      } else {
-        rp.first = ev;
-        rp.any = true;
-      }
-      rp.last = ev;
-      if (options.keep_sequences) {
-        rp.sequence.push_back(ev);
-      }
-    };
-    const std::size_t segments = acc.segment_count();
-    std::vector<std::size_t> touched;
-    touched.reserve(segments);
-    for (std::size_t k = 0; k < segments; ++k) {
-      // Every event the miner keeps is an I/O call, so a segment whose
-      // index says "no I/O call" contributes nothing — for block-backed
-      // pools that skip leaves the block compressed on disk.
-      if (use_indexes && !acc.segment_has_io_call(k)) {
-        continue;
-      }
-      if (acc.segment_begin(k) != acc.segment_end(k)) {
-        touched.push_back(k);
-      }
-    }
-    // The miner reads cls/name/rank/start/duration/bytes — exactly the hot
-    // column group — so projected pools decode only hot bytes, in parallel.
-    acc.segment_prefetch(touched, prefetch_threads, /*hot_only=*/true);
-    for (const std::size_t k : touched) {
-      const std::size_t seg_begin = acc.segment_begin(k);
-      const std::size_t seg_end = acc.segment_end(k);
-      const std::uint8_t* hot = acc.segment_hot_bytes(k);
-      if (hot != nullptr) {
-        for (std::size_t i = 0; i < seg_end - seg_begin; ++i) {
-          const trace::HotRecordView rec(hot +
-                                         i * trace::hotlayout::kStride);
-          if (!rec.is_io_call() || rec.rank() < 0) {
-            continue;  // probes, annotations, rank-less bookkeeping
-          }
-          if (options.rank.has_value() && rec.rank() != *options.rank) {
-            continue;
-          }
-          SeqEvent ev;
-          ev.name = rec.name();  // pool-local id; the merge remaps it
-          ev.start = rec.local_start();
-          ev.end = rec.local_start() + rec.duration();
-          ev.bytes = rec.bytes() > 0 ? rec.bytes() : 0;
-          fold(rec.rank(), rec.duration(), ev);
-        }
-        continue;
-      }
-      for (std::size_t i = seg_begin; i < seg_end; ++i) {
-        const auto& rec = acc.record(i);
-        if (!rec.is_io_call() || rec.rank < 0) {
-          continue;  // probes, annotations, rank-less bookkeeping
-        }
-        if (options.rank.has_value() && rec.rank != *options.rank) {
-          continue;
-        }
-        SeqEvent ev;
-        ev.name = rec.name;  // pool-local id; the merge remaps it
-        ev.start = rec.local_start;
-        ev.end = rec.local_start + rec.duration;
-        ev.bytes = rec.bytes > 0 ? rec.bytes : 0;
-        fold(rec.rank, rec.duration, ev);
-      }
-    }
-  });
-  return partial;
+/// Fold one directly-follows transition into an edge: the single place a
+/// transition turns into stats, inside a partial and across the
+/// boundaries DfgMerge stitches between partials.
+void add_transition(EdgeStats& edge, SimTime gap, Bytes bytes) {
+  merge_edge(edge, EdgeStats{1, bytes, gap, gap, gap});
 }
-
-/// Interns Dfg-global name ids during the merge. Owns copies of the pool
-/// strings (pool tables use per-pool ids that cannot be shared).
-class NameTable {
- public:
-  NameTable() : names_{""} { index_.emplace("", 0); }
-
-  [[nodiscard]] trace::StrId intern(std::string_view s) {
-    const auto it = index_.find(std::string(s));
-    if (it != index_.end()) {
-      return it->second;
-    }
-    const auto id = static_cast<trace::StrId>(names_.size());
-    names_.emplace_back(s);
-    index_.emplace(names_.back(), id);
-    return id;
-  }
-
-  [[nodiscard]] std::vector<std::string> take() { return std::move(names_); }
-
- private:
-  std::vector<std::string> names_;
-  std::unordered_map<std::string, trace::StrId> index_;
-};
 
 }  // namespace
 
+struct DfgMerge::PoolPartial {
+  std::size_t pool = 0;
+  std::map<int, RankPartial> ranks;
+};
+
 /// Re-key the graph onto ids assigned in sorted-name order. Merge-time ids
 /// are handed out first-seen, which depends on how records are split into
-/// pools (or, for the live maintainer, record order); sorting detaches the
+/// pools (or, for the live maintainer, filed ranges); sorting detaches the
 /// table from intern order so graphs mined from the same events are
 /// identical (==) across ingest splits, view vs owned sources, compact(),
 /// and live vs cold builds.
@@ -200,100 +90,133 @@ void canonicalize(Dfg& dfg) {
   }
 }
 
-Dfg DfgBuilder::build(const DfgOptions& options) const {
-  const UnifiedTraceStore& store = *store_;
-  const std::size_t npools = store.pool_count();
-
-  // --- phase 1: per-pool partials, embarrassingly parallel ---------------
-  std::vector<PoolPartial> partials(npools);
-  const std::size_t threads =
-      options.threads == 0
-          ? std::max(1u, std::thread::hardware_concurrency())
-          : options.threads;
-  const std::size_t chunks = std::max<std::size_t>(
-      std::min(threads, npools), 1);
-  // Threads not consumed by pool-level chunking go to block-parallel
-  // decode inside each pool (the single-big-cold-pool case).
-  const std::size_t pf_threads = std::max<std::size_t>(threads / chunks, 1);
-  const auto build_chunk = [&](std::size_t c) {
-    const std::size_t begin = npools * c / chunks;
-    const std::size_t end = npools * (c + 1) / chunks;
-    for (std::size_t p = begin; p < end; ++p) {
-      partials[p] = build_pool_partial(store, p, options, pf_threads);
+void DfgMerge::mine(const UnifiedTraceStore& store, const DfgOptions& options,
+                    const std::optional<ScanRange>& range) {
+  // Every event the miner keeps is an I/O call, so segments whose index
+  // says "no I/O call" stay undecoded, and it reads cls/name/rank/start/
+  // duration/bytes — exactly the hot column group.
+  ScanPredicate pred;
+  pred.io_call = true;
+  const auto chunks = store.scan_pools(
+      pred, options.threads, std::vector<PoolPartial>{},
+      [&](auto& partials, std::size_t pool, const auto&, auto&& segments) {
+        PoolPartial& partial = partials.emplace_back();
+        partial.pool = pool;
+        segments([&](const auto& s) {
+          s.for_each([&](const auto& rec) {
+            if (!rec.is_io_call() || rec.rank() < 0) {
+              return;  // probes, annotations, rank-less bookkeeping
+            }
+            if (options.rank.has_value() && rec.rank() != *options.rank) {
+              return;
+            }
+            SeqEvent ev;
+            ev.name = rec.name();  // pool-local id; merge() remaps it
+            ev.start = rec.local_start();
+            ev.end = rec.local_start() + rec.duration();
+            ev.bytes = rec.bytes() > 0 ? rec.bytes() : 0;
+            RankPartial& rp = partial.ranks[rec.rank()];
+            NodeStats& node = rp.nodes[ev.name];
+            ++node.count;
+            node.total_duration += rec.duration();
+            node.bytes += ev.bytes;
+            if (rp.any) {
+              add_transition(rp.edges[{rp.last.name, ev.name}],
+                             ev.start - rp.last.end, ev.bytes);
+            } else {
+              rp.first = ev;
+              rp.any = true;
+            }
+            rp.last = ev;
+            if (options.keep_sequences) {
+              rp.sequence.push_back(ev);
+            }
+          });
+        });
+      },
+      range);
+  for (const auto& partials : chunks) {
+    for (const PoolPartial& partial : partials) {
+      merge(store, partial);
     }
-  };
-  if (chunks <= 1) {
-    build_chunk(0);
-  } else {
-    parallel_for(chunks, build_chunk, chunks);
   }
+}
 
-  // --- phase 2: serial merge in pool (== source) order -------------------
-  // Global ids are interned first-seen over pools in order, so the table —
-  // like the graphs — is identical no matter how phase 1 was chunked, and
-  // invariant to pool boundaries (ingest splits, compact() merges).
-  NameTable names;
-  std::map<int, RankDfg> merged;          // rank -> accumulating graph
-  std::map<int, SeqEvent> last_by_rank;   // global-id boundary state
-  for (std::size_t p = 0; p < npools; ++p) {
-    PoolPartial& partial = partials[p];
-    // Lazy pool-local -> global remap table, shared by this pool's ranks.
-    std::vector<trace::StrId> remap;
-    store.with_pool_access(p, [&](const auto& acc) {
-      remap.assign(acc.string_count(), 0);
-      for (auto& [rank, rp] : partial.ranks) {
-        for (const auto& [local, stats] : rp.nodes) {
-          if (remap[local] == 0) {
-            remap[local] = names.intern(acc.string(local));
-          }
-        }
-      }
-    });
-    for (auto& [rank, rp] : partial.ranks) {
+void DfgMerge::merge(const UnifiedTraceStore& store,
+                     const PoolPartial& partial) {
+  store.with_pool_access(partial.pool, [&](const auto& acc) {
+    // Pool-local -> merge-global ids, interned first-seen in merge order,
+    // so the table — like the graphs — does not depend on how the
+    // partials were built or chunked.
+    std::vector<trace::StrId> remap(acc.string_count(), 0);
+    for (const auto& [rank, rp] : partial.ranks) {
       if (!rp.any) {
         continue;
       }
-      RankDfg& graph = merged[rank];
+      RankDfg& graph = ranks_[rank];
       graph.rank = rank;
       for (const auto& [local, stats] : rp.nodes) {
+        if (remap[local] == 0) {
+          remap[local] = names_.intern(acc.string(local));
+        }
         NodeStats& node = graph.nodes[remap[local]];
         node.count += stats.count;
         node.total_duration += stats.total_duration;
         node.bytes += stats.bytes;
       }
       for (const auto& [key, stats] : rp.edges) {
-        merge_edge(graph.edges[{remap[key.first], remap[key.second]}], stats);
+        merge_edge(graph.edges[{remap[key.first], remap[key.second]}],
+                   stats);
       }
-      // Stitch the pool boundary: the rank's previous pool tail directly
-      // precedes this pool's head, exactly as a single concatenated pool
-      // would have counted it.
-      const auto carried = last_by_rank.find(rank);
-      if (carried != last_by_rank.end()) {
+      // Stitch the boundary: the rank's previous tail directly precedes
+      // this partial's head, exactly as one concatenated partial would
+      // count it.
+      const auto carried = last_by_rank_.find(rank);
+      if (carried != last_by_rank_.end()) {
         add_transition(
             graph.edges[{carried->second.name, remap[rp.first.name]}],
             rp.first.start - carried->second.end, rp.first.bytes);
       }
       SeqEvent tail = rp.last;
       tail.name = remap[tail.name];
-      last_by_rank[rank] = tail;
-      if (options.keep_sequences) {
-        graph.sequence.reserve(graph.sequence.size() + rp.sequence.size());
-        for (SeqEvent ev : rp.sequence) {
-          ev.name = remap[ev.name];
-          graph.sequence.push_back(ev);
-        }
+      last_by_rank_[rank] = tail;
+      graph.sequence.reserve(graph.sequence.size() + rp.sequence.size());
+      for (SeqEvent ev : rp.sequence) {
+        ev.name = remap[ev.name];
+        graph.sequence.push_back(ev);
       }
     }
-  }
+  });
+}
 
+Dfg DfgMerge::graph() && {
   Dfg out;
-  out.names = names.take();
-  out.ranks.reserve(merged.size());
-  for (auto& [rank, graph] : merged) {
+  out.names.reserve(names_.size());
+  for (trace::StrId id = 0; id < names_.size(); ++id) {
+    out.names.emplace_back(names_.view(id));
+  }
+  out.ranks.reserve(ranks_.size());
+  for (auto& [rank, graph] : ranks_) {
     out.ranks.push_back(std::move(graph));
   }
   canonicalize(out);
   return out;
+}
+
+long long DfgMerge::events() const noexcept {
+  long long total = 0;
+  for (const auto& [rank, graph] : ranks_) {
+    for (const auto& [id, stats] : graph.nodes) {
+      total += stats.count;
+    }
+  }
+  return total;
+}
+
+Dfg DfgBuilder::build(const DfgOptions& options) const {
+  DfgMerge merge;
+  merge.mine(*store_, options);
+  return std::move(merge).graph();
 }
 
 }  // namespace iotaxo::analysis::dfg

@@ -5,16 +5,13 @@
 namespace iotaxo::analysis::dfg {
 
 LiveDfg::LiveDfg(UnifiedTraceStore& store, const LiveDfgOptions& options)
-    : store_(&store), options_(options), names_{""} {
-  name_index_.emplace("", 0);
-  // Catch up on everything already filed, pool by pool in store order —
-  // the same order the cold builder's serial merge walks.
-  const std::size_t npools = store.pool_count();
-  for (std::size_t p = 0; p < npools; ++p) {
-    std::size_t n = 0;
-    store.with_pool_access(p, [&](const auto& acc) { n = acc.size(); });
-    on_records(p, 0, n);
-  }
+    : store_(&store),
+      // The fold runs inside the ingest call, once per flush: serial, so a
+      // flush never spins up workers.
+      options_(DfgOptions{1, options.rank, options.keep_sequences}) {
+  // Catch up on everything already filed: the same pass and merge a cold
+  // build runs, over every pool in store order.
+  merge_.mine(store, options_);
   store.set_ingest_listener([this](std::size_t pool, std::size_t begin,
                                    std::size_t end) {
     on_records(pool, begin, end);
@@ -23,85 +20,22 @@ LiveDfg::LiveDfg(UnifiedTraceStore& store, const LiveDfgOptions& options)
 
 LiveDfg::~LiveDfg() { store_->set_ingest_listener({}); }
 
-trace::StrId LiveDfg::intern(std::string_view s) {
-  const auto it = name_index_.find(std::string(s));
-  if (it != name_index_.end()) {
-    return it->second;
-  }
-  const auto id = static_cast<trace::StrId>(names_.size());
-  names_.emplace_back(s);
-  name_index_.emplace(names_.back(), id);
-  return id;
-}
-
 void LiveDfg::on_records(std::size_t pool, std::size_t begin,
                          std::size_t end) {
-  if (begin == end) {
-    return;
-  }
   static obs::Counter& merges = obs::counter("dfg.incremental_merges");
   const std::lock_guard<std::mutex> lock(mu_);
-  store_->with_pool_access(pool, [&](const auto& acc) {
-    // Pool-local -> live-global id cache, valid for this range only (an
-    // open era re-interns ids as it absorbs flushes). 0 doubles as "not
-    // cached": local 0 is always "" which interns to global 0 anyway.
-    std::vector<trace::StrId> remap(acc.string_count(), 0);
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto& rec = acc.record(i);
-      if (!rec.is_io_call() || rec.rank < 0) {
-        continue;  // probes, annotations, rank-less bookkeeping
-      }
-      if (options_.rank.has_value() && rec.rank != *options_.rank) {
-        continue;
-      }
-      trace::StrId g = remap[rec.name];
-      if (g == 0 && rec.name != 0) {
-        g = intern(acc.string(rec.name));
-        remap[rec.name] = g;
-      }
-      SeqEvent ev;
-      ev.name = g;
-      ev.start = rec.local_start;
-      ev.end = rec.local_start + rec.duration;
-      ev.bytes = rec.bytes > 0 ? rec.bytes : 0;
-      RankDfg& graph = ranks_[rec.rank];
-      graph.rank = rec.rank;
-      NodeStats& node = graph.nodes[g];
-      ++node.count;
-      node.total_duration += rec.duration;
-      node.bytes += ev.bytes;
-      const auto carried = last_by_rank_.find(rec.rank);
-      if (carried != last_by_rank_.end()) {
-        add_transition(graph.edges[{carried->second.name, g}],
-                       ev.start - carried->second.end, ev.bytes);
-        carried->second = ev;
-      } else {
-        last_by_rank_.emplace(rec.rank, ev);
-      }
-      if (options_.keep_sequences) {
-        graph.sequence.push_back(ev);
-      }
-      ++folded_;
-    }
-  });
+  merge_.mine(*store_, options_, ScanRange{pool, begin, end});
   merges.add(1);
 }
 
 Dfg LiveDfg::snapshot() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  Dfg out;
-  out.names = names_;
-  out.ranks.reserve(ranks_.size());
-  for (const auto& [rank, graph] : ranks_) {
-    out.ranks.push_back(graph);
-  }
-  canonicalize(out);
-  return out;
+  return DfgMerge(merge_).graph();
 }
 
 long long LiveDfg::events_folded() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return folded_;
+  return merge_.events();
 }
 
 std::unique_ptr<LiveDfg> set_live_dfg(UnifiedTraceStore& store,

@@ -3,19 +3,21 @@
 // The cold path (DfgBuilder) rescans every pool on each build() — fine for
 // post-hoc analysis, wasteful when a monitoring loop wants the graph after
 // every flush of a long capture session. LiveDfg hangs off the store's
-// ingest-listener seam and folds each filed record range into per-rank
-// partial graphs as it arrives, so snapshot() is a copy + canonicalize of
-// already-folded state instead of a full rescan.
+// ingest-listener seam and mines each filed record range as it arrives, so
+// snapshot() is a copy + canonicalize of already-merged state instead of a
+// full rescan.
 //
-// Bit-identity with the cold builder is a hard invariant, not an
-// approximation: both paths keep records in store order per rank, share
-// the single add_transition() fold in dfg.h, and both canonicalize onto
-// sorted-name ids before returning — so
+// Bit-identity with the cold builder holds by construction: both run the
+// same pool pass and merge (DfgMerge). The cold build merges one partial
+// per pool; the live fold merges one per filed range (a suffix of the open
+// era's one owned segment, or a whole pool) into one DfgMerge kept across
+// calls. So
 //   live.snapshot() == DfgBuilder(store).build(equivalent options)
-// holds exactly (operator==), at any thread count, for any interleaving
-// of flushes, era seals, and compact() calls. compact() rewrites pool
-// boundaries but not the record stream, and LiveDfg's state is keyed by
-// rank, not pool, so no re-fold is needed.
+// holds exactly (operator==), at any thread count, under the store's
+// ScanPolicy, for any interleaving of flushes, era seals, and compact()
+// calls (the merge state is keyed by rank, not pool, so no re-fold is
+// needed). A fold that throws merges nothing, and the store then un-files
+// the ingest that triggered it.
 //
 // Opt-in: construct via set_live_dfg(store). The returned handle owns the
 // listener registration and detaches on destruction; destroy it before
@@ -23,13 +25,9 @@
 // the maintainer's own mutex — snapshot() is safe from other threads.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "analysis/dfg/dfg.h"
 
@@ -62,18 +60,12 @@ class LiveDfg {
 
  private:
   void on_records(std::size_t pool, std::size_t begin, std::size_t end);
-  [[nodiscard]] trace::StrId intern(std::string_view s);
 
   UnifiedTraceStore* store_;
-  LiveDfgOptions options_;
+  /// The cold-build options these LiveDfgOptions mirror, serial.
+  DfgOptions options_;
   mutable std::mutex mu_;
-  /// Live intern table: first-seen record order. snapshot() re-keys onto
-  /// sorted-name order, so this order never leaks into results.
-  std::vector<std::string> names_;
-  std::unordered_map<std::string, trace::StrId> name_index_;
-  std::map<int, RankDfg> ranks_;
-  std::map<int, SeqEvent> last_by_rank_;
-  long long folded_ = 0;
+  DfgMerge merge_;
 };
 
 /// Attach incremental DFG maintenance to a store (the opt-in entry point).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <set>
-#include <thread>
 
 #include "analysis/store_manifest.h"
 #include "trace/scan_kernels.h"
@@ -12,7 +11,6 @@
 #include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 
 namespace iotaxo::analysis {
 
@@ -54,33 +52,15 @@ StoreMetrics& metrics() {
   return m;
 }
 
-// Queries dispatch each pool onto the public accessor seam declared in
-// unified_store.h (BatchAccess over an owned EventBatch, BlockAccess over a
-// lazily-decoded IOTB3 BlockView) exactly once, so the per-record loops
-// below stay monomorphized. Scans walk the accessor's *segments* (whole
-// pool for owned pools, one per block for block pools): each segment
-// carries skip predicates from its index and, when the records are
-// serialized, raw fixed-stride bytes the SIMD scan kernels run over.
-
-template <class Fn>
-decltype(auto) with_access(const trace::EventBatch& batch,
-                           const std::optional<trace::BlockView>& blocks,
-                           Fn&& fn) {
-  if (blocks.has_value()) {
-    return fn(BlockAccess{&*blocks});
-  }
-  return fn(BatchAccess{&batch});
-}
-
 /// Transfer-syscall test against the pool's cached ids (PoolIndex); id 0
 /// (the empty string) marks "not interned in this pool" because no event
-/// has an empty name.
-[[nodiscard]] bool is_transfer(const trace::EventRecord& rec,
-                               trace::StrId sys_write,
+/// has an empty name. `rec` is any ScanRows::for_each record.
+template <class Rec>
+[[nodiscard]] bool is_transfer(const Rec& rec, trace::StrId sys_write,
                                trace::StrId sys_read) noexcept {
-  return rec.cls == trace::EventClass::kSyscall &&
-         ((sys_write != 0 && rec.name == sys_write) ||
-          (sys_read != 0 && rec.name == sys_read));
+  return rec.cls() == trace::EventClass::kSyscall &&
+         ((sys_write != 0 && rec.name() == sys_write) ||
+          (sys_read != 0 && rec.name() == sys_read));
 }
 
 [[nodiscard]] StoreSourceInfo parse_source_info(
@@ -135,14 +115,7 @@ void UnifiedTraceStore::index_pool(StorePool& pool) {
     std::vector<std::uint8_t> names((v.string_count() + 7) / 8, 0);
     const std::size_t nblocks = v.block_count();
     for (std::size_t b = 0; b < nblocks; ++b) {
-      if (!idx.any) {
-        idx.min_time = v.block_min_time(b);
-        idx.max_time = v.block_max_time(b);
-        idx.any = true;
-      } else {
-        idx.min_time = std::min(idx.min_time, v.block_min_time(b));
-        idx.max_time = std::max(idx.max_time, v.block_max_time(b));
-      }
+      idx.widen(v.block_min_time(b), v.block_max_time(b));
       idx.has_fd_path = idx.has_fd_path || v.block_has_fd_path(b);
       idx.has_io_bytes = idx.has_io_bytes || v.block_has_io_bytes(b);
       const std::span<const std::uint8_t> bitmap = v.block_name_bitmap(b);
@@ -171,13 +144,7 @@ void UnifiedTraceStore::fold_index_records(PoolIndex& idx,
   for (std::size_t i = begin; i < end; ++i) {
     const trace::EventRecord& rec = batch.record(i);
     idx.name_present[rec.name] = true;
-    if (!idx.any) {
-      idx.min_time = idx.max_time = rec.local_start;
-      idx.any = true;
-    } else {
-      idx.min_time = std::min(idx.min_time, rec.local_start);
-      idx.max_time = std::max(idx.max_time, rec.local_start);
-    }
+    idx.widen(rec.local_start, rec.local_start);
     if (rec.path != 0 && rec.fd >= 0) {
       idx.has_fd_path = true;
     }
@@ -218,51 +185,93 @@ std::size_t UnifiedTraceStore::ingest_source(
   }
   // Any non-absorbing ingest closes the open era first, so it stays the
   // last pool and pool order stays source order.
-  seal_open_era();
-  info.events = static_cast<long long>(batch.size());
+  const bool sealed_era = seal_open_era();
+  StorePool pool;
+  pool.batch = std::move(batch);
+  return file_pool(std::move(pool), std::move(info), dependencies,
+                   sealed_era);
+}
+
+std::size_t UnifiedTraceStore::add_source(
+    StoreSourceInfo info, std::size_t events,
+    const std::vector<trace::DependencyEdge>& dependencies) {
+  info.events = static_cast<long long>(events);
   total_events_ += info.events;
   dependencies_.insert(dependencies_.end(), dependencies.begin(),
                        dependencies.end());
-  const std::size_t source_index = sources_.size();
   sources_.push_back(std::move(info));
-  StorePool pool;
-  pool.batch = std::move(batch);
-  pool.first_source = source_index;
+  return sources_.size() - 1;
+}
+
+void UnifiedTraceStore::drop_source(std::size_t dependencies) {
+  total_events_ -= sources_.back().events;
+  sources_.pop_back();
+  dependencies_.resize(dependencies_.size() - dependencies);
+}
+
+std::size_t UnifiedTraceStore::file_pool(
+    StorePool pool, StoreSourceInfo info,
+    const std::vector<trace::DependencyEdge>& dependencies, bool sealed_era) {
+  const std::size_t records =
+      pool.blocks.has_value() ? pool.blocks->size() : pool.batch.size();
+  pool.first_source = add_source(std::move(info), records, dependencies);
   index_pool(pool);
   pools_.push_back(std::move(pool));
-  notify_ingest(pools_.size() - 1, 0, pools_.back().batch.size());
-  return source_index;
+  try {
+    notify_ingest(pools_.size() - 1, 0, records);
+  } catch (...) {
+    pools_.pop_back();
+    if (sealed_era) {
+      pools_.back().open = true;
+    }
+    drop_source(dependencies.size());
+    throw;
+  }
+  return pools_.back().first_source;
 }
 
 std::size_t UnifiedTraceStore::stream_append(
     StoreSourceInfo info, trace::EventBatch batch,
     const std::vector<trace::DependencyEdge>& dependencies) {
-  info.events = static_cast<long long>(batch.size());
-  total_events_ += info.events;
-  dependencies_.insert(dependencies_.end(), dependencies.begin(),
-                       dependencies.end());
-  const std::size_t source_index = sources_.size();
-  sources_.push_back(std::move(info));
+  std::size_t source_index = 0;
   if (pools_.empty() || !pools_.back().open) {
     StorePool pool;
     pool.batch = std::move(batch);
-    pool.first_source = source_index;
     pool.open = true;
     pool.flushes = 1;
-    index_pool(pool);
-    pools_.push_back(std::move(pool));
-    notify_ingest(pools_.size() - 1, 0, pools_.back().batch.size());
+    source_index = file_pool(std::move(pool), std::move(info), dependencies,
+                             /*sealed_era=*/false);
   } else {
     // Appending re-interns string ids, exactly as compact() merging these
     // pools later would have — which is why era-ingested stores answer
     // every query bit-identically to one-pool-per-flush stores.
     StorePool& pool = pools_.back();
     const std::size_t old_size = pool.batch.size();
+    const std::size_t old_strings = pool.batch.pool().size();
+    source_index = add_source(std::move(info), batch.size(), dependencies);
     pool.batch.append(batch);
     pool.source_count += 1;
     pool.flushes += 1;
     extend_open_index(pool, old_size, pool.batch.size());
-    notify_ingest(pools_.size() - 1, old_size, pool.batch.size());
+    try {
+      notify_ingest(pools_.size() - 1, old_size, pool.batch.size());
+    } catch (...) {
+      // Rebuild the era as it stood before the append. Strings re-intern
+      // in id order, so every id keeps its value.
+      trace::EventBatch before;
+      for (trace::StrId id = 0; id < old_strings; ++id) {
+        (void)before.pool().intern(pool.batch.pool().view(id));
+      }
+      for (std::size_t i = 0; i < old_size; ++i) {
+        before.append_raw(pool.batch.record(i), pool.batch.args(i));
+      }
+      pool.batch = std::move(before);
+      pool.source_count -= 1;
+      pool.flushes -= 1;
+      index_pool(pool);
+      drop_source(dependencies.size());
+      throw;
+    }
   }
   const StorePool& era = pools_.back();
   if (approx_batch_bytes(era.batch) >= stream_->era_bytes ||
@@ -356,25 +365,14 @@ std::size_t UnifiedTraceStore::ingest_view(
     trace::EventBatch batch = view.to_batch();
     return stream_append(parse_source_info(metadata), std::move(batch), {});
   }
-  seal_open_era();
+  const bool sealed_era = seal_open_era();
   StorePool pool;
   pool.blocks.emplace(std::move(view));
   pool.file = std::move(file);
-
   StoreSourceInfo info = parse_source_info(metadata);
-  info.events = static_cast<long long>(pool.blocks->size());
   info.view_backed = true;
-  total_events_ += info.events;
-
-  const std::size_t source_index = sources_.size();
-  pool.first_source = source_index;
-  index_pool(pool);
   metrics().index_adopted.add(1);  // built from the footer, no block decoded
-  sources_.push_back(std::move(info));
-  pools_.push_back(std::move(pool));
-  notify_ingest(pools_.size() - 1, 0,
-                static_cast<std::size_t>(sources_.back().events));
-  return source_index;
+  return file_pool(std::move(pool), std::move(info), {}, sealed_era);
 }
 
 std::size_t UnifiedTraceStore::ingest_view(
@@ -693,32 +691,6 @@ const trace::EventBatch& UnifiedTraceStore::source_batch(
   return pool.batch;
 }
 
-std::size_t UnifiedTraceStore::resolved_query_threads() const {
-  return query_threads_ == 0
-             ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-             : query_threads_;
-}
-
-std::size_t UnifiedTraceStore::query_chunks() const {
-  return std::max<std::size_t>(
-      std::min(resolved_query_threads(), pools_.size()), 1);
-}
-
-void UnifiedTraceStore::for_each_pool_chunk(
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn)
-    const {
-  const std::size_t n = pools_.size();
-  const std::size_t chunks = query_chunks();
-  if (chunks <= 1) {
-    fn(0, 0, n);
-    return;
-  }
-  parallel_for(
-      chunks,
-      [&](std::size_t c) { fn(c, n * c / chunks, n * (c + 1) / chunks); },
-      chunks);
-}
-
 void UnifiedTraceStore::note_damage(std::uint64_t records) const noexcept {
   damage_->blocks.fetch_add(1, std::memory_order_relaxed);
   damage_->records.fetch_add(records, std::memory_order_relaxed);
@@ -726,92 +698,63 @@ void UnifiedTraceStore::note_damage(std::uint64_t records) const noexcept {
   metrics().damage_records.add(records);
 }
 
+void UnifiedTraceStore::note_scan(std::size_t pools_skipped,
+                                  std::size_t segments_scanned,
+                                  std::size_t segments_skipped) const noexcept {
+  metrics().pools_skipped.add(pools_skipped);
+  metrics().segments_scanned.add(segments_scanned);
+  metrics().segments_skipped.add(segments_skipped);
+}
+
 std::map<std::string, CallStats> UnifiedTraceStore::call_stats() const {
   metrics().queries.add(1);
   const obs::ScopedTimer query_timer(metrics().call_stats_ns);
-  // Per-worker partials, merged in chunk (== pool == source) order: sums
-  // commute, so the result matches the serial single-map scan exactly.
-  const std::size_t chunks = query_chunks();
-  std::vector<std::map<std::string, CallStats>> partials(chunks);
-  for_each_pool_chunk([&](std::size_t c, std::size_t begin, std::size_t end) {
-    std::map<std::string, CallStats>& stats = partials[c];
-    std::vector<trace::scan::CallAccum> rows;
-    for (std::size_t s = begin; s < end; ++s) {
-      const StorePool& pool = pools_[s];
-      if (use_indexes_ && !pool.index.any) {
-        metrics().pools_skipped.add(1);
-        continue;
-      }
-      with_access(pool.batch, pool.blocks, [&](const auto& acc) {
-        // Accumulate per string id into a flat row table (the SIMD kernel's
-        // scatter target), then fold the touched rows into the name map —
-        // one map lookup per distinct name per pool.
+  struct Partial {
+    std::map<std::string, CallStats> stats;
+    std::vector<trace::scan::CallAccum> rows;  // reused across the pools
+  };
+  const auto partials = scan_pools(
+      ScanPredicate{}, query_threads_, Partial{},
+      [](Partial& part, std::size_t, const auto& acc, auto&& segments) {
+        // Accumulate per string id into a flat row table (the SIMD
+        // kernel's scatter target), then fold the touched rows into the
+        // name map — one map lookup per distinct name per pool.
+        std::vector<trace::scan::CallAccum>& rows = part.rows;
         rows.assign(acc.string_count(), trace::scan::CallAccum{});
-        const std::size_t segments = acc.segment_count();
-        // Every segment is touched; decode them block-parallel up front on
-        // the leftover thread budget. Call stats read only hot columns, so
-        // projected pools decode (and decrypt) just the hot group.
-        std::vector<std::size_t> touched;
-        touched.reserve(segments);
-        for (std::size_t k = 0; k < segments; ++k) {
-          if (acc.segment_begin(k) != acc.segment_end(k)) {
-            touched.push_back(k);
-          }
-        }
-        metrics().segments_scanned.add(touched.size());
-        acc.segment_prefetch(touched, prefetch_threads(), /*hot_only=*/true);
-        for (const std::size_t k : touched) {
-          const std::size_t seg_begin = acc.segment_begin(k);
-          const std::size_t seg_end = acc.segment_end(k);
-          // Segment decode is all-or-nothing: a damaged block throws
-          // before a single record accumulates, so skipping it under
-          // skip_damaged drops exactly that segment's records.
-          try {
-            const std::uint8_t* hot = acc.segment_hot_bytes(k);
-            if (hot != nullptr) {
-              trace::scan::accumulate_call_stats_hot(hot, seg_end - seg_begin,
-                                                     rows.data());
-              continue;
-            }
-            const std::uint8_t* raw = acc.segment_record_bytes(k);
-            if (raw != nullptr) {
-              trace::scan::accumulate_call_stats(raw, seg_end - seg_begin,
-                                                 rows.data());
-              continue;
-            }
-            for (std::size_t i = seg_begin; i < seg_end; ++i) {
-              const auto& rec = acc.record(i);
-              trace::scan::CallAccum& row = rows[rec.name];
+        segments([&](const auto& s) {
+          if (s.hot != nullptr) {
+            trace::scan::accumulate_call_stats_hot(s.hot, s.size(),
+                                                   rows.data());
+          } else if (s.raw != nullptr) {
+            trace::scan::accumulate_call_stats(s.raw, s.size(), rows.data());
+          } else {
+            s.for_each([&](const auto& rec) {
+              trace::scan::CallAccum& row = rows[rec.name()];
               ++row.count;
-              row.time += rec.duration;
+              row.time += rec.duration();
               if (rec.is_io_call()) {
-                row.bytes += rec.bytes;
+                row.bytes += rec.bytes();
               }
-            }
-          } catch (const FormatError&) {
-            if (!scan_policy_.skip_damaged) {
-              throw;
-            }
-            note_damage(seg_end - seg_begin);
+            });
           }
-        }
+        });
         for (std::size_t id = 0; id < rows.size(); ++id) {
           const trace::scan::CallAccum& row = rows[id];
           if (row.count == 0) {
             continue;
           }
-          CallStats& slot =
-              stats[std::string(acc.string(static_cast<trace::StrId>(id)))];
+          CallStats& slot = part.stats[std::string(
+              acc.string(static_cast<trace::StrId>(id)))];
           slot.count += row.count;
           slot.total_time += row.time;
           slot.total_bytes += row.bytes;
         }
       });
-    }
-  });
+  // Sums commute, so merging the chunk partials matches the serial
+  // single-map scan exactly.
   std::map<std::string, CallStats> stats;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    for (const auto& [name, s] : partials[c]) {
+  for (const Partial& partial : partials) {
+    for (const auto& [name, s] : partial.stats) {
       CallStats& merged = stats[name];
       merged.count += s.count;
       merged.total_time += s.total_time;
@@ -825,44 +768,28 @@ std::vector<trace::TraceEvent> UnifiedTraceStore::rank_timeline(
     int rank) const {
   metrics().queries.add(1);
   const obs::ScopedTimer query_timer(metrics().rank_timeline_ns);
-  std::vector<trace::TraceEvent> out;
-  for (const StorePool& pool : pools_) {
-    with_access(pool.batch, pool.blocks, [&](const auto& acc) {
-      const std::size_t segments = acc.segment_count();
-      // materialize() reads every column, so prefetch full records; the
-      // pool walk itself is serial, so the whole thread budget applies.
-      std::vector<std::size_t> touched;
-      touched.reserve(segments);
-      for (std::size_t k = 0; k < segments; ++k) {
-        if (acc.segment_begin(k) != acc.segment_end(k)) {
-          touched.push_back(k);
-        }
-      }
-      metrics().segments_scanned.add(touched.size());
-      acc.segment_prefetch(touched, resolved_query_threads(),
-                           /*hot_only=*/false);
-      for (std::size_t k = 0; k < segments; ++k) {
-        const std::size_t seg_begin = acc.segment_begin(k);
-        const std::size_t seg_end = acc.segment_end(k);
-        std::uint32_t args_begin = acc.segment_args_begin(k);
-        // A damaged segment throws on its first record (decode precedes
-        // access), so no partial segment ever lands in `out`.
-        try {
-          for (std::size_t i = seg_begin; i < seg_end; ++i) {
-            const auto& rec = acc.record(i);
+  // materialize() reads every column, so the scan needs whole records.
+  ScanPredicate pred;
+  pred.hot_only = false;
+  auto partials = scan_pools(
+      pred, query_threads_, std::vector<trace::TraceEvent>{},
+      [rank](auto& out, std::size_t, const auto&, auto&& segments) {
+        segments([&](const auto& s) {
+          std::uint32_t args_begin = s.acc.segment_args_begin(s.segment);
+          for (std::size_t i = s.begin; i < s.end; ++i) {
+            const auto& rec = s.acc.record(i);
             if (rec.rank == rank) {
-              out.push_back(acc.materialize(i, args_begin));
+              out.push_back(s.acc.materialize(i, args_begin));
             }
             args_begin += rec.args_count;
           }
-        } catch (const FormatError&) {
-          if (!scan_policy_.skip_damaged) {
-            throw;
-          }
-          note_damage(seg_end - seg_begin);
-        }
-      }
-    });
+        });
+      });
+  // Joined in pool order, the chunks are exactly the serial scan's output.
+  std::vector<trace::TraceEvent> out = std::move(partials.front());
+  for (std::size_t c = 1; c < partials.size(); ++c) {
+    out.insert(out.end(), std::make_move_iterator(partials[c].begin()),
+               std::make_move_iterator(partials[c].end()));
   }
   std::sort(out.begin(), out.end(),
             [](const trace::TraceEvent& a, const trace::TraceEvent& b) {
@@ -874,84 +801,31 @@ std::vector<trace::TraceEvent> UnifiedTraceStore::rank_timeline(
 Bytes UnifiedTraceStore::bytes_in_window(SimTime begin, SimTime end) const {
   metrics().queries.add(1);
   const obs::ScopedTimer query_timer(metrics().bytes_in_window_ns);
-  std::vector<Bytes> partials(query_chunks(), 0);
-  for_each_pool_chunk(
-      [&](std::size_t c, std::size_t chunk_begin, std::size_t chunk_end) {
-        Bytes total = 0;
-        for (std::size_t s = chunk_begin; s < chunk_end; ++s) {
-          const StorePool& pool = pools_[s];
-          if (use_indexes_ &&
-              (!pool.index.any || pool.index.max_time < begin ||
-               pool.index.min_time >= end)) {
-            metrics().pools_skipped.add(1);
-            continue;  // no record can fall inside the window
+  ScanPredicate pred;
+  pred.window = ScanPredicate::Window{begin, end};
+  pred.transfer = true;
+  const auto partials = scan_pools(
+      pred, query_threads_, Bytes{0},
+      [&](Bytes& total, std::size_t p, const auto&, auto&& segments) {
+        const PoolIndex& idx = pools_[p].index;
+        segments([&](const auto& s) {
+          if (s.hot != nullptr) {
+            total += trace::scan::sum_transfer_bytes_in_window_hot(
+                s.hot, s.size(), idx.sys_write_id, idx.sys_read_id, begin,
+                end);
+          } else if (s.raw != nullptr) {
+            total += trace::scan::sum_transfer_bytes_in_window(
+                s.raw, s.size(), idx.sys_write_id, idx.sys_read_id, begin,
+                end);
+          } else {
+            s.for_each([&](const auto& rec) {
+              if (is_transfer(rec, idx.sys_write_id, idx.sys_read_id) &&
+                  rec.local_start() >= begin && rec.local_start() < end) {
+                total += rec.bytes();
+              }
+            });
           }
-          const PoolIndex& idx = pool.index;
-          if (use_indexes_ && !idx.has_name(idx.sys_write_id) &&
-              !idx.has_name(idx.sys_read_id)) {
-            metrics().pools_skipped.add(1);
-            continue;  // neither transfer call appears as a record name
-          }
-          with_access(pool.batch, pool.blocks,
-                      [&](const auto& acc) {
-            const std::size_t segments = acc.segment_count();
-            // Index-skip first, then decode the surviving blocks in
-            // parallel. The window sum reads only hot columns, so
-            // projected pools decode a fraction of their stored bytes.
-            std::vector<std::size_t> touched;
-            touched.reserve(segments);
-            std::size_t index_skipped = 0;
-            for (std::size_t k = 0; k < segments; ++k) {
-              if (use_indexes_ &&
-                  (!acc.segment_overlaps(k, begin, end) ||
-                   (!acc.segment_has_name(k, idx.sys_write_id) &&
-                    !acc.segment_has_name(k, idx.sys_read_id)))) {
-                ++index_skipped;
-                continue;  // skipped blocks stay compressed on disk
-              }
-              if (acc.segment_begin(k) != acc.segment_end(k)) {
-                touched.push_back(k);
-              }
-            }
-            metrics().segments_scanned.add(touched.size());
-            metrics().segments_skipped.add(index_skipped);
-            acc.segment_prefetch(touched, prefetch_threads(),
-                                 /*hot_only=*/true);
-            for (const std::size_t k : touched) {
-              const std::size_t seg_begin = acc.segment_begin(k);
-              const std::size_t seg_end = acc.segment_end(k);
-              try {
-                const std::uint8_t* hot = acc.segment_hot_bytes(k);
-                if (hot != nullptr) {
-                  total += trace::scan::sum_transfer_bytes_in_window_hot(
-                      hot, seg_end - seg_begin, idx.sys_write_id,
-                      idx.sys_read_id, begin, end);
-                  continue;
-                }
-                const std::uint8_t* raw = acc.segment_record_bytes(k);
-                if (raw != nullptr) {
-                  total += trace::scan::sum_transfer_bytes_in_window(
-                      raw, seg_end - seg_begin, idx.sys_write_id,
-                      idx.sys_read_id, begin, end);
-                  continue;
-                }
-                for (std::size_t i = seg_begin; i < seg_end; ++i) {
-                  const auto& rec = acc.record(i);
-                  if (is_transfer(rec, idx.sys_write_id, idx.sys_read_id) &&
-                      rec.local_start >= begin && rec.local_start < end) {
-                    total += rec.bytes;
-                  }
-                }
-              } catch (const FormatError&) {
-                if (!scan_policy_.skip_damaged) {
-                  throw;
-                }
-                note_damage(seg_end - seg_begin);
-              }
-            }
-          });
-        }
-        partials[c] = total;
+        });
       });
   Bytes total = 0;
   for (const Bytes b : partials) {
@@ -968,186 +842,44 @@ std::vector<std::pair<SimTime, Bytes>> UnifiedTraceStore::io_rate_series(
   if (total_events_ == 0 || bucket_width <= 0) {
     return series;
   }
-  bool any = false;
-  SimTime lo = 0;
-  SimTime hi = 0;
-  if (use_indexes_) {
-    // The pool indexes already hold each pool's min/max corrected stamp —
-    // the whole span phase collapses to a pool-count loop.
-    for (const StorePool& pool : pools_) {
-      if (!pool.index.any) {
-        continue;
-      }
-      lo = any ? std::min(lo, pool.index.min_time) : pool.index.min_time;
-      hi = any ? std::max(hi, pool.index.max_time) : pool.index.max_time;
-      any = true;
-    }
-  } else {
-    struct Span {
-      bool any = false;
-      SimTime lo = 0;
-      SimTime hi = 0;
-    };
-    std::vector<Span> spans(query_chunks());
-    for_each_pool_chunk(
-        [&](std::size_t c, std::size_t chunk_begin, std::size_t chunk_end) {
-          Span& span = spans[c];
-          const auto fold = [&span](SimTime seg_lo, SimTime seg_hi) {
-            if (!span.any) {
-              span.lo = seg_lo;
-              span.hi = seg_hi;
-              span.any = true;
-            } else {
-              span.lo = std::min(span.lo, seg_lo);
-              span.hi = std::max(span.hi, seg_hi);
-            }
-          };
-          for (std::size_t s = chunk_begin; s < chunk_end; ++s) {
-            const StorePool& pool = pools_[s];
-            with_access(pool.batch, pool.blocks,
-                        [&](const auto& acc) {
-              const std::size_t segments = acc.segment_count();
-              for (std::size_t k = 0; k < segments; ++k) {
-                const std::size_t seg_begin = acc.segment_begin(k);
-                const std::size_t seg_end = acc.segment_end(k);
-                if (seg_begin == seg_end) {
-                  continue;
-                }
-                SimTime seg_lo = 0;
-                SimTime seg_hi = 0;
-                // Block-backed segments carry exact stamp bounds in the
-                // footer mini-index — fold those instead of decompressing
-                // (and CRC-verifying) whole cold blocks just for a span.
-                if (acc.segment_stamp_bounds(k, &seg_lo, &seg_hi)) {
-                  fold(seg_lo, seg_hi);
-                  continue;
-                }
-                // Damage here is skipped but not counted: the bucket
-                // phase below touches the same segment and counts it,
-                // keeping one skip per query.
-                try {
-                  const std::uint8_t* raw = acc.segment_record_bytes(k);
-                  if (raw != nullptr) {
-                    trace::scan::minmax_stamps(raw, seg_end - seg_begin,
-                                               &seg_lo, &seg_hi);
-                    fold(seg_lo, seg_hi);
-                    continue;
-                  }
-                  for (std::size_t i = seg_begin; i < seg_end; ++i) {
-                    const SimTime t = acc.record(i).local_start;
-                    fold(t, t);
-                  }
-                } catch (const FormatError&) {
-                  if (!scan_policy_.skip_damaged) {
-                    throw;
-                  }
-                }
-              }
-            });
-          }
-        });
-    for (const Span& span : spans) {
-      if (!span.any) {
-        continue;
-      }
-      lo = any ? std::min(lo, span.lo) : span.lo;
-      hi = any ? std::max(hi, span.hi) : span.hi;
-      any = true;
+  // The pool indexes hold each pool's exact min/max corrected stamp (a
+  // record fold for owned pools, the footer bounds for block pools), so
+  // the span never touches a record.
+  PoolIndex span;
+  for (const StorePool& pool : pools_) {
+    if (pool.index.any) {
+      span.widen(pool.index.min_time, pool.index.max_time);
     }
   }
-  if (!any) {
+  if (!span.any) {
     return series;
   }
+  const SimTime lo = span.min_time;
   // One buckets-length partial per worker chunk (not per pool), so peak
   // memory stays bounded by thread count even for fine buckets over many
   // pools; bucket additions commute, so the merge is exact.
-  const auto buckets = static_cast<std::size_t>((hi - lo) / bucket_width) + 1;
-  const std::size_t chunks = query_chunks();
-  std::vector<std::vector<Bytes>> partial_sums(chunks);
-  for_each_pool_chunk(
-      [&](std::size_t c, std::size_t chunk_begin, std::size_t chunk_end) {
-        std::vector<Bytes>& sums = partial_sums[c];
-        sums.assign(buckets, 0);
-        for (std::size_t s = chunk_begin; s < chunk_end; ++s) {
-          const StorePool& pool = pools_[s];
-          if (use_indexes_ && !pool.index.any) {
-            metrics().pools_skipped.add(1);
-            continue;
-          }
-          const PoolIndex& idx = pool.index;
-          if (use_indexes_ && !idx.has_name(idx.sys_write_id) &&
-              !idx.has_name(idx.sys_read_id)) {
-            metrics().pools_skipped.add(1);
-            continue;
-          }
-          with_access(pool.batch, pool.blocks,
-                      [&](const auto& acc) {
-            const std::size_t segments = acc.segment_count();
-            std::vector<std::size_t> touched;
-            touched.reserve(segments);
-            std::size_t index_skipped = 0;
-            for (std::size_t k = 0; k < segments; ++k) {
-              if (use_indexes_ &&
-                  !acc.segment_has_name(k, idx.sys_write_id) &&
-                  !acc.segment_has_name(k, idx.sys_read_id)) {
-                ++index_skipped;
-                continue;
-              }
-              if (acc.segment_begin(k) != acc.segment_end(k)) {
-                touched.push_back(k);
-              }
-            }
-            metrics().segments_scanned.add(touched.size());
-            metrics().segments_skipped.add(index_skipped);
-            // The bucket scatter needs cls/name/start/bytes — all hot
-            // columns — so projected pools run a HotRecordView loop over
-            // the 33-byte stride instead of stitching full records.
-            acc.segment_prefetch(touched, prefetch_threads(),
-                                 /*hot_only=*/true);
-            for (const std::size_t k : touched) {
-              const std::size_t seg_begin = acc.segment_begin(k);
-              const std::size_t seg_end = acc.segment_end(k);
-              try {
-                const std::uint8_t* hot = acc.segment_hot_bytes(k);
-                if (hot != nullptr) {
-                  for (std::size_t i = 0; i < seg_end - seg_begin; ++i) {
-                    const trace::HotRecordView rec(
-                        hot + i * trace::hotlayout::kStride);
-                    const trace::StrId name = rec.name();
-                    if (rec.cls() == trace::EventClass::kSyscall &&
-                        ((idx.sys_write_id != 0 &&
-                          name == idx.sys_write_id) ||
-                         (idx.sys_read_id != 0 && name == idx.sys_read_id))) {
-                      sums[static_cast<std::size_t>((rec.local_start() - lo) /
-                                                    bucket_width)] +=
-                          rec.bytes();
-                    }
-                  }
-                  continue;
-                }
-                for (std::size_t i = seg_begin; i < seg_end; ++i) {
-                  const auto& rec = acc.record(i);
-                  if (is_transfer(rec, idx.sys_write_id, idx.sys_read_id)) {
-                    sums[static_cast<std::size_t>((rec.local_start - lo) /
-                                                  bucket_width)] += rec.bytes;
-                  }
-                }
-              } catch (const FormatError&) {
-                if (!scan_policy_.skip_damaged) {
-                  throw;
-                }
-                note_damage(seg_end - seg_begin);
-              }
+  const auto buckets =
+      static_cast<std::size_t>((span.max_time - lo) / bucket_width) + 1;
+  ScanPredicate pred;
+  pred.transfer = true;
+  const auto partials = scan_pools(
+      pred, query_threads_, std::vector<Bytes>(buckets, 0),
+      [&](std::vector<Bytes>& sums, std::size_t p, const auto&,
+          auto&& segments) {
+        const PoolIndex& idx = pools_[p].index;
+        segments([&](const auto& s) {
+          s.for_each([&](const auto& rec) {
+            if (is_transfer(rec, idx.sys_write_id, idx.sys_read_id)) {
+              sums[static_cast<std::size_t>((rec.local_start() - lo) /
+                                            bucket_width)] += rec.bytes();
             }
           });
-        }
+        });
       });
   std::vector<Bytes> sums(buckets, 0);
-  for (const std::vector<Bytes>& partial : partial_sums) {
-    if (!partial.empty()) {
-      for (std::size_t i = 0; i < buckets; ++i) {
-        sums[i] += partial[i];
-      }
+  for (const std::vector<Bytes>& partial : partials) {
+    for (std::size_t i = 0; i < buckets; ++i) {
+      sums[i] += partial[i];
     }
   }
   series.reserve(buckets);
@@ -1165,6 +897,11 @@ std::vector<FileHeat> UnifiedTraceStore::hottest_files(
     long long ops = 0;
     Bytes lib_bytes = 0;
     Bytes lower_bytes = 0;  // syscall + VFS views of the same transfers
+
+    void add(bool lib, Bytes bytes) {
+      ++ops;
+      (lib ? lib_bytes : lower_bytes) += bytes;
+    }
   };
   // The best-effort fd -> path map threads serially through the pools (an
   // fd opened in pool k resolves path-less transfers in pool k+1), so the
@@ -1184,122 +921,71 @@ std::vector<FileHeat> UnifiedTraceStore::hottest_files(
     };
     std::vector<Unresolved> unresolved;
   };
-  // Unlike the bucket scans, the partials here must stay per-pool (the
-  // serial fold below needs each pool's fd delta separately); they hold
-  // only what the pool actually references, so that stays cheap.
-  std::vector<PoolScan> scans(pools_.size());
-  for_each_pool_chunk([&](std::size_t, std::size_t chunk_begin,
-                          std::size_t chunk_end) {
-    for (std::size_t s = chunk_begin; s < chunk_end; ++s) {
-      const StorePool& pool = pools_[s];
-      // A pool with neither fd/path records nor byte-moving I/O calls
-      // contributes no tallies, no fd deltas and no unresolved transfers.
-      if (use_indexes_ && !pool.index.has_fd_path &&
-          !pool.index.has_io_bytes) {
-        metrics().pools_skipped.add(1);
-        continue;
-      }
-      PoolScan& scan = scans[s];
-      with_access(pool.batch, pool.blocks, [&](const auto& acc) {
-        const std::size_t segments = acc.segment_count();
-        std::vector<std::size_t> touched;
-        touched.reserve(segments);
-        std::size_t index_skipped = 0;
-        for (std::size_t k = 0; k < segments; ++k) {
-          // The pool-level skip, per block: such a segment writes no fd
-          // delta and contributes no transfers, so skipping it leaves the
-          // serial fold's state untouched.
-          if (use_indexes_ && !acc.segment_has_fd_path(k) &&
-              !acc.segment_has_io_bytes(k)) {
-            ++index_skipped;
-            continue;
-          }
-          if (acc.segment_begin(k) != acc.segment_end(k)) {
-            touched.push_back(k);
-          }
-        }
-        metrics().segments_scanned.add(touched.size());
-        metrics().segments_skipped.add(index_skipped);
-        // Paths and fds live in the cold column group, so this scan needs
-        // full records — prefetch decodes (and stitches) them in parallel.
-        acc.segment_prefetch(touched, prefetch_threads(),
-                             /*hot_only=*/false);
-        for (const std::size_t k : touched) {
-          const std::size_t seg_begin = acc.segment_begin(k);
-          const std::size_t seg_end = acc.segment_end(k);
-          // First-record decode failure precedes any fd-delta or tally
-          // write, so a skipped segment leaves the serial fold's carried
-          // state exactly as if the segment were index-skipped.
-          try {
-            for (std::size_t i = seg_begin; i < seg_end; ++i) {
-              const auto& rec = acc.record(i);
-              const std::string_view rec_path =
-                  rec.path == 0 ? std::string_view{} : acc.path(i);
-              if (!rec_path.empty() && rec.fd >= 0) {
-                scan.fd_delta[rec.fd] = std::string(rec_path);
-              }
-              if (!rec.is_io_call() || rec.bytes <= 0) {
+  // Unlike the bucket scans, the partials here stay per pool (the serial
+  // fold below needs each pool's fd delta separately); they hold only what
+  // the pool actually references, so that stays cheap. A pool or segment
+  // with neither fd/path records nor byte-moving I/O calls writes no fd
+  // delta and no transfer, so skipping it leaves the fold's state as is.
+  // Paths and fds live in the cold column group: whole records.
+  ScanPredicate pred;
+  pred.fd_path_or_io_bytes = true;
+  pred.hot_only = false;
+  auto partials = scan_pools(
+      pred, query_threads_, std::vector<PoolScan>{},
+      [](auto& pool_scans, std::size_t, const auto&, auto&& segments) {
+        PoolScan& scan = pool_scans.emplace_back();
+        segments([&](const auto& s) {
+          for (std::size_t i = s.begin; i < s.end; ++i) {
+            const auto& rec = s.acc.record(i);
+            const std::string_view rec_path =
+                rec.path == 0 ? std::string_view{} : s.acc.path(i);
+            if (!rec_path.empty() && rec.fd >= 0) {
+              scan.fd_delta[rec.fd] = std::string(rec_path);
+            }
+            if (!rec.is_io_call() || rec.bytes <= 0) {
+              continue;
+            }
+            const bool lib = rec.cls == trace::EventClass::kLibraryCall;
+            std::string path(rec_path);
+            if (path.empty() && rec.fd >= 0) {
+              const auto it = scan.fd_delta.find(rec.fd);
+              if (it == scan.fd_delta.end()) {
+                scan.unresolved.push_back({rec.fd, lib, rec.bytes});
                 continue;
               }
-              const bool lib = rec.cls == trace::EventClass::kLibraryCall;
-              std::string path(rec_path);
-              if (path.empty() && rec.fd >= 0) {
-                const auto it = scan.fd_delta.find(rec.fd);
-                if (it == scan.fd_delta.end()) {
-                  scan.unresolved.push_back({rec.fd, lib, rec.bytes});
-                  continue;
-                }
-                path = it->second;
-              }
-              if (path.empty()) {
-                path = "(unknown)";
-              }
-              Tally& tally = scan.by_path[path];
-              ++tally.ops;
-              // Library wrappers and the syscalls beneath them report the
-              // same transfer; take whichever view saw more (captures
-              // lib-only traces like //TRACE's without double counting
-              // ltrace's dual view).
-              if (lib) {
-                tally.lib_bytes += rec.bytes;
-              } else {
-                tally.lower_bytes += rec.bytes;
-              }
-          }
-          } catch (const FormatError&) {
-            if (!scan_policy_.skip_damaged) {
-              throw;
+              path = it->second;
             }
-            note_damage(seg_end - seg_begin);
+            if (path.empty()) {
+              path = "(unknown)";
+            }
+            // Library wrappers and the syscalls beneath them report the
+            // same transfer; the views are tallied apart and the larger
+            // wins (captures lib-only traces like //TRACE's without double
+            // counting ltrace's dual view).
+            scan.by_path[path].add(lib, rec.bytes);
           }
-        }
+        });
       });
-    }
-  });
 
   std::map<std::string, Tally> by_path;
   std::map<int, std::string> carried;  // fd -> path state across pools
-  for (PoolScan& scan : scans) {
-    for (const PoolScan::Unresolved& u : scan.unresolved) {
-      const auto it = carried.find(u.fd);
-      const std::string path =
-          it == carried.end() ? std::string("(unknown)") : it->second;
-      Tally& tally = scan.by_path[path];
-      ++tally.ops;
-      if (u.lib) {
-        tally.lib_bytes += u.bytes;
-      } else {
-        tally.lower_bytes += u.bytes;
+  for (std::vector<PoolScan>& pool_scans : partials) {
+    for (PoolScan& scan : pool_scans) {
+      for (const PoolScan::Unresolved& u : scan.unresolved) {
+        const auto it = carried.find(u.fd);
+        const std::string path =
+            it == carried.end() ? std::string("(unknown)") : it->second;
+        scan.by_path[path].add(u.lib, u.bytes);
       }
-    }
-    for (const auto& [path, tally] : scan.by_path) {
-      Tally& merged = by_path[path];
-      merged.ops += tally.ops;
-      merged.lib_bytes += tally.lib_bytes;
-      merged.lower_bytes += tally.lower_bytes;
-    }
-    for (auto& [fd, path] : scan.fd_delta) {
-      carried[fd] = std::move(path);
+      for (const auto& [path, tally] : scan.by_path) {
+        Tally& merged = by_path[path];
+        merged.ops += tally.ops;
+        merged.lib_bytes += tally.lib_bytes;
+        merged.lower_bytes += tally.lower_bytes;
+      }
+      for (auto& [fd, path] : scan.fd_delta) {
+        carried[fd] = std::move(path);
+      }
     }
   }
 

@@ -26,7 +26,7 @@
 // record scan at ingest; block pools take theirs straight from the
 // container footer, so no record is decoded at ingest. Below the pool index
 // sits the *segment* seam: every accessor partitions its records into
-// index-carrying segments (one per owned pool, one per block), and queries
+// index-carrying segments (one per owned pool, one per block), and scans
 // skip or stream segments the same way they skip pools — a narrow window on
 // a compressed era decompresses only the blocks it overlaps. Block segments
 // also expose their decoded records in the fixed stride, which the queries
@@ -39,12 +39,15 @@
 // additionally writes each era out as an IOTB3 file and re-files it as a
 // block pool, so old eras shrink to compressed storage yet stay queryable.
 //
-// Aggregate queries (call_stats, bytes_in_window, io_rate_series,
-// hottest_files) scan pools in parallel when set_query_threads allows:
-// each worker chunk builds a partial and the partials are merged in pool
-// (== source) order, so results are bit-identical to the serial scan.
-// Queries remain const and safe to issue concurrently; ingest, compact and
-// the setters are configuration and must not race with them.
+// Every query (rank_timeline included), the DFG pool pass and the live DFG
+// fold run through one scan driver, scan_pools(), which owns index skips,
+// scan counters, prefetch and damage handling; each caller declares a
+// ScanPredicate and supplies a per-segment kernel plus a merge. Scans run
+// pools in parallel when set_query_threads allows: each worker chunk
+// builds a partial and the partials are merged in pool (== source) order,
+// so results are bit-identical to the serial scan. Queries remain const
+// and safe to issue concurrently; ingest, compact and the setters are
+// configuration and must not race with them.
 #pragma once
 
 #include <algorithm>
@@ -54,6 +57,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/skew_drift.h"
@@ -62,16 +66,19 @@
 #include "trace/bundle.h"
 #include "trace/event_batch.h"
 #include "trace/record_view.h"
+#include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace iotaxo::analysis {
 
-// Every query sees a pool's records through one of two accessors with the
+// Every scan sees a pool's records through one of two accessors with the
 // same shape: BatchAccess over an owned EventBatch, BlockAccess over a
 // lazily-decoded IOTB3 BlockView. Both are cheap value types; the dispatch
 // happens once per pool (UnifiedTraceStore::with_pool_access), so
-// per-record loops stay monomorphized. The seam is public so analysis
-// subsystems that stream pool records themselves (the DFG miner, tools)
-// reuse it instead of materializing batches or growing friend access.
+// per-record loops stay monomorphized. The seam is public so tools that
+// read pool records directly (the CLI's call table) reuse it instead of
+// materializing batches or growing friend access; analysis code scans
+// through UnifiedTraceStore::scan_pools, which walks this seam for it.
 //
 // Besides per-record access, every accessor exposes the *segment* seam:
 // segment_count() index-carrying record ranges (a single whole-pool
@@ -94,9 +101,6 @@ struct BatchAccess {
   [[nodiscard]] const trace::EventRecord& record(std::size_t i) const {
     return b->record(i);
   }
-  [[nodiscard]] std::string_view name(std::size_t i) const {
-    return b->name(i);
-  }
   [[nodiscard]] std::string_view path(std::size_t i) const {
     return b->path(i);
   }
@@ -105,9 +109,6 @@ struct BatchAccess {
   }
   [[nodiscard]] std::string_view string(trace::StrId id) const {
     return b->pool().view(id);
-  }
-  [[nodiscard]] std::optional<trace::StrId> find(std::string_view s) const {
-    return b->pool().find(s);
   }
   /// args_begin is carried by the owned record itself; the parameter keeps
   /// the signature uniform with BlockAccess.
@@ -131,10 +132,6 @@ struct BatchAccess {
   [[nodiscard]] bool segment_overlaps(std::size_t, SimTime,
                                       SimTime) const noexcept {
     return true;
-  }
-  [[nodiscard]] bool segment_stamp_bounds(std::size_t, SimTime*,
-                                          SimTime*) const noexcept {
-    return false;
   }
   [[nodiscard]] bool segment_has_name(std::size_t,
                                       trace::StrId id) const noexcept {
@@ -166,9 +163,6 @@ struct BlockAccess {
   [[nodiscard]] trace::EventRecord record(std::size_t i) const {
     return v->record(i).to_record();
   }
-  [[nodiscard]] std::string_view name(std::size_t i) const {
-    return v->string(v->record(i).name());
-  }
   [[nodiscard]] std::string_view path(std::size_t i) const {
     return v->string(v->record(i).path());
   }
@@ -177,9 +171,6 @@ struct BlockAccess {
   }
   [[nodiscard]] std::string_view string(trace::StrId id) const {
     return v->string(id);
-  }
-  [[nodiscard]] std::optional<trace::StrId> find(std::string_view s) const {
-    return v->find_string(s);
   }
   [[nodiscard]] trace::TraceEvent materialize(std::size_t i,
                                               std::uint32_t args_begin) const {
@@ -208,15 +199,6 @@ struct BlockAccess {
                                       SimTime end) const noexcept {
     return v->block_max_time(k) >= begin && v->block_min_time(k) < end;
   }
-  /// Exact min/max corrected stamp of the segment, straight from the
-  /// footer mini-index — no block is decoded. Only meaningful for
-  /// non-empty segments (the encoder never writes an empty block).
-  [[nodiscard]] bool segment_stamp_bounds(std::size_t k, SimTime* lo,
-                                          SimTime* hi) const noexcept {
-    *lo = v->block_min_time(k);
-    *hi = v->block_max_time(k);
-    return true;
-  }
   [[nodiscard]] bool segment_has_name(std::size_t k,
                                       trace::StrId id) const noexcept {
     return v->block_has_name(k, id);
@@ -235,7 +217,7 @@ struct BlockAccess {
   }
   /// The segment's HOT column group (hotlayout stride) for projected
   /// containers — decodes only that group — or nullptr otherwise (callers
-  /// fall back to segment_record_bytes / per-record loops).
+  /// fall back to segment_record_bytes).
   [[nodiscard]] const std::uint8_t* segment_hot_bytes(std::size_t k) const {
     return v->projected() ? v->hot_bytes(k).data() : nullptr;
   }
@@ -246,6 +228,87 @@ struct BlockAccess {
                         std::size_t threads, bool hot_only) const {
     v->decode_blocks(segs, threads, hot_only);
   }
+};
+
+/// An owned record behind the HotRecordView getters, so one kernel body
+/// compiles for hot columns, serialized records and owned records alike.
+struct RecordFields {
+  const trace::EventRecord& r;
+
+  [[nodiscard]] trace::EventClass cls() const noexcept { return r.cls; }
+  [[nodiscard]] trace::StrId name() const noexcept { return r.name; }
+  [[nodiscard]] std::int32_t rank() const noexcept { return r.rank; }
+  [[nodiscard]] SimTime local_start() const noexcept { return r.local_start; }
+  [[nodiscard]] SimTime duration() const noexcept { return r.duration; }
+  [[nodiscard]] Bytes bytes() const noexcept { return r.bytes; }
+  [[nodiscard]] bool is_io_call() const noexcept { return r.is_io_call(); }
+};
+
+/// One segment's records as the scan driver hands them to a kernel:
+/// records [begin, end) of segment `segment`, read through `acc`. The
+/// driver picks the form: `hot` points at their hot column group
+/// (hotlayout stride) when the scan reads hot columns of a projected pool;
+/// otherwise `raw` points at them serialized whole (v2layout stride) for
+/// block pools; owned pools leave both null.
+template <class Acc>
+struct ScanRows {
+  const Acc& acc;
+  std::size_t segment;
+  std::size_t begin;
+  std::size_t end;
+  const std::uint8_t* hot;
+  const std::uint8_t* raw;
+
+  [[nodiscard]] std::size_t size() const noexcept { return end - begin; }
+
+  /// fn(rec) for each record in order, rec offering the HotRecordView
+  /// getters whichever form the records are in.
+  template <class Fn>
+  void for_each(Fn&& fn) const {
+    if (hot != nullptr) {
+      for (std::size_t j = 0; j < size(); ++j) {
+        fn(trace::HotRecordView(hot + j * trace::hotlayout::kStride));
+      }
+    } else if (raw != nullptr) {
+      for (std::size_t j = 0; j < size(); ++j) {
+        fn(trace::RecordView(raw + j * trace::v2layout::kStride));
+      }
+    } else {
+      for (std::size_t i = begin; i < end; ++i) {
+        fn(RecordFields{acc.record(i)});
+      }
+    }
+  }
+};
+
+/// What a scan reads, and so which pools and segments the driver may skip
+/// by index without changing its answer. Each set field narrows the
+/// records the kernel can use; a pool or segment whose index proves it
+/// holds none of them is skipped (empty pools always are).
+struct ScanPredicate {
+  struct Window {
+    SimTime begin = 0;
+    SimTime end = 0;
+  };
+  /// Only records stamped inside [begin, end) matter.
+  std::optional<Window> window;
+  /// Only SYS_write / SYS_read records matter.
+  bool transfer = false;
+  /// Only records with an fd and a path, or I/O calls that moved bytes,
+  /// matter.
+  bool fd_path_or_io_bytes = false;
+  /// Only I/O calls matter.
+  bool io_call = false;
+  /// The kernel reads hot columns only, so projected pools decode just
+  /// their hot group; false hands the kernel whole records.
+  bool hot_only = true;
+};
+
+/// Restricts a scan to records [begin, end) of one pool.
+struct ScanRange {
+  std::size_t pool = 0;
+  std::size_t begin = 0;
+  std::size_t end = 0;
 };
 
 struct StoreSourceInfo {
@@ -357,17 +420,19 @@ struct StreamIngestOptions {
   std::size_t era_flushes = 0;
 };
 
-/// How queries react to damaged data (sticky per-block decode failures).
+/// How scans react to damaged data (sticky per-block decode failures). It
+/// covers every scan_pools() caller: the five queries, DfgBuilder::build
+/// and the LiveDfg fold.
 struct ScanPolicy {
-  /// Default off: the first touched bad block fails the query (FormatError)
-  /// exactly as before. Opt in to skip damaged segments instead: the query
-  /// completes over everything healthy and the store accumulates
-  /// skipped_blocks / skipped_records (damage_counters(), pool_infos()).
+  /// Default off: the first touched bad block fails the scan (FormatError).
+  /// Opt in to skip damaged segments instead: the scan completes over
+  /// everything healthy and the store accumulates skipped_blocks /
+  /// skipped_records (damage_counters(), pool_infos()).
   bool skip_damaged = false;
 };
 
-/// Cumulative damage skipped by queries since the last reset (only grows
-/// under ScanPolicy::skip_damaged). A segment is counted once per query
+/// Cumulative damage skipped by scans since the last reset (only grows
+/// under ScanPolicy::skip_damaged). A segment is counted once per scan
 /// that skips it, so an uncorrupted twin store always reports {0, 0}.
 struct DamageCounters {
   std::uint64_t skipped_blocks = 0;
@@ -479,9 +544,8 @@ class UnifiedTraceStore {
   [[nodiscard]] std::vector<StorePoolInfo> pool_infos() const;
 
   /// Run fn with pool `p`'s accessor (BatchAccess or BlockAccess): the
-  /// same seam every built-in query scans through, for
-  /// callers that stream pool records themselves. Throws ConfigError on an
-  /// out-of-range pool.
+  /// same seam scan_pools walks, for callers that read pool records
+  /// themselves. Throws ConfigError on an out-of-range pool.
   template <class Fn>
   decltype(auto) with_pool_access(std::size_t p, Fn&& fn) const {
     check_pool_index(p);
@@ -492,7 +556,25 @@ class UnifiedTraceStore {
     return fn(BatchAccess{&pool.batch});
   }
 
-  /// Worker threads aggregate scans may use: 0 = auto (hardware
+  /// The scan driver under every query, the DFG pool pass and the live DFG
+  /// fold. Splits the pools (or just `range`) into contiguous chunks, one
+  /// per thread (`threads` 0 = hardware concurrency), and for every pool
+  /// `pred` does not rule out calls
+  ///   visit(part, pool, acc, segments)
+  /// with the chunk's partial (a copy of `init`) and the pool's accessor.
+  /// visit calls segments(kernel) once; the driver then runs
+  /// kernel(const ScanRows&) over each segment `pred` does not rule out,
+  /// after prefetching them on the threads the chunks leave over. Under
+  /// ScanPolicy::skip_damaged a segment that fails to decode is skipped
+  /// and counted (decode precedes the kernel, so it contributes nothing);
+  /// otherwise its FormatError ends the scan. Returns the chunk partials
+  /// in pool order. Callers merge them; only src/analysis/ scans.
+  template <class Part, class Visit>
+  [[nodiscard]] std::vector<Part> scan_pools(
+      const ScanPredicate& pred, std::size_t threads, Part init,
+      Visit&& visit, const std::optional<ScanRange>& range = {}) const;
+
+  /// Worker threads the queries' scans may use: 0 = auto (hardware
   /// concurrency), 1 = serial. Scans go parallel only when several sources
   /// are ingested; partial merges keep results identical either way.
   void set_query_threads(std::size_t threads) noexcept {
@@ -529,7 +611,10 @@ class UnifiedTraceStore {
   /// Called after records [begin_record, end_record) of pool `pool` are
   /// filed (any ingest path: new pool, open-era append, attached
   /// container). At most one listener; set an empty function to detach.
-  /// The live-DFG maintainer (analysis/dfg/live_dfg.h) hangs off this seam.
+  /// A listener that throws fails the ingest: the records are un-filed,
+  /// leaving the store as it was before the call, and the exception
+  /// propagates (attach_dir then quarantines the container). The live-DFG
+  /// maintainer (analysis/dfg/live_dfg.h) hangs off this seam.
   using IngestListener =
       std::function<void(std::size_t pool, std::size_t begin_record,
                          std::size_t end_record)>;
@@ -611,10 +696,41 @@ class UnifiedTraceStore {
     /// only appear as args/paths/hosts stay false).
     std::vector<bool> name_present;
 
+    /// Extend the stamp bounds over [lo, hi].
+    void widen(SimTime lo, SimTime hi) noexcept {
+      min_time = any ? std::min(min_time, lo) : lo;
+      max_time = any ? std::max(max_time, hi) : hi;
+      any = true;
+    }
+
     /// True when string id `id` appears as some record's name (id 0 means
     /// "string not interned in this pool": always false).
     [[nodiscard]] bool has_name(trace::StrId id) const noexcept {
       return id != 0 && id < name_present.size() && name_present[id];
+    }
+
+    /// The pool holds no record `pred` can use.
+    [[nodiscard]] bool rules_out(const ScanPredicate& pred) const noexcept {
+      return !any ||
+             (pred.window.has_value() && (max_time < pred.window->begin ||
+                                          min_time >= pred.window->end)) ||
+             (pred.transfer && !has_name(sys_write_id) &&
+              !has_name(sys_read_id)) ||
+             (pred.fd_path_or_io_bytes && !has_fd_path && !has_io_bytes);
+    }
+
+    /// Segment `k` of this pool holds no record `pred` can use.
+    template <class Acc>
+    [[nodiscard]] bool rules_out(const Acc& acc, std::size_t k,
+                                 const ScanPredicate& pred) const {
+      return (pred.window.has_value() &&
+              !acc.segment_overlaps(k, pred.window->begin,
+                                    pred.window->end)) ||
+             (pred.transfer && !acc.segment_has_name(k, sys_write_id) &&
+              !acc.segment_has_name(k, sys_read_id)) ||
+             (pred.fd_path_or_io_bytes && !acc.segment_has_fd_path(k) &&
+              !acc.segment_has_io_bytes(k)) ||
+             (pred.io_call && !acc.segment_has_io_call(k));
     }
   };
 
@@ -666,9 +782,25 @@ class UnifiedTraceStore {
                                  const trace::EventBatch& batch,
                                  std::size_t begin, std::size_t end);
 
+  /// Account a new source holding `events` records (and its dependency
+  /// edges); returns its index. drop_source undoes the latest add_source
+  /// that added `dependencies` edges.
+  std::size_t add_source(StoreSourceInfo info, std::size_t events,
+                         const std::vector<trace::DependencyEdge>& dependencies);
+  void drop_source(std::size_t dependencies);
+
+  /// File `pool` as the last pool, holding one new source, and notify the
+  /// listener. If it throws, the pool and source are un-filed (and the open
+  /// era the caller sealed for it, `sealed_era`, reopened) before the
+  /// exception propagates. Returns the source index.
+  std::size_t file_pool(StorePool pool, StoreSourceInfo info,
+                        const std::vector<trace::DependencyEdge>& dependencies,
+                        bool sealed_era);
+
   /// Absorb a small flush into the open era batch (creating it if needed),
   /// extending the pool index over just the appended suffix, then seal by
-  /// size/flush-count. Returns the new source index.
+  /// size/flush-count. Un-files the flush if the listener throws. Returns
+  /// the new source index.
   std::size_t stream_append(
       StoreSourceInfo info, trace::EventBatch batch,
       const std::vector<trace::DependencyEdge>& dependencies);
@@ -679,45 +811,24 @@ class UnifiedTraceStore {
 
   void notify_ingest(std::size_t pool, std::size_t begin, std::size_t end);
 
-  /// Worker threads a scan resolves to: query_threads_, or hardware
-  /// concurrency when auto (0).
-  [[nodiscard]] std::size_t resolved_query_threads() const;
-
-  /// Number of contiguous pool chunks a scan will use: min(threads,
-  /// pools), at least 1. Callers size per-worker partials by this.
-  [[nodiscard]] std::size_t query_chunks() const;
-
-  /// Thread budget left for intra-pool work (block-parallel decode) once
-  /// the pool chunks have claimed theirs: resolved threads split across
-  /// chunks, at least 1. With a single cold pool this is the whole budget,
-  /// which is exactly the full-scan case block-parallel decode targets.
-  [[nodiscard]] std::size_t prefetch_threads() const {
-    return std::max<std::size_t>(resolved_query_threads() / query_chunks(),
-                                 1);
-  }
-
-  /// Partition pools into query_chunks() contiguous chunks and run
-  /// fn(chunk, begin, end) for each — in parallel when more than one chunk,
-  /// else inline. The worker pool is per-call (parallel_for); queries are
-  /// orders of magnitude rarer than captures, so pool spin-up has not
-  /// earned resident threads here yet.
-  void for_each_pool_chunk(
-      const std::function<void(std::size_t, std::size_t, std::size_t)>& fn)
-      const;
-
-  /// Damage skipped by queries under ScanPolicy::skip_damaged. Atomics
-  /// because parallel query chunks bump them concurrently; boxed so the
+  /// Damage skipped by scans under ScanPolicy::skip_damaged. Atomics
+  /// because parallel scan chunks bump them concurrently; boxed so the
   /// store itself stays movable (callers return stores by value).
   struct DamageTally {
     std::atomic<std::uint64_t> blocks{0};
     std::atomic<std::uint64_t> records{0};
   };
 
-  /// Record a skipped segment (const: queries are const, the tally is
+  /// Record a skipped segment (const: scans are const, the tally is
   /// deliberately mutable state like the lazy block caches). Also feeds
   /// the store.query.damage_skipped_* metrics; defined out of line so the
   /// header does not pull in util/metrics.h.
   void note_damage(std::uint64_t records) const noexcept;
+
+  /// Feed scan_pools' skip and scan counts to the store.query.* metrics
+  /// (out of line for the same reason as note_damage).
+  void note_scan(std::size_t pools_skipped, std::size_t segments_scanned,
+                 std::size_t segments_skipped) const noexcept;
 
   std::vector<StoreSourceInfo> sources_;
   /// Storage pools in source order (each covering >= 1 source).
@@ -735,5 +846,88 @@ class UnifiedTraceStore {
   std::optional<StreamIngestOptions> stream_;
   IngestListener ingest_listener_;
 };
+
+template <class Part, class Visit>
+std::vector<Part> UnifiedTraceStore::scan_pools(
+    const ScanPredicate& pred, std::size_t threads, Part init,
+    Visit&& visit, const std::optional<ScanRange>& range) const {
+  const std::size_t first = range.has_value() ? range->pool : 0;
+  const std::size_t npools = range.has_value() ? 1 : pools_.size();
+  // Contiguous pool chunks, one per thread; whatever the chunks leave over
+  // decodes blocks in parallel inside each pool, which is the whole budget
+  // for a single big cold pool. The workers are per call (parallel_for):
+  // scans are far rarer than captures, so resident threads have not been
+  // worth their keep.
+  const std::size_t budget =
+      threads != 0
+          ? threads
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const std::size_t chunks = std::max<std::size_t>(std::min(budget, npools), 1);
+  const std::size_t decode_threads = std::max<std::size_t>(budget / chunks, 1);
+  const bool indexed = use_indexes_;
+  std::vector<Part> parts(chunks - 1, init);
+  parts.push_back(std::move(init));
+  const auto run_chunk = [&](std::size_t c) {
+    for (std::size_t p = first + npools * c / chunks;
+         p < first + npools * (c + 1) / chunks; ++p) {
+      with_pool_access(p, [&](const auto& acc) {
+        const PoolIndex& index = pools_[p].index;
+        if (indexed && index.rules_out(pred)) {
+          note_scan(1, 0, 0);
+          return;
+        }
+        const std::size_t lo = range.has_value() ? range->begin : 0;
+        const std::size_t hi = range.has_value() ? range->end : acc.size();
+        visit(parts[c], p, acc, [&](auto&& kernel) {
+          std::vector<std::size_t> touched;
+          std::size_t skipped = 0;
+          for (std::size_t k = 0; k < acc.segment_count(); ++k) {
+            if (std::max(lo, acc.segment_begin(k)) >=
+                std::min(hi, acc.segment_end(k))) {
+              continue;  // empty, or outside the range
+            }
+            if (indexed && index.rules_out(acc, k, pred)) {
+              ++skipped;  // skipped blocks stay compressed on disk
+              continue;
+            }
+            touched.push_back(k);
+          }
+          note_scan(0, touched.size(), skipped);
+          acc.segment_prefetch(touched, decode_threads, pred.hot_only);
+          for (const std::size_t k : touched) {
+            const std::size_t seg_first = acc.segment_begin(k);
+            const std::size_t begin = std::max(lo, seg_first);
+            const std::size_t end = std::min(hi, acc.segment_end(k));
+            // Segment decode is all-or-nothing and precedes the kernel, so
+            // a damaged block throws before it contributes a record:
+            // skipping it drops exactly its records.
+            try {
+              ScanRows<std::decay_t<decltype(acc)>> rows{
+                  acc, k, begin, end, nullptr, nullptr};
+              if (pred.hot_only &&
+                  (rows.hot = acc.segment_hot_bytes(k)) != nullptr) {
+                rows.hot += (begin - seg_first) * trace::hotlayout::kStride;
+              } else if ((rows.raw = acc.segment_record_bytes(k)) != nullptr) {
+                rows.raw += (begin - seg_first) * trace::v2layout::kStride;
+              }
+              kernel(rows);
+            } catch (const FormatError&) {
+              if (!scan_policy_.skip_damaged) {
+                throw;
+              }
+              note_damage(end - begin);
+            }
+          }
+        });
+      });
+    }
+  };
+  if (chunks <= 1) {
+    run_chunk(0);
+  } else {
+    parallel_for(chunks, run_chunk, chunks);
+  }
+  return parts;
+}
 
 }  // namespace iotaxo::analysis

@@ -517,7 +517,14 @@ std::span<const std::uint8_t> BlockView::acquire_slot(
           return slot.bytes;
         } catch (const Error& err) {
           metrics().failures.add(1);
-          slot.error = err.what();
+          // Keep the message bare: every touch rethrows it as a
+          // FormatError, which adds the "format error: " prefix once.
+          std::string_view message = err.what();
+          constexpr std::string_view kPrefix = "format error: ";
+          if (message.starts_with(kPrefix)) {
+            message.remove_prefix(kPrefix.size());
+          }
+          slot.error = message;
           publish(kFailed);
           throw FormatError(slot.error);
         }

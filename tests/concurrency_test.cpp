@@ -2,13 +2,15 @@
 // transfer, backpressure, drain-barrier determinism), sharded summary
 // merging, flat RankBatcher rank tables (dense + sparse + pool rebuild),
 // MultiSink flush propagation, capture layers in async-flush mode, and
-// parallel unified-store scans matching the serial results exactly.
+// parallel unified-store scans (every query and the DFG build) matching
+// the serial results exactly.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "analysis/dfg/dfg.h"
 #include "analysis/unified_store.h"
 #include "fs/memfs.h"
 #include "interpose/tracers.h"
@@ -360,15 +362,23 @@ TEST(ParallelStoreQueries, IdenticalToSerialScan) {
 
   store.set_query_threads(1);
   const auto serial_stats = store.call_stats();
+  const auto serial_timeline = store.rank_timeline(3);
   const auto serial_window = store.bytes_in_window(0, from_millis(900.0));
   const auto serial_series = store.io_rate_series(from_millis(100.0));
   const auto serial_heat = store.hottest_files(10);
+  const auto serial_dfg =
+      analysis::dfg::DfgBuilder(store).build({.threads = 1});
 
   store.set_query_threads(4);
   EXPECT_EQ(store.call_stats(), serial_stats);
+  EXPECT_EQ(store.rank_timeline(3), serial_timeline);
   EXPECT_EQ(store.bytes_in_window(0, from_millis(900.0)), serial_window);
   EXPECT_EQ(store.io_rate_series(from_millis(100.0)), serial_series);
   EXPECT_EQ(store.hottest_files(10), serial_heat);
+  EXPECT_EQ(analysis::dfg::DfgBuilder(store).build({.threads = 4}),
+            serial_dfg);
+  EXPECT_EQ(serial_timeline.size(), 6u * 400 / 8);
+  EXPECT_EQ(serial_dfg.total_events(), 6 * 400);
 
   // The fd opened in source 0 must resolve transfers from every source.
   ASSERT_FALSE(serial_heat.empty());

@@ -9,10 +9,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "analysis/dfg/dfg.h"
 #include "analysis/unified_store.h"
 #include "trace/async_sink.h"
 #include "trace/binary_format.h"
@@ -427,6 +429,117 @@ TEST(Metrics, ColdStoreDecodeCrossChecksPoolAccounting) {
             decoded_now() - decoded_before);
   EXPECT_GT(counter_value(d, "block.decode.full_blocks"), 0u);
   EXPECT_EQ(counter_value(d, "block.decode.failures"), 0u);
+  std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------------- per-scan skip work
+
+/// Four blocks of 16 records, block b stamped 16b..16b+15 ms:
+///   0: SYS_write transfers (fd + path, bytes moved)
+///   1: SYS_read transfers (fd + path, bytes moved)
+///   2: annotations (no I/O call, no fd or path, no bytes)
+///   3: SYS_open calls (fd + path, no bytes)
+[[nodiscard]] std::vector<TraceEvent> four_block_events() {
+  std::vector<TraceEvent> events;
+  for (int i = 0; i < 64; ++i) {
+    TraceEvent ev;
+    if (i / 16 == 2) {
+      ev.cls = trace::EventClass::kAnnotation;
+      ev.name = "checkpoint";
+    } else {
+      static const char* kNames[] = {"SYS_write", "SYS_read", "", "SYS_open"};
+      ev = trace::make_syscall(kNames[i / 16], {"5"}, 0);
+      ev.path = "/pfs/f.dat";
+      ev.fd = 5;
+      ev.bytes = i / 16 == 3 ? 0 : 4096;
+    }
+    ev.rank = i % 4;
+    ev.local_start = static_cast<SimTime>(i) * kMillisecond;
+    ev.duration = 10 * kMicrosecond;
+    events.push_back(std::move(ev));
+  }
+  return events;
+}
+
+/// One scan's index skips and first-touch block decodes.
+struct Work {
+  std::uint64_t pools_skipped, segments_scanned, segments_skipped,
+      hot_blocks, full_blocks;
+  bool operator==(const Work&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Work& w) {
+  return os << "{pools skipped " << w.pools_skipped << ", segments scanned "
+            << w.segments_scanned << ", skipped " << w.segments_skipped
+            << ", hot blocks " << w.hot_blocks << ", full blocks "
+            << w.full_blocks << "}";
+}
+
+TEST(Metrics, EachScanSkipsAndDecodesWhatItsPredicateAllows) {
+  const ArmGuard guard;
+  trace::BinaryOptions options;
+  options.checksum = true;
+  options.project = true;
+  const std::string dir = make_scratch_dir("scan_work");
+  const std::string path = dir + "/four.iotb3";
+  write_file(path, trace::encode_binary_v3(
+                       EventBatch::from_events(four_block_events()), options,
+                       16));
+  // Pool 1: owned annotations at 100..107 ms (no I/O, no fd or path).
+  std::vector<TraceEvent> notes;
+  for (int i = 0; i < 8; ++i) {
+    TraceEvent ev;
+    ev.cls = trace::EventClass::kAnnotation;
+    ev.name = "note";
+    ev.rank = 0;
+    ev.local_start = (100 + i) * kMillisecond;
+    notes.push_back(std::move(ev));
+  }
+
+  // A fresh store per scan, so every block decode is a first touch.
+  const auto work = [&](const auto& scan) {
+    UnifiedTraceStore store;
+    store.ingest_view(path);                     // pool 0: four blocks
+    store.ingest(EventBatch::from_events(notes));  // pool 1
+    store.ingest(EventBatch{});                  // pool 2: empty
+    const obs::MetricsSnapshot before = obs::snapshot();
+    scan(store);
+    const obs::MetricsSnapshot d = obs::delta(before, obs::snapshot());
+    return Work{counter_value(d, "store.query.pools_skipped"),
+                counter_value(d, "store.query.segments_scanned"),
+                counter_value(d, "store.query.segments_skipped"),
+                counter_value(d, "block.decode.hot_blocks"),
+                counter_value(d, "block.decode.full_blocks")};
+  };
+
+  // The empty pool is skipped by every scan. call_stats reads every block,
+  // hot columns only, and the owned pool.
+  EXPECT_EQ(work([](const auto& s) { (void)s.call_stats(); }),
+            (Work{1, 5, 0, 4, 0}));
+  // materialize() needs whole records: a projected full decode first
+  // decodes the hot group, so every block counts both.
+  EXPECT_EQ(work([](const auto& s) { (void)s.rank_timeline(0); }),
+            (Work{1, 5, 0, 4, 4}));
+  // [20, 60) ms: block 0 lies before it; blocks 2 and 3 hold no transfer;
+  // the owned pool lies after it.
+  EXPECT_EQ(work([](const auto& s) {
+              (void)s.bytes_in_window(20 * kMillisecond, 60 * kMillisecond);
+            }),
+            (Work{2, 1, 3, 1, 0}));
+  // Transfers only: blocks 0 and 1; the span comes from the pool indexes.
+  EXPECT_EQ(work([](const auto& s) {
+              (void)s.io_rate_series(5 * kMillisecond);
+            }),
+            (Work{2, 2, 2, 2, 0}));
+  // fd + path or bytes moved: blocks 0, 1 and 3, whole records.
+  EXPECT_EQ(work([](const auto& s) { (void)s.hottest_files(8); }),
+            (Work{2, 3, 1, 3, 3}));
+  // I/O calls: blocks 0, 1 and 3, hot columns; owned segments carry no
+  // finer index, so the owned pool is scanned.
+  EXPECT_EQ(work([](const auto& s) {
+              (void)analysis::dfg::DfgBuilder(s).build();
+            }),
+            (Work{1, 4, 1, 3, 0}));
   std::filesystem::remove_all(dir);
 }
 

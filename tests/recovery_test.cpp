@@ -4,17 +4,21 @@
 // which discovers every failpoint the cold-commit path evaluates (via
 // fail::set_tracing) and simulates a process death at each one in turn,
 // asserting that recovery serves exactly the last committed state. Plus
-// ScanPolicy::skip_damaged: queries over a store with a corrupt block
-// complete over everything healthy with exact damage counters.
+// ScanPolicy::skip_damaged: queries, the DFG build and the live DFG fold
+// over a store with a corrupt block complete over everything healthy with
+// exact damage counters.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "analysis/dfg/dfg.h"
+#include "analysis/dfg/live_dfg.h"
 #include "analysis/store_manifest.h"
 #include "analysis/unified_store.h"
 #include "trace/binary_format.h"
@@ -29,6 +33,7 @@ namespace {
 
 using trace::EventBatch;
 using trace::TraceEvent;
+namespace dfg = analysis::dfg;
 
 /// Disarm every failpoint on scope exit, so a failing assertion mid-test
 /// cannot leak an armed point into later tests.
@@ -720,6 +725,66 @@ TEST(SkipDamaged, QueriesMatchStoreWithoutTheDamagedBlock) {
   // The sticky failed block is visible through pool introspection too.
   ASSERT_EQ(store.pool_infos().size(), 1u);
   EXPECT_EQ(store.pool_infos()[0].damaged_blocks, 1u);
+  std::filesystem::remove_all(dir);
+}
+
+// The DFG build and the live fold scan through the same driver as the
+// queries, so they skip the damaged block exactly as the queries do.
+TEST(SkipDamaged, DfgBuildAndLiveFoldMatchStoreWithoutTheDamagedBlock) {
+  const std::string dir = make_scratch_dir("skip_dfg");
+  const DamagedFixture fx = make_damaged_container(dir);
+  UnifiedTraceStore healthy;
+  healthy.ingest(EventBatch::from_events(fx.healthy_events),
+                 {{"framework", "test"}});
+  const dfg::Dfg expected = dfg::DfgBuilder(healthy).build();
+  ASSERT_GT(expected.total_events(), 0);
+
+  UnifiedTraceStore store;
+  store.set_scan_policy({.skip_damaged = true});
+  const std::unique_ptr<dfg::LiveDfg> live = dfg::set_live_dfg(store);
+  store.ingest_view(fx.path, {{"framework", "test"}});
+  EXPECT_EQ(store.damage_counters(), (DamageCounters{1, 16}));  // the fold
+  EXPECT_EQ(live->snapshot(), expected);
+
+  store.reset_damage_counters();
+  EXPECT_EQ(dfg::DfgBuilder(store).build(), expected);
+  EXPECT_EQ(store.damage_counters(), (DamageCounters{1, 16}));
+  EXPECT_EQ(dfg::DfgBuilder(store).build({.threads = 4}), expected);
+  EXPECT_EQ(store.damage_counters(), (DamageCounters{2, 32}));
+  std::filesystem::remove_all(dir);
+}
+
+// A live fold that throws fails the ingest it runs in: attach_dir then
+// quarantines the container, and nothing of it stays filed or folded.
+TEST(SkipDamaged, FailedLiveFoldUnfilesTheAttachedContainer) {
+  const std::string dir = make_scratch_dir("skip_live_attach");
+  (void)make_damaged_container(dir);  // no manifest: the container opens
+  {
+    UnifiedTraceStore store;  // fail-fast
+    const std::unique_ptr<dfg::LiveDfg> live = dfg::set_live_dfg(store);
+    const StoreHealth health = store.attach_dir(dir);
+    EXPECT_EQ(health.recovered_eras, 0u);
+    ASSERT_EQ(health.quarantined.size(), 1u);
+    // One kind prefix, not the block view's and the rethrow's both.
+    const std::string& reason = health.quarantined[0].reason;
+    EXPECT_EQ(reason.rfind("format error: ", 0), 0u) << reason;
+    EXPECT_EQ(reason.find("format error: ", 1), std::string::npos) << reason;
+    EXPECT_EQ(store.pool_count(), 0u);
+    EXPECT_EQ(store.total_events(), 0);
+    EXPECT_TRUE(store.sources().empty());
+    EXPECT_EQ(live->events_folded(), 0);
+    EXPECT_EQ(live->snapshot(), dfg::DfgBuilder(store).build());
+  }
+  {
+    UnifiedTraceStore store;
+    store.set_scan_policy({.skip_damaged = true});
+    const std::unique_ptr<dfg::LiveDfg> live = dfg::set_live_dfg(store);
+    const StoreHealth health = store.attach_dir(dir);
+    EXPECT_EQ(health.recovered_eras, 1u);
+    EXPECT_TRUE(health.quarantined.empty());
+    EXPECT_EQ(store.total_events(), 80);
+    EXPECT_EQ(live->snapshot(), dfg::DfgBuilder(store).build());
+  }
   std::filesystem::remove_all(dir);
 }
 

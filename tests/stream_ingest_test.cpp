@@ -237,6 +237,49 @@ TEST(StreamIngest, SealSemanticsAndLargeFlushBypass) {
   }
 }
 
+// A listener that throws fails the ingest and un-files it: an open-era
+// append, a new era, and a pool filed past the era it sealed all leave the
+// store exactly like a twin that never saw the failed flush.
+TEST(StreamIngest, ThrowingListenerUnfilesTheFlush) {
+  StreamIngestOptions sopts;
+  sopts.flush_events = 32;
+  UnifiedTraceStore store;
+  UnifiedTraceStore twin;
+  store.set_stream_ingest(sopts);
+  twin.set_stream_ingest(sopts);
+  const auto ingest_both = [&](int f, int count) {
+    const EventBatch batch = EventBatch::from_events(flush_events(f, count));
+    store.ingest(batch, {{"framework", "test"}});
+    twin.ingest(batch, {{"framework", "test"}});
+  };
+  const auto matches_twin = [&] {
+    EXPECT_EQ(store.pool_infos(), twin.pool_infos());
+    EXPECT_EQ(store.total_events(), twin.total_events());
+    EXPECT_EQ(store.sources().size(), twin.sources().size());
+    EXPECT_EQ(all_queries(store), all_queries(twin));
+  };
+  const auto fail = [&](int f, int count) {
+    store.set_ingest_listener([](std::size_t, std::size_t, std::size_t) {
+      throw IoError("listener failed");
+    });
+    EXPECT_THROW(store.ingest(EventBatch::from_events(flush_events(f, count)),
+                              {{"framework", "test"}}),
+                 IoError);
+    store.set_ingest_listener({});
+    matches_twin();
+  };
+  ingest_both(0, 20);
+  ingest_both(1, 20);
+  fail(2, 20);  // an append to the open era
+  fail(3, 64);  // its own pool, after sealing the era (reopened on failure)
+  ingest_both(2, 20);  // the era takes appends again, its ids intact
+  store.seal_open_era();
+  twin.seal_open_era();
+  fail(4, 20);  // a new open era
+  ingest_both(4, 20);
+  matches_twin();
+}
+
 TEST(StreamIngest, CompactSealsAndPreservesQueries) {
   UnifiedTraceStore store;
   store.set_stream_ingest(StreamIngestOptions{});

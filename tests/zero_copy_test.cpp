@@ -519,8 +519,20 @@ TEST(BlockView, CorruptBlockRejectsOnlyItself) {
   const BlockView view(bytes);  // footer intact, blocks untouched: opens
   EXPECT_EQ(view.record(0).to_record(batch.record(0).args_begin),
             batch.record(0));
-  EXPECT_THROW((void)view.record(8), FormatError);   // block 1 rejects
-  EXPECT_THROW((void)view.record(12), FormatError);  // ... and stays dead
+  const auto failure = [&view](std::size_t i) {
+    try {
+      (void)view.record(i);
+    } catch (const FormatError& e) {
+      return std::string(e.what());
+    }
+    return std::string("(no FormatError)");
+  };
+  const std::string first = failure(8);  // block 1 rejects
+  const std::string again = failure(12);  // ... and stays dead
+  // The kind prefix appears once, on the first touch and on later ones.
+  EXPECT_EQ(first.rfind("format error: ", 0), 0u) << first;
+  EXPECT_EQ(first.find("format error: ", 1), std::string::npos) << first;
+  EXPECT_EQ(again, first);
   // Blocks 0 and 2 still serve records.
   EXPECT_EQ(view.record(16).to_record(batch.record(16).args_begin),
             batch.record(16));

@@ -4,7 +4,8 @@
 # one-command gate:
 #   ./tools/check_build.sh [build-dir]          # full build + full ctest
 #   ./tools/check_build.sh --tsan [build-dir]   # ThreadSanitizer build, then
-#                                               # the concurrency suites only
+#                                               # the concurrency, DFG and
+#                                               # streaming suites only
 #   ./tools/check_build.sh --asan [build-dir]   # AddressSanitizer build +
 #                                               # the full test suite
 #   ./tools/check_build.sh --ubsan [build-dir]  # UBSan build + the full
@@ -100,10 +101,14 @@ case "${MODE}" in
     cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" -DIOTAXO_TSAN=ON
     cmake --build "${BUILD_DIR}" -j
     # The suites that exercise the concurrent pipeline (async flush, sharded
-    # sinks, parallel store scans, batched capture, zero-copy view sources)
-    # under TSan.
+    # sinks, parallel store scans, batched capture, zero-copy view sources,
+    # the DFG pool pass on parallel scan chunks, the live DFG fold inside
+    # streaming ingest) under TSan.
     ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" \
-      -R 'concurrency_test|batch_test|zero_copy_test|util_test'
+      -R 'concurrency_test|batch_test|zero_copy_test|util_test|dfg_test|stream_ingest_test'
+    # Damage skipping under parallel scans: the shared damage tally and the
+    # sticky block failures, queries and DFG builds alike.
+    "${BUILD_DIR}/recovery_test" --gtest_filter='SkipDamaged.*'
     # Block-parallel cold-scan smoke: the striped decode-slot handoff
     # (claim/publish/wait) and the shared sticky-failure state, re-run
     # standalone so a TSan report here points straight at the IOTB3 decode
