@@ -148,10 +148,12 @@ struct DfgOptions {
 /// graphs, then merges them in pool order into this state: a name table,
 /// per-rank graphs, and each rank's last event, which stitches the rank
 /// across partial boundaries (the last kept event of one partial
-/// transitions into the first of the next). Edge and node stats merge
-/// associatively, so the graph does not depend on where the record stream
-/// was cut into partials — whole pools for a cold build, filed record
-/// ranges for the live fold.
+/// transitions into the first of the next). A partial names calls by
+/// dense slots, handed out first-seen within its pool, and holds each
+/// rank's edges by slot pair; merge() interns just those slots' names.
+/// Edge and node stats merge associatively, so the graph does not depend
+/// on where the record stream was cut into partials — whole pools for a
+/// cold build, filed record ranges for the live fold.
 class DfgMerge {
  public:
   /// Mine every pool, or just `range`, and merge the result after
@@ -169,6 +171,7 @@ class DfgMerge {
 
  private:
   struct PoolPartial;
+  class PoolMiner;
 
   void merge(const UnifiedTraceStore& store, const PoolPartial& partial);
 

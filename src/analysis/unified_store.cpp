@@ -768,33 +768,67 @@ std::vector<trace::TraceEvent> UnifiedTraceStore::rank_timeline(
     int rank) const {
   metrics().queries.add(1);
   const obs::ScopedTimer query_timer(metrics().rank_timeline_ns);
-  // materialize() reads every column, so the scan needs whole records.
+  // The scan selects rows by rank and materializes each selected row once,
+  // in store order, while its decoded block is still in cache
+  // (materializing after the sort re-reads rows out of order, and measured
+  // slower). Sorting the stamps then permutes the events into place, so
+  // the timeline is never held twice. materialize() reads every column, so
+  // the scan decodes whole records.
+  struct Partial {
+    std::vector<trace::TraceEvent> events;
+    std::vector<SimTime> stamps;
+  };
   ScanPredicate pred;
   pred.hot_only = false;
   auto partials = scan_pools(
-      pred, query_threads_, std::vector<trace::TraceEvent>{},
-      [rank](auto& out, std::size_t, const auto&, auto&& segments) {
+      pred, query_threads_, Partial{},
+      [rank](Partial& part, std::size_t, const auto&, auto&& segments) {
         segments([&](const auto& s) {
           std::uint32_t args_begin = s.acc.segment_args_begin(s.segment);
-          for (std::size_t i = s.begin; i < s.end; ++i) {
-            const auto& rec = s.acc.record(i);
-            if (rec.rank == rank) {
-              out.push_back(s.acc.materialize(i, args_begin));
+          std::size_t row = s.begin;
+          s.for_each_whole([&](const auto& rec) {
+            if (rec.rank() == rank) {
+              part.events.push_back(s.acc.materialize(row, args_begin));
+              part.stamps.push_back(rec.local_start());
             }
-            args_begin += rec.args_count;
-          }
+            args_begin += rec.args_count();
+            ++row;
+          });
         });
       });
-  // Joined in pool order, the chunks are exactly the serial scan's output.
-  std::vector<trace::TraceEvent> out = std::move(partials.front());
+  std::vector<trace::TraceEvent> out = std::move(partials.front().events);
+  std::vector<SimTime> stamps = std::move(partials.front().stamps);
   for (std::size_t c = 1; c < partials.size(); ++c) {
-    out.insert(out.end(), std::make_move_iterator(partials[c].begin()),
-               std::make_move_iterator(partials[c].end()));
+    out.insert(out.end(), std::make_move_iterator(partials[c].events.begin()),
+               std::make_move_iterator(partials[c].events.end()));
+    stamps.insert(stamps.end(), partials[c].stamps.begin(),
+                  partials[c].stamps.end());
   }
-  std::sort(out.begin(), out.end(),
-            [](const trace::TraceEvent& a, const trace::TraceEvent& b) {
-              return a.local_start < b.local_start;
-            });
+  // order[k] is the store-order index of the k-th event by stamp; ties keep
+  // store order.
+  std::vector<std::size_t> order(out.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    order[i] = i;
+  }
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return stamps[a] != stamps[b] ? stamps[a] < stamps[b] : a < b;
+  });
+  // Apply the permutation in place, one cycle at a time.
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    if (order[k] == k) {
+      continue;
+    }
+    trace::TraceEvent held = std::move(out[k]);
+    std::size_t j = k;
+    while (order[j] != k) {
+      out[j] = std::move(out[order[j]]);
+      const std::size_t next = order[j];
+      order[j] = j;
+      j = next;
+    }
+    out[j] = std::move(held);
+    order[j] = j;
+  }
   return out;
 }
 
@@ -912,70 +946,86 @@ std::vector<FileHeat> UnifiedTraceStore::hottest_files(
   // local map always wins (it holds the most recent write), which is
   // exactly the state the serial single-map scan would have seen.
   struct PoolScan {
-    std::map<std::string, Tally> by_path;
-    std::map<int, std::string> fd_delta;  // last fd -> path write per fd
+    std::vector<std::pair<std::string, Tally>> by_path;
+    std::vector<std::pair<std::int32_t, std::string>> fd_delta;  // last write
     struct Unresolved {
-      int fd = -1;
+      std::int32_t fd = -1;
       bool lib = false;
       Bytes bytes = 0;
     };
     std::vector<Unresolved> unresolved;
   };
-  // Unlike the bucket scans, the partials here stay per pool (the serial
-  // fold below needs each pool's fd delta separately); they hold only what
-  // the pool actually references, so that stays cheap. A pool or segment
-  // with neither fd/path records nor byte-moving I/O calls writes no fd
-  // delta and no transfer, so skipping it leaves the fold's state as is.
-  // Paths and fds live in the cold column group: whole records.
+  // A pool tallies by path id into `rows` (id 0, no path, is "(unknown)")
+  // and keeps its fd -> path-id writes in `fds`; both are scratch reused
+  // across the chunk's pools. Ids become strings once, at the end of the
+  // pool. Partials keep one PoolScan per pool, since the serial fold needs
+  // each pool's fd delta separately. A pool or segment with neither fd/path
+  // records nor byte-moving I/O calls writes no fd delta and no transfer,
+  // so skipping it leaves the fold's state as is. Paths and fds live in the
+  // cold column group: whole records.
+  struct Partial {
+    std::vector<PoolScan> pools;
+    std::vector<Tally> rows;
+    IntKeyTable<trace::StrId> fds;
+  };
   ScanPredicate pred;
   pred.fd_path_or_io_bytes = true;
   pred.hot_only = false;
   auto partials = scan_pools(
-      pred, query_threads_, std::vector<PoolScan>{},
-      [](auto& pool_scans, std::size_t, const auto&, auto&& segments) {
-        PoolScan& scan = pool_scans.emplace_back();
+      pred, query_threads_, Partial{},
+      [](Partial& part, std::size_t, const auto& acc, auto&& segments) {
+        PoolScan& scan = part.pools.emplace_back();
+        std::vector<Tally>& rows = part.rows;
+        IntKeyTable<trace::StrId>& fds = part.fds;
+        rows.assign(acc.string_count(), Tally{});
+        fds.clear();
         segments([&](const auto& s) {
-          for (std::size_t i = s.begin; i < s.end; ++i) {
-            const auto& rec = s.acc.record(i);
-            const std::string_view rec_path =
-                rec.path == 0 ? std::string_view{} : s.acc.path(i);
-            if (!rec_path.empty() && rec.fd >= 0) {
-              scan.fd_delta[rec.fd] = std::string(rec_path);
+          s.for_each_whole([&](const auto& rec) {
+            const trace::StrId path = rec.path();
+            const std::int32_t fd = rec.fd();
+            if (path != 0 && fd >= 0) {
+              fds[fd] = path;
             }
-            if (!rec.is_io_call() || rec.bytes <= 0) {
-              continue;
+            if (!rec.is_io_call() || rec.bytes() <= 0) {
+              return;
             }
-            const bool lib = rec.cls == trace::EventClass::kLibraryCall;
-            std::string path(rec_path);
-            if (path.empty() && rec.fd >= 0) {
-              const auto it = scan.fd_delta.find(rec.fd);
-              if (it == scan.fd_delta.end()) {
-                scan.unresolved.push_back({rec.fd, lib, rec.bytes});
-                continue;
+            const bool lib = rec.cls() == trace::EventClass::kLibraryCall;
+            trace::StrId file = path;
+            if (file == 0 && fd >= 0) {
+              file = fds.get(fd);
+              if (file == 0) {
+                scan.unresolved.push_back({fd, lib, rec.bytes()});
+                return;
               }
-              path = it->second;
-            }
-            if (path.empty()) {
-              path = "(unknown)";
             }
             // Library wrappers and the syscalls beneath them report the
             // same transfer; the views are tallied apart and the larger
             // wins (captures lib-only traces like //TRACE's without double
             // counting ltrace's dual view).
-            scan.by_path[path].add(lib, rec.bytes);
+            rows[file].add(lib, rec.bytes());
+          });
+        });
+        for (std::size_t id = 0; id < rows.size(); ++id) {
+          if (rows[id].ops != 0) {
+            scan.by_path.emplace_back(
+                id == 0 ? std::string("(unknown)")
+                        : std::string(acc.string(static_cast<trace::StrId>(id))),
+                rows[id]);
           }
+        }
+        fds.for_each([&](std::int32_t fd, trace::StrId id) {
+          scan.fd_delta.emplace_back(fd, std::string(acc.string(id)));
         });
       });
 
   std::map<std::string, Tally> by_path;
-  std::map<int, std::string> carried;  // fd -> path state across pools
-  for (std::vector<PoolScan>& pool_scans : partials) {
-    for (PoolScan& scan : pool_scans) {
+  std::map<std::int32_t, std::string> carried;  // fd -> path across pools
+  for (Partial& part : partials) {
+    for (PoolScan& scan : part.pools) {
       for (const PoolScan::Unresolved& u : scan.unresolved) {
         const auto it = carried.find(u.fd);
-        const std::string path =
-            it == carried.end() ? std::string("(unknown)") : it->second;
-        scan.by_path[path].add(u.lib, u.bytes);
+        by_path[it == carried.end() ? std::string("(unknown)") : it->second]
+            .add(u.lib, u.bytes);
       }
       for (const auto& [path, tally] : scan.by_path) {
         Tally& merged = by_path[path];

@@ -101,9 +101,6 @@ struct BatchAccess {
   [[nodiscard]] const trace::EventRecord& record(std::size_t i) const {
     return b->record(i);
   }
-  [[nodiscard]] std::string_view path(std::size_t i) const {
-    return b->path(i);
-  }
   [[nodiscard]] std::size_t string_count() const noexcept {
     return b->pool().size();
   }
@@ -162,9 +159,6 @@ struct BlockAccess {
   [[nodiscard]] std::size_t size() const noexcept { return v->size(); }
   [[nodiscard]] trace::EventRecord record(std::size_t i) const {
     return v->record(i).to_record();
-  }
-  [[nodiscard]] std::string_view path(std::size_t i) const {
-    return v->string(v->record(i).path());
   }
   [[nodiscard]] std::size_t string_count() const noexcept {
     return v->string_count();
@@ -230,18 +224,79 @@ struct BlockAccess {
   }
 };
 
-/// An owned record behind the HotRecordView getters, so one kernel body
-/// compiles for hot columns, serialized records and owned records alike.
+/// An owned record behind the RecordView getters the scans read, so one
+/// kernel body compiles for hot columns (the HotRecordView subset),
+/// serialized records and owned records alike.
 struct RecordFields {
   const trace::EventRecord& r;
 
   [[nodiscard]] trace::EventClass cls() const noexcept { return r.cls; }
   [[nodiscard]] trace::StrId name() const noexcept { return r.name; }
+  [[nodiscard]] std::uint32_t args_count() const noexcept {
+    return r.args_count;
+  }
   [[nodiscard]] std::int32_t rank() const noexcept { return r.rank; }
   [[nodiscard]] SimTime local_start() const noexcept { return r.local_start; }
   [[nodiscard]] SimTime duration() const noexcept { return r.duration; }
+  [[nodiscard]] trace::StrId path() const noexcept { return r.path; }
+  [[nodiscard]] std::int32_t fd() const noexcept { return r.fd; }
   [[nodiscard]] Bytes bytes() const noexcept { return r.bytes; }
   [[nodiscard]] bool is_io_call() const noexcept { return r.is_io_call(); }
+};
+
+/// A table keyed by an int field that containers supply and so cannot be
+/// trusted (an fd, a rank). Keys in [0, kFlatKeys) index a flat vector
+/// grown to the largest such key seen; every other key lives in an
+/// ordered map. No allocation grows with a key's value, and clear() keeps
+/// the vector's capacity for the next pool. Absent keys read as T{}.
+template <class T>
+class IntKeyTable {
+ public:
+  static constexpr std::int32_t kFlatKeys = 1 << 16;
+
+  [[nodiscard]] T& operator[](std::int32_t key) {
+    if (key >= 0 && key < kFlatKeys) {
+      const auto k = static_cast<std::size_t>(key);
+      if (k >= flat_.size()) {
+        flat_.resize(k + 1);
+      }
+      return flat_[k];
+    }
+    return spill_[key];
+  }
+
+  [[nodiscard]] T get(std::int32_t key) const {
+    if (key >= 0 && key < kFlatKeys) {
+      const auto k = static_cast<std::size_t>(key);
+      return k < flat_.size() ? flat_[k] : T{};
+    }
+    const auto it = spill_.find(key);
+    return it == spill_.end() ? T{} : it->second;
+  }
+
+  /// fn(key, value) for every key whose value is not T{}.
+  template <class Fn>
+  void for_each(Fn&& fn) const {
+    for (std::size_t k = 0; k < flat_.size(); ++k) {
+      if (flat_[k] != T{}) {
+        fn(static_cast<std::int32_t>(k), flat_[k]);
+      }
+    }
+    for (const auto& [key, value] : spill_) {
+      if (value != T{}) {
+        fn(key, value);
+      }
+    }
+  }
+
+  void clear() noexcept {
+    flat_.clear();
+    spill_.clear();
+  }
+
+ private:
+  std::vector<T> flat_;
+  std::map<std::int32_t, T> spill_;
 };
 
 /// One segment's records as the scan driver hands them to a kernel:
@@ -269,7 +324,17 @@ struct ScanRows {
       for (std::size_t j = 0; j < size(); ++j) {
         fn(trace::HotRecordView(hot + j * trace::hotlayout::kStride));
       }
-    } else if (raw != nullptr) {
+    } else {
+      for_each_whole(fn);
+    }
+  }
+
+  /// fn(rec) for each record in order, rec offering the RecordFields
+  /// getters (cold columns included). For scans whose predicate clears
+  /// hot_only: the driver never hands them hot columns.
+  template <class Fn>
+  void for_each_whole(Fn&& fn) const {
+    if (raw != nullptr) {
       for (std::size_t j = 0; j < size(); ++j) {
         fn(trace::RecordView(raw + j * trace::v2layout::kStride));
       }
@@ -557,9 +622,13 @@ class UnifiedTraceStore {
   }
 
   /// The scan driver under every query, the DFG pool pass and the live DFG
-  /// fold. Splits the pools (or just `range`) into contiguous chunks, one
-  /// per thread (`threads` 0 = hardware concurrency), and for every pool
-  /// `pred` does not rule out calls
+  /// fold. It first walks the pool indexes of every pool (or just
+  /// `range`'s) and counts the pools `pred` rules out as skipped. The pools
+  /// that remain are split into contiguous chunks:
+  /// min(thread budget, pools left) of them, at least one, where the
+  /// budget is `threads` (0 = hardware concurrency). A probe that leaves
+  /// one pool therefore runs inline, with no workers. For every remaining
+  /// pool it calls
   ///   visit(part, pool, acc, segments)
   /// with the chunk's partial (a copy of `init`) and the pool's accessor.
   /// visit calls segments(kernel) once; the driver then runs
@@ -657,8 +726,12 @@ class UnifiedTraceStore {
   /// Per-call-name statistics across every ingested source.
   [[nodiscard]] std::map<std::string, CallStats> call_stats() const;
 
-  /// Events of one rank in timeline order (all sources merged),
-  /// materialized for the caller.
+  /// Every event whose rank is `rank`, across all sources, materialized
+  /// and ordered by corrected stamp (local_start). Events with equal stamps
+  /// come out in store order: pool (== source) order, then record order
+  /// within the pool. The order is the same at every thread count and for
+  /// owned, projected and encrypted pools alike. Only the returned rows are
+  /// materialized.
   [[nodiscard]] std::vector<trace::TraceEvent> rank_timeline(int rank) const;
 
   /// Bytes moved by I/O calls inside [begin, end) on the common timeline.
@@ -669,7 +742,13 @@ class UnifiedTraceStore {
   [[nodiscard]] std::vector<std::pair<SimTime, Bytes>> io_rate_series(
       SimTime bucket_width) const;
 
-  /// Hottest files by byte volume (descending), up to `limit`.
+  /// Hottest files by byte volume (descending), up to `limit`. Every I/O
+  /// call that moved bytes counts once toward its file: the record's own
+  /// path, else the path of the latest record in store order that paired
+  /// its fd with a path, else "(unknown)". That fd -> path state carries
+  /// across pools in store order. A file's bytes are the larger of its
+  /// library-call sum and its syscall + VFS sum, since a library wrapper
+  /// and the syscall beneath it report the same transfer; ops count both.
   [[nodiscard]] std::vector<FileHeat> hottest_files(std::size_t limit) const;
 
   /// All dependency edges across sources.
@@ -851,31 +930,41 @@ template <class Part, class Visit>
 std::vector<Part> UnifiedTraceStore::scan_pools(
     const ScanPredicate& pred, std::size_t threads, Part init,
     Visit&& visit, const std::optional<ScanRange>& range) const {
-  const std::size_t first = range.has_value() ? range->pool : 0;
-  const std::size_t npools = range.has_value() ? 1 : pools_.size();
-  // Contiguous pool chunks, one per thread; whatever the chunks leave over
-  // decodes blocks in parallel inside each pool, which is the whole budget
-  // for a single big cold pool. The workers are per call (parallel_for):
-  // scans are far rarer than captures, so resident threads have not been
-  // worth their keep.
+  std::size_t first = 0;
+  std::size_t last = pools_.size();
+  if (range.has_value()) {
+    first = range->pool;
+    last = first + 1;
+    check_pool_index(first);
+  }
+  const bool indexed = use_indexes_;
+  std::vector<std::size_t> survivors;
+  for (std::size_t p = first; p < last; ++p) {
+    if (!indexed || !pools_[p].index.rules_out(pred)) {
+      survivors.push_back(p);
+    }
+  }
+  note_scan(last - first - survivors.size(), 0, 0);
+  // Contiguous chunks of the surviving pools, one per thread; whatever the
+  // chunks leave over decodes blocks in parallel inside each pool, which is
+  // the whole budget for a single big cold pool. The workers are per call
+  // (parallel_for): scans are far rarer than captures, so resident threads
+  // have not been worth their keep.
   const std::size_t budget =
       threads != 0
           ? threads
           : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const std::size_t npools = survivors.size();
   const std::size_t chunks = std::max<std::size_t>(std::min(budget, npools), 1);
   const std::size_t decode_threads = std::max<std::size_t>(budget / chunks, 1);
-  const bool indexed = use_indexes_;
   std::vector<Part> parts(chunks - 1, init);
   parts.push_back(std::move(init));
   const auto run_chunk = [&](std::size_t c) {
-    for (std::size_t p = first + npools * c / chunks;
-         p < first + npools * (c + 1) / chunks; ++p) {
+    for (std::size_t j = npools * c / chunks; j < npools * (c + 1) / chunks;
+         ++j) {
+      const std::size_t p = survivors[j];
       with_pool_access(p, [&](const auto& acc) {
         const PoolIndex& index = pools_[p].index;
-        if (indexed && index.rules_out(pred)) {
-          note_scan(1, 0, 0);
-          return;
-        }
         const std::size_t lo = range.has_value() ? range->begin : 0;
         const std::size_t hi = range.has_value() ? range->end : acc.size();
         visit(parts[c], p, acc, [&](auto&& kernel) {

@@ -18,6 +18,7 @@
 #include "trace/async_sink.h"
 #include "trace/event_batch.h"
 #include "trace/sink.h"
+#include "util/metrics.h"
 #include "util/strings.h"
 
 namespace iotaxo::trace {
@@ -384,6 +385,23 @@ TEST(ParallelStoreQueries, IdenticalToSerialScan) {
   ASSERT_FALSE(serial_heat.empty());
   EXPECT_EQ(serial_heat[0].path, "/pfs/carried.dat");
   EXPECT_EQ(serial_heat[0].ops, 6 * 400);
+
+  // A window inside source 2 that the other five pools' indexes rule out:
+  // the same answer and the same skip count at every thread count.
+  obs::set_enabled(true);
+  obs::Counter& pools_skipped = obs::counter("store.query.pools_skipped");
+  std::vector<std::pair<Bytes, std::uint64_t>> narrow;
+  for (const std::size_t threads : {1u, 4u}) {
+    store.set_query_threads(threads);
+    const std::uint64_t before = pools_skipped.value();
+    const Bytes bytes =
+        store.bytes_in_window(810 * kMicrosecond, 850 * kMicrosecond);
+    narrow.emplace_back(bytes, pools_skipped.value() - before);
+  }
+  obs::set_enabled(false);
+  EXPECT_EQ(narrow[0], narrow[1]);
+  EXPECT_EQ(narrow[0].first, 40 * 512);
+  EXPECT_EQ(narrow[0].second, 5u);
 }
 
 TEST(ParallelStoreQueries, FdCarryoverRespectsSourceOrder) {

@@ -10,6 +10,8 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <limits>
+#include <map>
 #include <thread>
 
 #include "analysis/dfg/dfg.h"
@@ -18,6 +20,7 @@
 #include "trace/block_view.h"
 #include "trace/event_batch.h"
 #include "trace/record_view.h"
+#include "util/cipher.h"
 #include "util/compress.h"
 #include "util/crc32.h"
 #include "util/error.h"
@@ -1420,6 +1423,160 @@ TEST(StoreZeroCopy, ParallelColdScanIsDeterministicAcrossThreadCounts) {
         << "threads=" << threads;
   }
   std::remove(path.c_str());
+}
+
+/// Write each batch as a container under /tmp and attach it to `store`.
+void attach_containers(UnifiedTraceStore& store,
+                       const std::vector<EventBatch>& batches,
+                       const trace::BinaryOptions& options,
+                       const std::string& tag) {
+  for (std::size_t s = 0; s < batches.size(); ++s) {
+    const std::string path =
+        strprintf("/tmp/iotaxo_store_%s_%zu.iotb3", tag.c_str(), s);
+    trace::write_binary_file(
+        path, trace::encode_binary_v3(batches[s], options, 16));
+    store.ingest_view(path, {{"framework", "test"}},
+                      options.encrypt ? options.key : std::nullopt);
+    std::remove(path.c_str());  // the mapping keeps the bytes
+  }
+}
+
+TEST(StoreZeroCopy, RankTimelineTiesKeepStoreOrder) {
+  // Two sources whose rank-1 events share four stamps, within and across
+  // the sources. Events with equal stamps come out in store order: source,
+  // then record. `ret` tells the events apart.
+  std::vector<EventBatch> batches(2);
+  std::vector<TraceEvent> want;
+  for (int s = 0; s < 2; ++s) {
+    for (int i = 0; i < 90; ++i) {
+      TraceEvent ev =
+          trace::make_syscall("SYS_write", {"5"}, s * 1000 + i);
+      ev.rank = i % 3 == 0 ? 0 : 1;
+      ev.local_start = (3 - i % 4) * kMicrosecond;
+      ev.bytes = 64;
+      batches[s].append(ev);
+      if (ev.rank == 1) {
+        want.push_back(std::move(ev));
+      }
+    }
+  }
+  std::stable_sort(want.begin(), want.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return a.local_start < b.local_start;
+                   });
+
+  UnifiedTraceStore owned;
+  for (const EventBatch& batch : batches) {
+    owned.ingest(batch, {{"framework", "test"}});
+  }
+  trace::BinaryOptions projected;
+  projected.compress = true;
+  projected.project = true;
+  UnifiedTraceStore projected_store;
+  attach_containers(projected_store, batches, projected, "tie_projected");
+  trace::BinaryOptions encrypted;
+  encrypted.checksum = true;
+  encrypted.encrypt = true;
+  encrypted.key = derive_key("tie-order");
+  UnifiedTraceStore encrypted_store;
+  attach_containers(encrypted_store, batches, encrypted, "tie_encrypted");
+
+  const std::pair<const char*, UnifiedTraceStore*> stores[] = {
+      {"owned", &owned},
+      {"projected", &projected_store},
+      {"encrypted", &encrypted_store}};
+  for (const auto& [kind, store] : stores) {
+    for (const std::size_t threads : {1u, 4u}) {
+      store->set_query_threads(threads);
+      EXPECT_EQ(store->rank_timeline(1), want)
+          << kind << " pools, threads " << threads;
+    }
+  }
+}
+
+TEST(StoreZeroCopy, HostileFdAndRankValuesAndManyNamesStayBounded) {
+  // fd and rank come from the container, so they may take any int value.
+  // Values on both sides of the flat tables' bound and at INT32_MAX must
+  // answer exactly, with no allocation sized by the value.
+  constexpr int kBound = IntKeyTable<trace::StrId>::kFlatKeys;
+  constexpr int kMax = std::numeric_limits<std::int32_t>::max();
+  constexpr int kValues[] = {kBound - 1, kBound, kMax};
+  SimTime t = 0;
+  const auto io = [&t](const std::string& name, int rank, int fd,
+                       const std::string& path, Bytes bytes) {
+    TraceEvent ev = trace::make_syscall(name, {}, bytes);
+    ev.rank = rank;
+    ev.fd = fd;
+    ev.path = path;
+    ev.bytes = bytes;
+    ev.local_start = t += kMicrosecond;
+    ev.duration = kMicrosecond;
+    return ev;
+  };
+  // Source 0 names each fd and moves bytes through fd INT32_MAX
+  // path-lessly; source 1 moves bytes through every fd path-lessly, so
+  // those resolve through the fd -> path state carried across pools.
+  std::vector<EventBatch> batches(2);
+  for (const int v : kValues) {
+    batches[0].append(io("SYS_open", v, v, strprintf("/f%d", v), 0));
+  }
+  batches[0].append(io("SYS_write", kMax, kMax, "", 50));
+  for (const int v : kValues) {
+    batches[1].append(io("SYS_write", v, v, "", 100));
+  }
+  // One rank issuing 3,000 distinct call names.
+  for (int i = 0; i < 3000; ++i) {
+    batches[1].append(io(strprintf("call_%04d", i), 7, -1, "", 0));
+  }
+
+  UnifiedTraceStore owned;
+  for (const EventBatch& batch : batches) {
+    owned.ingest(batch, {{"framework", "test"}});
+  }
+  trace::BinaryOptions options;
+  options.compress = true;
+  options.project = true;
+  UnifiedTraceStore blocks;
+  attach_containers(blocks, batches, options, "hostile_values");
+
+  for (const UnifiedTraceStore* store : {&owned, &blocks}) {
+    std::map<std::string, FileHeat> heat;
+    for (const FileHeat& h : store->hottest_files(8)) {
+      heat[h.path] = h;
+    }
+    ASSERT_EQ(heat.size(), 3u);
+    EXPECT_EQ(heat[strprintf("/f%d", kBound - 1)].bytes, 100);
+    EXPECT_EQ(heat[strprintf("/f%d", kBound)].bytes, 100);
+    EXPECT_EQ(heat[strprintf("/f%d", kMax)].bytes, 150);
+    EXPECT_EQ(heat[strprintf("/f%d", kMax)].ops, 2);
+
+    const std::vector<TraceEvent> timeline = store->rank_timeline(kMax);
+    ASSERT_EQ(timeline.size(), 3u);
+    EXPECT_EQ(timeline[0].name, "SYS_open");
+    EXPECT_EQ(timeline[1].bytes, 50);
+    EXPECT_EQ(timeline[2].bytes, 100);
+    EXPECT_EQ(store->rank_timeline(kBound).size(), 2u);
+    EXPECT_EQ(store->rank_timeline(kBound - 1).size(), 2u);
+
+    const dfg::Dfg graph = dfg::DfgBuilder(*store).build({});
+    for (const int v : kValues) {
+      const dfg::RankDfg* rank = graph.find_rank(v);
+      ASSERT_NE(rank, nullptr) << v;
+      EXPECT_EQ(rank->nodes.size(), 2u) << v;
+      EXPECT_EQ(rank->transitions(), v == kMax ? 2 : 1) << v;
+    }
+    const dfg::RankDfg* many = graph.find_rank(7);
+    ASSERT_NE(many, nullptr);
+    EXPECT_EQ(many->nodes.size(), 3000u);
+    EXPECT_EQ(many->edges.size(), 2999u);
+    for (const auto& [key, edge] : many->edges) {
+      EXPECT_EQ(edge.count, 1);
+    }
+  }
+  EXPECT_EQ(blocks.hottest_files(8), owned.hottest_files(8));
+  EXPECT_EQ(blocks.rank_timeline(kMax), owned.rank_timeline(kMax));
+  EXPECT_EQ(dfg::DfgBuilder(blocks).build({}),
+            dfg::DfgBuilder(owned).build({}));
 }
 
 }  // namespace

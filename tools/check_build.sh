@@ -11,9 +11,11 @@
 #   ./tools/check_build.sh --ubsan [build-dir]  # UBSan build + the full
 #                                               # test suite
 #   ./tools/check_build.sh --bench [build-dir]  # build, run the gated
-#                                               # benches, and fail if any
-#                                               # BENCH_*.json gate field
-#                                               # regresses below its floor
+#                                               # benches, copy their
+#                                               # BENCH_*.json to the repo
+#                                               # root, and fail if any
+#                                               # gate field regresses
+#                                               # below its floor
 #   ./tools/check_build.sh --faults [build-dir] # ASan build + the fault/
 #                                               # recovery suites, then
 #                                               # assert failpoints are inert
@@ -286,6 +288,9 @@ case "${MODE}" in
     for json in "${BUILD_DIR}"/BENCH_*.json; do
       [[ -e "${json}" ]] || continue
       check_json_gates "${json}" || STATUS=1
+      # The artifacts are tracked at the repo root, gates that failed
+      # included, so every change leaves its readings in the history.
+      cp "${json}" "${REPO_ROOT}/"
     done
     exit "${STATUS}"
     ;;
