@@ -3,8 +3,8 @@
 //   1. Parallel per-pool graph construction must take the builder thread
 //      >= 2x off the serial scan on a 32-source store. The gated metric is
 //      the *builder-visible* cost measured with the calling thread's CPU
-//      clock (CLOCK_THREAD_CPUTIME_ID) — the same discipline as
-//      bench_async_flush: per-pool partials move onto pool workers and the
+//      clock (CLOCK_THREAD_CPUTIME_ID): per-pool partials move onto pool
+//      workers and the
 //      builder thread only dispatches and merges, so its CPU charge is
 //      what an interactive analysis session or service front end actually
 //      pays, and the number stays meaningful on any core count (wall time

@@ -5,14 +5,13 @@
 // the TracingFramework interface, and runs the classifier on it to produce
 // its own Table-1 summary.
 #include <cstdio>
-#include <map>
 
 #include "anon/anonymizer.h"
 #include "frameworks/framework.h"
 #include "interpose/tracers.h"
 #include "sim/cluster.h"
 #include "taxonomy/classifier.h"
-#include "trace/sink.h"
+#include "trace/bundle.h"
 
 using namespace iotaxo;
 
@@ -46,7 +45,7 @@ class DtraceLite : public frameworks::TracingFramework {
       const sim::Cluster& cluster, const mpi::Job& job, fs::VfsPtr vfs,
       const frameworks::TraceJobOptions& options) override {
     auto summary = std::make_shared<trace::SummarySink>();
-    auto raw = std::make_shared<trace::VectorSink>();
+    auto raw = std::make_shared<trace::RankStreamSink>();
     std::vector<trace::SinkPtr> sinks{summary};
     if (options.store_raw_streams) {
       sinks.push_back(raw);
@@ -67,19 +66,7 @@ class DtraceLite : public frameworks::TracingFramework {
     result.bundle.metadata["framework"] = name();
     result.bundle.metadata["application"] = job.cmdline;
     result.bundle.merge_summary(*summary);
-    if (options.store_raw_streams) {
-      std::map<int, trace::RankStream> by_rank;
-      for (const trace::TraceEvent& ev : raw->events()) {
-        trace::RankStream& rs = by_rank[ev.rank];
-        rs.rank = ev.rank;
-        rs.host = ev.host;
-        rs.pid = ev.pid;
-        rs.events.push_back(ev);
-      }
-      for (auto& [rank, rs] : by_rank) {
-        result.bundle.ranks.push_back(std::move(rs));
-      }
-    }
+    result.bundle.ranks = raw->take();
     return result;
   }
 

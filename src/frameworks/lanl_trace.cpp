@@ -1,9 +1,8 @@
 #include "frameworks/lanl_trace.h"
 
-#include <map>
 #include <utility>
 
-#include "trace/sink.h"
+#include "trace/bundle.h"
 #include "util/error.h"
 
 namespace iotaxo::frameworks {
@@ -88,10 +87,10 @@ TraceRunResult LanlTrace::trace(const sim::Cluster& cluster,
   const mpi::Job wrapped = wrap_job(job);
 
   auto summary = std::make_shared<trace::SummarySink>();
-  std::shared_ptr<trace::VectorSink> raw;
+  std::shared_ptr<trace::RankStreamSink> raw;
   std::vector<trace::SinkPtr> sinks{summary};
   if (options.store_raw_streams) {
-    raw = std::make_shared<trace::VectorSink>();
+    raw = std::make_shared<trace::RankStreamSink>();
     sinks.push_back(raw);
   }
   auto tracer = std::make_shared<PtraceTracer>(
@@ -125,21 +124,11 @@ TraceRunResult LanlTrace::trace(const sim::Cluster& cluster,
   b.clock_probes = collector->probes();
   b.barrier_events = collector->barriers();
 
+  // Barrier events belong in the raw streams too (ltrace records them as
+  // ordinary library calls); they are already there via the tracer when in
+  // ltrace mode.
   if (raw) {
-    std::map<int, trace::RankStream> by_rank;
-    for (const trace::TraceEvent& ev : raw->events()) {
-      trace::RankStream& rs = by_rank[ev.rank];
-      rs.rank = ev.rank;
-      rs.host = ev.host;
-      rs.pid = ev.pid;
-      rs.events.push_back(ev);
-    }
-    // Barrier events belong in the raw streams too (ltrace records them as
-    // ordinary library calls); they are already there via the tracer when
-    // in ltrace mode.
-    for (auto& [rank, rs] : by_rank) {
-      b.ranks.push_back(std::move(rs));
-    }
+    b.ranks = raw->take();
   }
   return result;
 }

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <utility>
 
-#include "trace/sink.h"
+#include "trace/bundle.h"
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -126,11 +126,14 @@ TraceRunResult Partrace::trace(const sim::Cluster& cluster,
     throw ConfigError("Partrace::trace needs a file system");
   }
   auto summary = std::make_shared<trace::SummarySink>();
-  std::shared_ptr<trace::VectorSink> raw;
+  std::shared_ptr<trace::RankStreamSink> raw;
+  std::shared_ptr<trace::BarrierSink> barriers;
   std::vector<trace::SinkPtr> sinks{summary};
   if (options.store_raw_streams) {
-    raw = std::make_shared<trace::VectorSink>();
+    raw = std::make_shared<trace::RankStreamSink>();
+    barriers = std::make_shared<trace::BarrierSink>();
     sinks.push_back(raw);
+    sinks.push_back(barriers);
   }
   auto interposer = std::make_shared<interpose::DynLibInterposer>(
       std::make_shared<trace::MultiSink>(sinks), params_.costs,
@@ -161,20 +164,8 @@ TraceRunResult Partrace::trace(const sim::Cluster& cluster,
   b.dependencies = engine->edges();
 
   if (raw) {
-    std::map<int, trace::RankStream> by_rank;
-    for (const TraceEvent& ev : raw->events()) {
-      trace::RankStream& rs = by_rank[ev.rank];
-      rs.rank = ev.rank;
-      rs.host = ev.host;
-      rs.pid = ev.pid;
-      if (ev.name == "MPI_Barrier") {
-        b.barrier_events.push_back(ev);
-      }
-      rs.events.push_back(ev);
-    }
-    for (auto& [rank, rs] : by_rank) {
-      b.ranks.push_back(std::move(rs));
-    }
+    b.ranks = raw->take();
+    b.barrier_events = barriers->take();
   }
   return result;
 }

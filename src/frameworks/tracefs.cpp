@@ -1,10 +1,9 @@
 #include "frameworks/tracefs.h"
 
-#include <map>
 #include <utility>
 
 #include "trace/binary_format.h"
-#include "trace/sink.h"
+#include "trace/bundle.h"
 #include "util/error.h"
 
 namespace iotaxo::frameworks {
@@ -63,10 +62,10 @@ std::shared_ptr<interpose::VfsShim> Tracefs::mount(
 TraceRunResult Tracefs::trace(const sim::Cluster& cluster, const mpi::Job& job,
                               fs::VfsPtr vfs, const TraceJobOptions& options) {
   auto summary = std::make_shared<trace::SummarySink>();
-  std::shared_ptr<trace::VectorSink> raw;
+  std::shared_ptr<trace::RankStreamSink> raw;
   std::vector<trace::SinkPtr> sinks{summary};
   if (options.store_raw_streams) {
-    raw = std::make_shared<trace::VectorSink>();
+    raw = std::make_shared<trace::RankStreamSink>();
     sinks.push_back(raw);
   }
   const auto shim =
@@ -92,17 +91,7 @@ TraceRunResult Tracefs::trace(const sim::Cluster& cluster, const mpi::Job& job,
   b.merge_summary(*summary);
 
   if (raw) {
-    std::map<int, trace::RankStream> by_rank;
-    for (const trace::TraceEvent& ev : raw->events()) {
-      trace::RankStream& rs = by_rank[ev.rank];
-      rs.rank = ev.rank;
-      rs.host = ev.host;
-      rs.pid = ev.pid;
-      rs.events.push_back(ev);
-    }
-    for (auto& [rank, rs] : by_rank) {
-      b.ranks.push_back(std::move(rs));
-    }
+    b.ranks = raw->take();
   }
   return result;
 }

@@ -50,12 +50,9 @@ namespace {
 }  // namespace
 
 PtraceTracer::PtraceTracer(Mode mode, trace::SinkPtr sink,
-                           InterposeCosts costs, std::size_t batch_capacity,
-                           trace::AsyncFlushMode async)
+                           InterposeCosts costs, std::size_t batch_capacity)
     : mode_(mode),
-      batcher_(trace::maybe_async(
-                   require_sink(std::move(sink), "PtraceTracer"), async),
-               batch_capacity),
+      batcher_(require_sink(std::move(sink), "PtraceTracer"), batch_capacity),
       costs_(costs) {}
 
 void PtraceTracer::flush() { batcher_.flush(); }
@@ -85,10 +82,8 @@ SimTime PtraceTracer::on_event(const TraceEvent& ev) {
 }
 
 DynLibInterposer::DynLibInterposer(trace::SinkPtr sink, InterposeCosts costs,
-                                   std::size_t batch_capacity,
-                                   trace::AsyncFlushMode async)
-    : batcher_(trace::maybe_async(
-                   require_sink(std::move(sink), "DynLibInterposer"), async),
+                                   std::size_t batch_capacity)
+    : batcher_(require_sink(std::move(sink), "DynLibInterposer"),
                batch_capacity),
       costs_(costs) {}
 

@@ -9,14 +9,9 @@
 // hot path stops paying per-event heap and virtual-call costs. The runtime
 // calls flush() at end of run; manual drivers (tests) call it explicitly.
 // batch_capacity == 1 (the default for direct construction) delivers each
-// event immediately, preserving interleaved observation order.
-//
-// Async-flush mode (off by default): when AsyncFlushMode.enabled, the sink
-// is wrapped in a trace::AsyncBatchSink, so full batches move onto flush
-// workers instead of being delivered inline — benchmark-scale runs hide
-// delivery cost entirely behind the traced job. flush() then doubles as the
-// drain barrier: it blocks until the async queue is empty, so results stay
-// deterministic by the time the runtime calls on_run_end().
+// event immediately, preserving interleaved observation order. Delivery is
+// inline on the simulation thread, so everything the sink holds is final
+// by the time the runtime calls on_run_end().
 #pragma once
 
 #include <memory>
@@ -26,7 +21,6 @@
 
 #include "interpose/mechanism.h"
 #include "mpi/runtime.h"
-#include "trace/async_sink.h"
 #include "trace/event.h"
 #include "trace/sink.h"
 
@@ -40,8 +34,7 @@ class PtraceTracer : public mpi::IoObserver {
   enum class Mode { kStrace, kLtrace };
 
   PtraceTracer(Mode mode, trace::SinkPtr sink, InterposeCosts costs = {},
-               std::size_t batch_capacity = 1,
-               trace::AsyncFlushMode async = {});
+               std::size_t batch_capacity = 1);
 
   [[nodiscard]] SimTime on_event(const trace::TraceEvent& ev) override;
   void flush() override;
@@ -64,8 +57,7 @@ class PtraceTracer : public mpi::IoObserver {
 class DynLibInterposer : public mpi::IoObserver {
  public:
   explicit DynLibInterposer(trace::SinkPtr sink, InterposeCosts costs = {},
-                            std::size_t batch_capacity = 1,
-                            trace::AsyncFlushMode async = {});
+                            std::size_t batch_capacity = 1);
 
   [[nodiscard]] SimTime on_event(const trace::TraceEvent& ev) override;
   void flush() override;

@@ -23,8 +23,7 @@ VfsShim::VfsShim(fs::VfsPtr inner, trace::SinkPtr sink, VfsShimOptions options,
     throw ConfigError("VfsShim needs an inner file system");
   }
   if (sink) {
-    batcher_.emplace(trace::maybe_async(std::move(sink), options_.async_flush),
-                     options_.batch_capacity);
+    batcher_.emplace(std::move(sink), options_.batch_capacity);
   }
 }
 
@@ -76,9 +75,7 @@ SimTime VfsShim::capture(VfsOp op, const std::string& path, int fd,
   } else {
     ev.local_start = ctx.now;
   }
-  ev.args = {path.empty() ? strprintf("%d", fd) : path,
-             strprintf("%lld", static_cast<long long>(offset)),
-             strprintf("%lld", static_cast<long long>(n))};
+  ev.args = {path.empty() ? decimal(fd) : path, decimal(offset), decimal(n)};
 
   if (filter_ && !filter_(ev)) {
     return 0;

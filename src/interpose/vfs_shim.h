@@ -17,7 +17,6 @@
 
 #include "fs/vfs.h"
 #include "sim/cluster.h"
-#include "trace/async_sink.h"
 #include "trace/event.h"
 #include "trace/sink.h"
 
@@ -52,15 +51,10 @@ struct VfsShimOptions {
 
   /// Sink delivery granularity: events buffer into per-rank EventBatches
   /// and reach the sink via on_batch once a rank accumulates this many
-  /// (remainders on flush()). 1 delivers each event immediately.
+  /// (remainders on flush()). 1 delivers each event immediately. Delivery
+  /// is inline either way; simulated capture *cost* (record_cost et al.)
+  /// does not depend on it.
   std::size_t batch_capacity = 1;
-
-  /// Async flush (off by default): wrap the sink in a trace::AsyncBatchSink
-  /// so full batches move onto flush workers; flush() becomes the drain
-  /// barrier. Benchmark-scale knob — simulated capture *cost* is unchanged
-  /// (record_cost et al. model the in-kernel path), only real sink delivery
-  /// leaves the caller's thread.
-  trace::AsyncFlushMode async_flush{};
 };
 
 class VfsShim : public fs::Vfs {

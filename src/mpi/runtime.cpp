@@ -116,7 +116,7 @@ void Runtime::exec_open(int rank, const Op& op) {
                   t0 + kLibWrapperCost + statfs_cost, fd);
 
     TraceEvent sys_fcntl = trace::make_syscall(
-        "SYS_fcntl64", {strprintf("%d", fd), "1", "0"}, 0);
+        "SYS_fcntl64", {decimal(fd), "1", "0"}, 0);
     sys_fcntl.duration = fcntl_cost;
     sys_fcntl.fd = fd;
     extra += emit(rank, std::move(sys_fcntl),
@@ -152,13 +152,12 @@ void Runtime::exec_close(int rank, const Op& op) {
   const SimTime lib_dur = r.cost + kLibWrapperCost;
   SimTime extra = 0;
   const char* lib_name = op.api == Api::kMpiIo ? "MPI_File_close" : "close";
-  TraceEvent lib =
-      trace::make_libcall(lib_name, {strprintf("%d", fd)}, 0);
+  TraceEvent lib = trace::make_libcall(lib_name, {decimal(fd)}, 0);
   lib.duration = lib_dur;
   lib.fd = fd;
   extra += emit(rank, std::move(lib), t0, -1);
 
-  TraceEvent sys = trace::make_syscall("SYS_close", {strprintf("%d", fd)}, 0);
+  TraceEvent sys = trace::make_syscall("SYS_close", {decimal(fd)}, 0);
   sys.duration = r.cost;
   sys.fd = fd;
   extra += emit(rank, std::move(sys), t0 + kLibWrapperCost, -1);
@@ -199,9 +198,7 @@ void Runtime::exec_io_blocks(int rank, const Op& op, bool is_write) {
     SimTime extra = 0;
     {
       TraceEvent lib = trace::make_libcall(
-          lib_name,
-          {strprintf("%d", fd), strprintf("%lld", static_cast<long long>(offset)),
-           strprintf("%lld", static_cast<long long>(op.block))},
+          lib_name, {decimal(fd), decimal(offset), decimal(op.block)},
           static_cast<long long>(r.value));
       lib.duration = lib_dur;
       lib.fd = fd;
@@ -210,9 +207,7 @@ void Runtime::exec_io_blocks(int rank, const Op& op, bool is_write) {
       extra += emit(rank, std::move(lib), t0, fd);
 
       TraceEvent sys_seek = trace::make_syscall(
-          "SYS_lseek",
-          {strprintf("%d", fd), strprintf("%lld", static_cast<long long>(offset)),
-           "0"},
+          "SYS_lseek", {decimal(fd), decimal(offset), "0"},
           static_cast<long long>(offset));
       sys_seek.duration = kLseekCost;
       sys_seek.fd = fd;
@@ -220,9 +215,7 @@ void Runtime::exec_io_blocks(int rank, const Op& op, bool is_write) {
       extra += emit(rank, std::move(sys_seek), t0 + kLibWrapperCost, fd);
 
       TraceEvent sys_io = trace::make_syscall(
-          sys_name,
-          {strprintf("%d", fd), strprintf("%lld", static_cast<long long>(op.block)),
-           strprintf("%lld", static_cast<long long>(offset))},
+          sys_name, {decimal(fd), decimal(op.block), decimal(offset)},
           static_cast<long long>(r.value));
       sys_io.duration = io_cost;
       sys_io.fd = fd;
@@ -281,7 +274,7 @@ void Runtime::exec_simple_path_op(int rank, const Op& op) {
       r = options_.vfs->fsync(fd, ctx);
       sys_name = "SYS_fsync";
       lib_name = "fsync";
-      args = {strprintf("%d", fd)};
+      args = {decimal(fd)};
       amp_fd = fd;
       break;
     }
@@ -320,7 +313,7 @@ void Runtime::exec_simple_path_op(int rank, const Op& op) {
       r = options_.vfs->mmap(fd, ctx);
       sys_name = "SYS_mmap";
       lib_name = "mmap";
-      args = {strprintf("%d", fd), "0"};
+      args = {decimal(fd), "0"};
       amp_fd = fd;
       break;
     }
@@ -362,9 +355,7 @@ void Runtime::exec_send(int rank, const Op& op) {
   mailbox_[{rank, op.peer, op.tag}].push_back(Message{t0 + transfer});
 
   TraceEvent lib = trace::make_libcall(
-      "MPI_Send",
-      {strprintf("%lld", static_cast<long long>(op.msg_bytes)),
-       strprintf("%d", op.peer), strprintf("%d", op.tag)},
+      "MPI_Send", {decimal(op.msg_bytes), decimal(op.peer), decimal(op.tag)},
       0);
   lib.duration = send_overhead;
   lib.bytes = op.msg_bytes;
@@ -391,7 +382,7 @@ bool Runtime::try_exec_recv(int rank, const Op& op) {
   const SimTime recv_overhead =
       cluster_.network().params().per_message_overhead;
   TraceEvent lib = trace::make_libcall(
-      "MPI_Recv", {strprintf("%d", op.peer), strprintf("%d", op.tag)}, 0);
+      "MPI_Recv", {decimal(op.peer), decimal(op.tag)}, 0);
   lib.duration = (ready - t0) + recv_overhead;
   const SimTime extra = emit(rank, std::move(lib), t0, -1);
   rs.now = ready + recv_overhead + extra;

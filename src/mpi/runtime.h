@@ -39,10 +39,7 @@ struct RunContext {
 /// and the dynamic interposer do) drain them in flush(). The runtime calls
 /// flush() on every observer after the last rank finishes and *before* any
 /// on_run_end(), so end-of-run processing always sees fully delivered
-/// sinks. This same call is the drain barrier for observers running in
-/// async-flush mode: their flush() blocks until the AsyncBatchSink queue is
-/// empty, so concurrent delivery never makes observed results
-/// nondeterministic.
+/// sinks.
 class IoObserver {
  public:
   virtual ~IoObserver() = default;

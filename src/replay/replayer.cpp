@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "interpose/tracers.h"
-#include "trace/sink.h"
+#include "trace/bundle.h"
 #include "util/error.h"
 
 namespace iotaxo::replay {
@@ -36,12 +36,13 @@ ReplayResult Replayer::run_programs(const std::vector<mpi::Program>& programs,
   run_options.startup = options.startup;
   run_options.cmdline = "/pseudo_app.exe";
 
-  auto vec_sink = std::make_shared<trace::VectorSink>();
+  auto stream_sink = std::make_shared<trace::RankStreamSink>();
+  auto barrier_sink = std::make_shared<trace::BarrierSink>();
   auto sum_sink = std::make_shared<trace::SummarySink>();
   std::shared_ptr<interpose::DynLibInterposer> capture;
   if (options.capture_trace) {
     auto multi = std::make_shared<trace::MultiSink>(
-        std::vector<trace::SinkPtr>{vec_sink, sum_sink});
+        std::vector<trace::SinkPtr>{stream_sink, barrier_sink, sum_sink});
     capture = std::make_shared<interpose::DynLibInterposer>(
         multi, interpose::InterposeCosts{}, options.batch_capacity);
     run_options.observers.push_back(capture);
@@ -58,21 +59,8 @@ ReplayResult Replayer::run_programs(const std::vector<mpi::Program>& programs,
         options.pseudo.sync == SyncStrategy::kBarriers      ? "barriers"
         : options.pseudo.sync == SyncStrategy::kDependencies ? "dependencies"
                                                               : "none";
-    // Split the flat capture into per-rank streams.
-    std::map<int, trace::RankStream> by_rank;
-    for (const trace::TraceEvent& ev : vec_sink->events()) {
-      trace::RankStream& rs = by_rank[ev.rank];
-      rs.rank = ev.rank;
-      rs.host = ev.host;
-      rs.pid = ev.pid;
-      if (ev.name == "MPI_Barrier") {
-        b.barrier_events.push_back(ev);
-      }
-      rs.events.push_back(ev);
-    }
-    for (auto& [rank, rs] : by_rank) {
-      b.ranks.push_back(std::move(rs));
-    }
+    b.ranks = stream_sink->take();
+    b.barrier_events = barrier_sink->take();
     b.merge_summary(*sum_sink);
   }
   return result;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "trace/text_format.h"
@@ -19,6 +21,59 @@ long long TraceBundle::total_events() const noexcept {
     n += entry.count;
   }
   return n;
+}
+
+RankStream& RankStreamSink::stream(int rank) {
+  RankStream& rs = streams_[rank];
+  rs.rank = rank;
+  return rs;
+}
+
+void RankStreamSink::on_event(const TraceEvent& ev) {
+  RankStream& rs = stream(ev.rank);
+  rs.host = ev.host;
+  rs.pid = ev.pid;
+  rs.events.push_back(ev);
+}
+
+void RankStreamSink::on_batch(const EventBatch& batch) {
+  for (std::size_t i = 0; i < batch.size();) {
+    const int rank = batch.record(i).rank;
+    RankStream& rs = stream(rank);
+    for (; i < batch.size() && batch.record(i).rank == rank; ++i) {
+      rs.events.push_back(batch.materialize(i));
+    }
+    rs.host = rs.events.back().host;
+    rs.pid = rs.events.back().pid;
+  }
+}
+
+std::vector<RankStream> RankStreamSink::take() {
+  std::vector<RankStream> out;
+  out.reserve(streams_.size());
+  for (auto& [rank, rs] : streams_) {
+    out.push_back(std::move(rs));
+  }
+  streams_.clear();
+  return out;
+}
+
+void BarrierSink::on_event(const TraceEvent& ev) {
+  if (ev.name == "MPI_Barrier") {
+    events_.push_back(ev);
+  }
+}
+
+void BarrierSink::on_batch(const EventBatch& batch) {
+  const std::optional<StrId> barrier = batch.pool().find("MPI_Barrier");
+  if (!barrier.has_value()) {
+    return;
+  }
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (batch.record(i).name == *barrier) {
+      events_.push_back(batch.materialize(i));
+    }
+  }
 }
 
 void TraceBundle::merge_summary(const SummarySink& sink) {
@@ -150,11 +205,16 @@ TraceBundle TraceBundle::load(const std::string& directory) {
         continue;
       }
       const auto cols = split(line, '\t');
-      if (cols.size() >= 3) {
-        auto& e = b.call_summary[cols[0]];
-        e.count = std::strtoll(cols[1].c_str(), nullptr, 10);
-        e.total_duration = std::strtoll(cols[2].c_str(), nullptr, 10);
+      const std::optional<long long> count =
+          cols.size() >= 3 ? parse_decimal(cols[1]) : std::nullopt;
+      const std::optional<long long> total =
+          cols.size() >= 3 ? parse_decimal(cols[2]) : std::nullopt;
+      if (!count.has_value() || !total.has_value()) {
+        throw FormatError("call_summary.tsv: bad row: " + line);
       }
+      auto& e = b.call_summary[cols[0]];
+      e.count = *count;
+      e.total_duration = *total;
     }
   }
 
@@ -167,12 +227,21 @@ TraceBundle TraceBundle::load(const std::string& directory) {
         continue;
       }
       const auto cols = split(line, '\t');
-      if (cols.size() >= 3) {
-        b.dependencies.push_back(
-            DependencyEdge{static_cast<int>(std::strtol(cols[0].c_str(), nullptr, 10)),
-                           static_cast<int>(std::strtol(cols[1].c_str(), nullptr, 10)),
-                           cols[2]});
+      const auto rank = [&](std::size_t i) -> std::optional<int> {
+        const std::optional<long long> v =
+            cols.size() >= 3 ? parse_decimal(cols[i]) : std::nullopt;
+        if (!v.has_value() || *v < std::numeric_limits<int>::min() ||
+            *v > std::numeric_limits<int>::max()) {
+          return std::nullopt;
+        }
+        return static_cast<int>(*v);
+      };
+      const std::optional<int> from = rank(0);
+      const std::optional<int> to = rank(1);
+      if (!from.has_value() || !to.has_value()) {
+        throw FormatError("dependencies.tsv: bad row: " + line);
       }
+      b.dependencies.push_back(DependencyEdge{*from, *to, cols[2]});
     }
   }
   return b;

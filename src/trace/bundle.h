@@ -7,6 +7,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/event.h"
@@ -29,6 +30,37 @@ struct RankStream {
   std::string host;
   std::uint32_t pid = 0;
   std::vector<TraceEvent> events;
+};
+
+/// Builds a bundle's raw per-rank streams straight from delivery: every
+/// record is materialized once, into its rank's stream, in delivery order.
+/// A RankBatcher batch holds one rank, so the stream lookup runs once per
+/// batch. A stream's host and pid are those of its last event.
+class RankStreamSink : public EventSink {
+ public:
+  void on_event(const TraceEvent& ev) override;
+  void on_batch(const EventBatch& batch) override;
+  /// Hand the streams over in ascending rank order and start empty.
+  [[nodiscard]] std::vector<RankStream> take();
+
+ private:
+  [[nodiscard]] RankStream& stream(int rank);
+
+  std::map<int, RankStream> streams_;
+};
+
+/// Keeps every MPI_Barrier event in delivery order: the barriers.trace of
+/// frameworks whose barriers arrive through their capture sink.
+class BarrierSink : public EventSink {
+ public:
+  void on_event(const TraceEvent& ev) override;
+  void on_batch(const EventBatch& batch) override;
+  [[nodiscard]] std::vector<TraceEvent> take() noexcept {
+    return std::move(events_);
+  }
+
+ private:
+  std::vector<TraceEvent> events_;
 };
 
 class TraceBundle {

@@ -8,24 +8,15 @@
 // (on_batch, an EventBatch of interned records). on_batch's default
 // implementation falls back to per-event delivery, so existing sinks keep
 // working; the built-in sinks override it natively so the batched pipeline
-// never rebuilds per-event heap objects it does not need. on_batch_owned is
-// the ownership-transfer variant: async consumers (trace::AsyncBatchSink)
-// move the batch into their flush queue instead of copying it.
+// never rebuilds per-event heap objects it does not need. A bundle's raw
+// per-rank streams come from trace::RankStreamSink (trace/bundle.h), which
+// materializes each delivered record once, straight into its rank's stream.
 //
-// Thread-safety contract: sinks are single-threaded by default — nothing
-// in this header takes a lock, and the capture layers deliver from the
-// (single-threaded) simulation loop. Concurrency is layered on top:
-//   - Any sink is data-race-safe behind an AsyncBatchSink, which serializes
-//     downstream delivery. Order-sensitive sinks (VectorSink, BatchSink)
-//     additionally need AsyncOptions::workers == 1 — with more workers the
-//     arrival order at the sink is indeterminate.
-//   - Aggregating sinks (SummarySink, CountingSink) tolerate any worker
-//     count but still must not be shared by two AsyncBatchSinks (each
-//     serializes only its own deliveries).
-//   - Sinks that must absorb *concurrent* deliveries (AsyncOptions::
-//     concurrent_downstream) have to synchronize internally; ShardedSummary-
-//     Sink in trace/async_sink.h is the built-in one — it shards the
-//     summary map by hash(rank) so concurrent flush workers do not contend.
+// Thread-safety contract: sinks are single-threaded. Nothing in this
+// header takes a lock, and the capture layers deliver inline from the
+// (single-threaded) simulation loop. An off-thread delivery queue was
+// measured on the paper's worst-case capture and did not pay for itself,
+// so the capture path has none.
 #pragma once
 
 #include <algorithm>
@@ -37,6 +28,7 @@
 
 #include "trace/event.h"
 #include "trace/event_batch.h"
+#include "util/metrics.h"
 
 namespace iotaxo::trace {
 
@@ -51,18 +43,13 @@ class EventSink {
       on_event(batch.materialize(i));
     }
   }
-  /// Ownership-transfer delivery. The default observes the batch by const
-  /// reference and leaves it intact, so inline sinks cost nothing extra and
-  /// producers (RankBatcher) can keep reusing the buffer's string pool.
-  /// Consuming overrides (AsyncBatchSink) move the batch out, leaving the
-  /// caller an empty one.
-  virtual void on_batch_owned(EventBatch&& batch) { on_batch(batch); }
   virtual void flush() {}
 };
 
 using SinkPtr = std::shared_ptr<EventSink>;
 
-/// Retains every event (tests, replay, anonymization pipelines).
+/// Retains every event as one flat stream, in delivery order (tests and
+/// naive references; bundles build their streams with RankStreamSink).
 class VectorSink : public EventSink {
  public:
   void on_event(const TraceEvent& ev) override { events_.push_back(ev); }
@@ -212,6 +199,8 @@ class MultiSink : public EventSink {
 /// `capacity` and any remainder on flush(). With capacity <= 1 events skip
 /// the buffer entirely and go straight to on_event, preserving the
 /// interleaved per-event observation order for direct/manual use.
+/// Each batch delivery counts one `sink.batch.flushes` and its records in
+/// `sink.batch.events` (util/metrics.h; one relaxed load each, disarmed).
 class RankBatcher {
  public:
   /// ~64k distinct strings per rank buffer before the pool is rebuilt;
@@ -284,13 +273,15 @@ class RankBatcher {
   }
 
   void deliver(EventBatch& batch) {
-    sink_->on_batch_owned(std::move(batch));
-    // A consuming sink (async flush queue) leaves the batch moved-from and
-    // empty: reset() restores the pool's id-0 invariant. An observing sink
-    // leaves it intact: keep the pool so repeated names intern once per
-    // rank — unless high-cardinality strings (per-I/O offset args) have
-    // grown it past the bound, then start over.
-    if (batch.empty() || batch.pool().size() > kPoolResetThreshold) {
+    static obs::Counter& flushes = obs::counter("sink.batch.flushes");
+    static obs::Counter& events = obs::counter("sink.batch.events");
+    flushes.add(1);
+    events.add(batch.size());
+    sink_->on_batch(batch);
+    // Keep the pool so repeated names intern once per rank, unless
+    // high-cardinality strings (per-I/O offset args) have grown it past
+    // the bound; then start over.
+    if (batch.pool().size() > kPoolResetThreshold) {
       batch.reset();
     } else {
       batch.clear();

@@ -5,15 +5,21 @@
 // (Recorder-style compact trace representations).
 //
 // Id 0 is always the empty string, so zero-initialized records are valid.
+//
+// Layout: the strings live in a deque, indexed by id, so str() references
+// stay valid as the pool grows. Lookup is one flat linear-probe slot array
+// over them (load <= 1/2). A slot packs the upper half of the string's
+// hash over its id + 1 (0 = empty); the hash's top bits pick the home
+// slot, so growing the array re-places slots without rehashing a string.
+// all_distinct() runs the same probe over a borrowed table.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace iotaxo::trace {
@@ -25,10 +31,11 @@ class StringPool {
  public:
   StringPool();
 
-  // by_id_ points into index_'s nodes, so copies must rebuild it against
-  // their own map (a defaulted copy would alias the source's storage).
-  StringPool(const StringPool& other);
-  StringPool& operator=(const StringPool& other);
+  StringPool(const StringPool&) = default;
+  StringPool& operator=(const StringPool&) = default;
+  // noexcept so vectors of batches move, not copy, on reallocation. A
+  // moved-from pool is empty (no id-0 entry) but safe to clear() or to
+  // intern into.
   StringPool(StringPool&&) noexcept = default;
   StringPool& operator=(StringPool&&) noexcept = default;
 
@@ -39,36 +46,30 @@ class StringPool {
   [[nodiscard]] std::optional<StrId> find(std::string_view s) const;
 
   /// The string for an id. Throws FormatError on an out-of-range id.
-  [[nodiscard]] std::string_view view(StrId id) const;
+  [[nodiscard]] std::string_view view(StrId id) const { return str(id); }
   [[nodiscard]] const std::string& str(StrId id) const;
 
   /// Number of distinct strings (including the implicit empty string).
-  [[nodiscard]] std::size_t size() const noexcept { return by_id_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return strings_.size(); }
 
   /// Total bytes of interned string payload plus per-entry overhead, kept
   /// incrementally so size estimates (era seal checks run once per flush)
   /// never have to walk the pool.
   [[nodiscard]] std::size_t byte_size() const noexcept { return bytes_; }
 
-  /// Pre-size for ~n distinct strings. The re-intern paths (batch append,
-  /// container decode) know the incoming pool size up front; reserving
-  /// avoids the rehash cascade that otherwise shows up in ingest profiles.
-  /// Growth is geometric: a stream of small appends each asking for "size
-  /// + a little more" must not re-reserve (and rehash/copy) every call.
-  void reserve(std::size_t n) {
-    if (n <= by_id_.capacity()) {
-      return;
-    }
-    const std::size_t want = std::max(n, by_id_.capacity() * 2);
-    index_.reserve(want);
-    by_id_.reserve(want);
-  }
+  /// Pre-size the slot array for ~n distinct strings. The re-intern paths
+  /// (batch append, container decode) know the incoming pool size up
+  /// front. Growth stays geometric: the array only ever doubles, so a
+  /// stream of small appends asking for "size + a little more" does not
+  /// re-place every slot on each call.
+  void reserve(std::size_t n);
 
   /// Visit every interned string in id order (serialization).
   template <class Fn>
   void for_each(Fn&& fn) const {
-    for (StrId id = 0; id < by_id_.size(); ++id) {
-      fn(id, std::string_view(*by_id_[id]));
+    StrId id = 0;
+    for (const std::string& s : strings_) {
+      fn(id++, std::string_view(s));
     }
   }
 
@@ -76,19 +77,10 @@ class StringPool {
   void clear();
 
  private:
-  // Transparent hashing so intern/find of an already-interned string never
-  // allocates — that is the capture hot path.
-  struct Hash {
-    using is_transparent = void;
-    [[nodiscard]] std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
+  void grow(std::size_t slots);
 
-  // Keys own the storage; node pointers stay stable across rehashing, so
-  // by_id_ can point straight into the map.
-  std::unordered_map<std::string, StrId, Hash, std::equal_to<>> index_;
-  std::vector<const std::string*> by_id_;
+  std::deque<std::string> strings_;  // by id
+  std::vector<std::uint64_t> slots_;  // power-of-two size, or empty
   std::size_t bytes_ = 0;
 };
 

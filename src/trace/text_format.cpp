@@ -1,6 +1,10 @@
 #include "trace/text_format.h"
 
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 
 #include "util/error.h"
 #include "util/strings.h"
@@ -143,6 +147,47 @@ long long to_ll(const std::string& s) {
   return std::strtoll(s.c_str(), nullptr, 10);
 }
 
+/// A header number in [lo, hi], or FormatError naming `line`.
+long long header_number(std::string_view s, long long lo, long long hi,
+                        std::string_view line) {
+  const std::optional<long long> v = parse_decimal(s);
+  if (!v.has_value() || *v < lo || *v > hi) {
+    throw FormatError("bad trace header: " + std::string(line));
+  }
+  return *v;
+}
+
+/// Time of day from an H:M:S.us stamp exactly as format_timestamp writes
+/// it: each field within its clock range and all of one sign (stamps
+/// before the UTC offset render negative). Throws FormatError otherwise.
+SimTime parse_time_of_day(std::string_view ts) {
+  constexpr long long kMax[4] = {23, 59, 59, 999999};
+  constexpr char kSep[3] = {':', ':', '.'};
+  long long f[4] = {};
+  std::size_t pos = 0;
+  for (int i = 0; i < 4; ++i) {
+    const std::size_t end = i < 3 ? ts.find(kSep[i], pos) : ts.size();
+    const std::optional<long long> v =
+        end == std::string_view::npos ? std::nullopt
+                                      : parse_decimal(ts.substr(pos, end - pos));
+    if (!v.has_value() || *v < -kMax[i] || *v > kMax[i]) {
+      throw FormatError("bad timestamp: " + std::string(ts));
+    }
+    f[i] = *v;
+    pos = end + 1;
+  }
+  const bool non_negative = f[0] >= 0 && f[1] >= 0 && f[2] >= 0 && f[3] >= 0;
+  const bool non_positive = f[0] <= 0 && f[1] <= 0 && f[2] <= 0 && f[3] <= 0;
+  if (!non_negative && !non_positive) {
+    throw FormatError("bad timestamp: " + std::string(ts));
+  }
+  return (f[0] * 3600 + f[1] * 60 + f[2]) * kSecond + f[3] * kMicrosecond;
+}
+
+/// from_seconds rounds into int64 ns; only finite durations well inside
+/// that range (about 292 years) convert without overflow.
+constexpr double kMaxDurationSeconds = 9.2e9;
+
 /// Reconstruct semantic fields from call name + args (replayer rules).
 void attach_semantics(TraceEvent& ev) {
   const auto& a = ev.args;
@@ -216,15 +261,11 @@ TraceEvent TextTraceParser::parse_line(const std::string& raw,
   if (sp == std::string_view::npos) {
     throw FormatError("trace line missing timestamp: " + raw);
   }
-  const std::string ts(line.substr(0, sp));
-  int h = 0, m = 0, s = 0;
-  long us = 0;
-  if (std::sscanf(ts.c_str(), "%d:%d:%d.%ld", &h, &m, &s, &us) != 4) {
-    throw FormatError("bad timestamp: " + ts);
+  const SimTime of_day = parse_time_of_day(line.substr(0, sp));
+  if (__builtin_sub_overflow(day_base, kUtcOffset, &ev.local_start) ||
+      __builtin_add_overflow(ev.local_start, of_day, &ev.local_start)) {
+    throw FormatError("timestamp overflows the day base: " + raw);
   }
-  ev.local_start = day_base - kUtcOffset +
-                   (static_cast<SimTime>(h) * 3600 + m * 60 + s) * kSecond +
-                   static_cast<SimTime>(us) * kMicrosecond;
 
   // name(args) = ret <dur>
   const std::string_view rest = trim(line.substr(sp + 1));
@@ -241,6 +282,9 @@ TraceEvent TextTraceParser::parse_line(const std::string& raw,
   double dur = 0.0;
   if (std::sscanf(std::string(tail).c_str(), "= %lld <%lf>", &ret, &dur) != 2) {
     throw FormatError("trace line missing result: " + raw);
+  }
+  if (!(std::fabs(dur) < kMaxDurationSeconds)) {  // also rejects NaN
+    throw FormatError("trace line duration out of range: " + raw);
   }
   ev.ret = ret;
   ev.duration = from_seconds(dur);
@@ -277,15 +321,19 @@ TextTraceParser::Parsed TextTraceParser::parse(const std::string& text) {
       // "# host <host> rank <rank> pid <pid>"
       if (parts.size() >= 7) {
         out.meta.host = parts[2];
-        out.meta.rank = static_cast<int>(to_ll(parts[4]));
-        out.meta.pid = static_cast<std::uint32_t>(to_ll(parts[6]));
+        out.meta.rank = static_cast<int>(
+            header_number(parts[4], std::numeric_limits<int>::min(),
+                          std::numeric_limits<int>::max(), line));
+        out.meta.pid = static_cast<std::uint32_t>(header_number(
+            parts[6], 0, std::numeric_limits<std::uint32_t>::max(), line));
       }
       continue;
     }
     if (starts_with(line, "# daybase ")) {
       const auto parts = split_ws(line);
       if (parts.size() >= 3) {
-        day_base = to_ll(parts[2]);
+        day_base = header_number(parts[2], std::numeric_limits<SimTime>::min(),
+                                 std::numeric_limits<SimTime>::max(), line);
       }
       continue;
     }

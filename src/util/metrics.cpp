@@ -69,14 +69,13 @@ struct CatalogEntry {
 };
 
 constexpr CatalogEntry kCatalog[] = {
-    // AsyncBatchSink (trace/async_sink.cpp)
-    {"sink.async.backpressure_stalls", MetricKind::kCounter},
-    {"sink.async.backpressure_wait_ns", MetricKind::kHistogram},
-    {"sink.async.batches_delivered", MetricKind::kCounter},
-    {"sink.async.delivery_errors", MetricKind::kCounter},
-    {"sink.async.errors_dropped", MetricKind::kCounter},
-    {"sink.async.events_delivered", MetricKind::kCounter},
-    {"sink.async.queue_depth", MetricKind::kGauge},
+    // RankBatcher deliveries (trace/sink.h)
+    {"sink.batch.events", MetricKind::kCounter},
+    {"sink.batch.flushes", MetricKind::kCounter},
+    // IOTB3 encode stages, one sample per block (trace/binary_format.cpp)
+    {"block.encode.compress_ns", MetricKind::kHistogram},
+    {"block.encode.crc_ns", MetricKind::kHistogram},
+    {"block.encode.encrypt_ns", MetricKind::kHistogram},
     // BlockView lazy decode (trace/block_view.cpp)
     {"block.decode.contention_waits", MetricKind::kCounter},
     {"block.decode.crc_ns", MetricKind::kHistogram},

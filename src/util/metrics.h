@@ -2,9 +2,9 @@
 //
 // A registry of named counters, gauges (with high-water marks) and fixed
 // log2-bucket histograms instruments every pipeline the repo has built —
-// store queries, BlockView decode stages, the async sink, cold compaction,
-// durable writes and attach_dir recovery — under the same zero-cost
-// discipline as util/failpoint.h:
+// capture batch deliveries, encode and BlockView decode stages, store
+// queries, cold compaction, durable writes and attach_dir recovery — under
+// the same zero-cost discipline as util/failpoint.h:
 //
 //   disarmed  every record call is one relaxed atomic load and a
 //             predictable not-taken branch; ScopedTimer never reads the
@@ -28,8 +28,8 @@
 // with the unit as a suffix where one applies (_ns, _bytes):
 //
 //   layer      the subsystem: sink, block, store, durable
-//   component  the mechanism inside it: async, decode, query, compact,
-//              attach, write
+//   component  the mechanism inside it: batch, encode, decode, query,
+//              compact, attach, write
 //   metric     what is counted/measured: stored_bytes, crc_ns, ...
 //
 // The full catalog is pre-registered (metrics.cpp kCatalog), so a
@@ -75,7 +75,7 @@ extern std::atomic<bool> armed;
 void set_enabled(bool on) noexcept;
 
 /// Monotonic event count. Striped across cache lines so concurrent armed
-/// writers (query workers, decode threads, sink workers) do not ping-pong
+/// writers (query workers, decode threads) do not ping-pong
 /// one line; value() folds the stripes.
 class Counter {
  public:
@@ -111,7 +111,7 @@ class Counter {
 };
 
 /// Last-written level plus the high-water mark since the last reset
-/// (e.g. async queue depth). set() is a store plus a CAS-max loop that
+/// (e.g. a queue depth). set() is a store plus a CAS-max loop that
 /// almost always exits on the first load.
 class Gauge {
  public:

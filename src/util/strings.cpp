@@ -1,6 +1,7 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -170,6 +171,22 @@ std::string format_duration(SimTime t) {
 
 std::string format_pct(double fraction, int decimals) {
   return strprintf("%.*f%%", decimals, fraction * 100.0);
+}
+
+std::string decimal(long long v) {
+  char buf[24];  // 19 digits of INT64_MIN, its sign, spare
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, res.ptr);
+}
+
+std::optional<long long> parse_decimal(std::string_view s) noexcept {
+  long long v = 0;
+  const char* end = s.data() + s.size();
+  const auto res = std::from_chars(s.data(), end, v);
+  if (s.empty() || res.ec != std::errc{} || res.ptr != end) {
+    return std::nullopt;
+  }
+  return v;
 }
 
 std::string strprintf(const char* fmt, ...) {

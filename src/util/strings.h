@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -45,6 +46,16 @@ namespace iotaxo {
 
 /// Fixed-precision percentage: format_pct(0.124) == "12.4%".
 [[nodiscard]] std::string format_pct(double fraction, int decimals = 1);
+
+/// Decimal form of `v`, the same bytes as strprintf("%lld", v) (and "%d"
+/// for an int), without the format-string parse: the capture layers render
+/// every fd, offset and size argument through it.
+[[nodiscard]] std::string decimal(long long v);
+
+/// The value `s` spells in decimal (an optional '-', then digits, nothing
+/// else), or nullopt when it is not one or does not fit a long long. The
+/// strict inverse of decimal() for parsers of untrusted text.
+[[nodiscard]] std::optional<long long> parse_decimal(std::string_view s) noexcept;
 
 /// printf-style into std::string (type-safe enough for internal use).
 [[nodiscard]] std::string strprintf(const char* fmt, ...)

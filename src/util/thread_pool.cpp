@@ -25,14 +25,6 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::post(std::function<void()> fn) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push(std::move(fn));
-  }
-  cv_.notify_one();
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;

@@ -1,11 +1,10 @@
 // Fixed-size worker pool behind every concurrent layer of the pipeline:
-// whole-simulation fan-out (benchmark parameter sweeps, classification
-// experiments), capture-side async batch flush (trace::AsyncBatchSink moves
-// EventBatches onto pool workers so delivery leaves the traced path), and
-// parallel aggregation scans in analysis::UnifiedTraceStore (per-source
-// partials merged deterministically). The simulator core itself remains
-// single-threaded and deterministic; concurrency enters only where state is
-// sharded or handed off whole.
+// whole-simulation fan-out (the overhead sweep, classification
+// experiments), lane-parallel block decode, and the store's parallel scans
+// in analysis::UnifiedTraceStore (per-source partials merged
+// deterministically). The simulator core and capture stay single-threaded
+// and deterministic; concurrency enters only where state is sharded or
+// handed off whole.
 #pragma once
 
 #include <condition_variable>
@@ -43,11 +42,6 @@ class ThreadPool {
     cv_.notify_one();
     return result;
   }
-
-  /// Enqueue fire-and-forget work: no future, so the task must not throw
-  /// (callers that need errors propagated own that, e.g. AsyncBatchSink
-  /// captures the first exception and rethrows it from flush()).
-  void post(std::function<void()> fn);
 
  private:
   void worker_loop();

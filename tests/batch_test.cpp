@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include "analysis/unified_store.h"
 #include "frameworks/partrace.h"
@@ -107,6 +110,106 @@ TEST(StringPool, CopiesOwnTheirStorage) {
   EXPECT_EQ(copy.view(id), "SYS_write");
   EXPECT_EQ(copy.intern("SYS_write"), id);
   EXPECT_EQ(copy.intern("new-string"), id + 1);
+}
+
+TEST(StringPool, DenseIdsAndStableReferencesThroughManyGrowths) {
+  StringPool pool;
+  const StrId first = pool.intern("s0");
+  const std::string& early = pool.str(first);  // taken before any growth
+  constexpr int kStrings = 70000;  // past 65,536: several slot doublings
+  for (int i = 1; i < kStrings; ++i) {
+    ASSERT_EQ(pool.intern(strprintf("s%d", i)), static_cast<StrId>(i + 1));
+  }
+  EXPECT_EQ(pool.size(), static_cast<std::size_t>(kStrings) + 1);
+  EXPECT_EQ(&pool.str(first), &early);
+  EXPECT_EQ(early, "s0");
+  for (int i = 0; i < kStrings; i += 997) {
+    const std::string s = strprintf("s%d", i);
+    const std::optional<StrId> id = pool.find(s);
+    ASSERT_TRUE(id.has_value()) << s;
+    EXPECT_EQ(*id, static_cast<StrId>(i + 1));
+    EXPECT_EQ(pool.view(*id), s);
+    EXPECT_EQ(pool.intern(s), *id);  // a hit interns nothing
+  }
+  EXPECT_EQ(pool.size(), static_cast<std::size_t>(kStrings) + 1);
+  EXPECT_FALSE(pool.find("s70000").has_value());
+  // for_each walks ids in order.
+  StrId expect = 0;
+  pool.for_each([&](StrId id, std::string_view s) {
+    EXPECT_EQ(id, expect++);
+    if (id == 0) {
+      EXPECT_EQ(s, "");
+    }
+  });
+  EXPECT_EQ(expect, pool.size());
+}
+
+TEST(StringPool, MovedFromPoolCanBeClearedOrInternedInto) {
+  StringPool source;
+  (void)source.intern("a");
+  StringPool target = std::move(source);
+  EXPECT_EQ(target.view(1), "a");
+  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from contract
+  EXPECT_FALSE(source.find("a").has_value());
+  const StrId x = source.intern("x");
+  EXPECT_EQ(source.view(x), "x");
+  EXPECT_EQ(source.intern("x"), x);
+  source.clear();
+  EXPECT_EQ(source.size(), 1u);
+  EXPECT_EQ(source.intern("y"), 1u);
+
+  StringPool assigned;
+  assigned = std::move(target);
+  EXPECT_EQ(*assigned.find("a"), 1u);
+  // NOLINTNEXTLINE(bugprone-use-after-move)
+  target.clear();
+  EXPECT_EQ(target.intern(""), 0u);
+  EXPECT_EQ(target.intern("b"), 1u);
+}
+
+TEST(StringPool, CopiesStayIndependentAfterFurtherInterns) {
+  StringPool original;
+  (void)original.intern("shared");
+  StringPool copy = original;
+  StringPool assigned;
+  assigned = original;
+  EXPECT_EQ(original.intern("only-original"), 2u);
+  EXPECT_EQ(copy.intern("only-copy"), 2u);
+  EXPECT_FALSE(copy.find("only-original").has_value());
+  EXPECT_FALSE(original.find("only-copy").has_value());
+  EXPECT_FALSE(assigned.find("only-original").has_value());
+  EXPECT_EQ(assigned.size(), 2u);
+  EXPECT_EQ(copy.view(2), "only-copy");
+  EXPECT_EQ(original.view(2), "only-original");
+}
+
+TEST(StringPool, ClearKeepsOnlyTheEmptyStringAndRestartsIds) {
+  StringPool pool;
+  const std::size_t empty_bytes = pool.byte_size();
+  for (int i = 0; i < 100; ++i) {
+    (void)pool.intern(strprintf("n%d", i));
+  }
+  EXPECT_EQ(pool.byte_size(),
+            empty_bytes + 100 * sizeof(std::string) + 10 * 2 + 90 * 3);
+  pool.clear();
+  EXPECT_EQ(pool.size(), 1u);
+  EXPECT_EQ(pool.byte_size(), empty_bytes);
+  EXPECT_FALSE(pool.find("n5").has_value());
+  EXPECT_EQ(pool.intern("n5"), 1u);
+  EXPECT_EQ(pool.intern(""), 0u);
+}
+
+TEST(StringPool, ReserveChangesNoIdsOrContents) {
+  StringPool pool;
+  (void)pool.intern("before");
+  pool.reserve(10000);
+  pool.reserve(3);  // smaller than what is there: a no-op
+  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_EQ(*pool.find("before"), 1u);
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_EQ(pool.intern(strprintf("r%d", i)), static_cast<StrId>(i + 2));
+  }
+  EXPECT_EQ(pool.view(5001), "r4999");
 }
 
 TEST(EventBatch, RoundTripsEvents) {

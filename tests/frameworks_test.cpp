@@ -1,6 +1,11 @@
 // Tests for the three I/O tracing frameworks: LANL-Trace, Tracefs, //TRACE.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "analysis/aggregate_timing.h"
 #include "analysis/call_summary.h"
 #include "anon/anonymizer.h"
@@ -339,6 +344,144 @@ TEST_F(FrameworksFixture, UntracedBaselineIsFastest) {
       lanl.trace(cluster_, job, std::make_shared<pfs::Pfs>(), {});
   EXPECT_GT(traced.run.elapsed, baseline.elapsed);
   EXPECT_GT(traced.apparent_elapsed, traced.run.elapsed);
+}
+
+// ------------------------------------------------------ capture identity
+//
+// Each framework's bundle must equal a naive reference: the same capture
+// mechanism, at the same batch capacity, delivering into one flat
+// VectorSink whose events are then grouped by rank the obvious way.
+
+struct Reference {
+  std::vector<trace::RankStream> ranks;
+  std::vector<trace::TraceEvent> barriers;  // MPI_Barrier, delivery order
+  std::map<std::string, trace::SummarySink::Entry> summary;
+};
+
+[[nodiscard]] Reference group_by_rank(
+    const std::vector<trace::TraceEvent>& flat) {
+  Reference ref;
+  std::map<int, trace::RankStream> by_rank;
+  trace::SummarySink summary;
+  for (const trace::TraceEvent& ev : flat) {
+    trace::RankStream& rs = by_rank[ev.rank];
+    rs.rank = ev.rank;
+    rs.host = ev.host;
+    rs.pid = ev.pid;
+    rs.events.push_back(ev);
+    if (ev.name == "MPI_Barrier") {
+      ref.barriers.push_back(ev);
+    }
+    summary.on_event(ev);
+  }
+  for (auto& [rank, rs] : by_rank) {
+    ref.ranks.push_back(std::move(rs));
+  }
+  ref.summary = summary.entries();
+  return ref;
+}
+
+void expect_same_streams(const trace::TraceBundle& b, const Reference& ref) {
+  ASSERT_EQ(b.ranks.size(), ref.ranks.size());
+  for (std::size_t i = 0; i < ref.ranks.size(); ++i) {
+    EXPECT_EQ(b.ranks[i].rank, ref.ranks[i].rank) << i;
+    EXPECT_EQ(b.ranks[i].host, ref.ranks[i].host) << i;
+    EXPECT_EQ(b.ranks[i].pid, ref.ranks[i].pid) << i;
+    EXPECT_TRUE(b.ranks[i].events == ref.ranks[i].events) << "rank " << i;
+  }
+  EXPECT_EQ(b.call_summary, ref.summary);
+}
+
+[[nodiscard]] mpi::RunOptions run_options(fs::VfsPtr vfs, const mpi::Job& job,
+                                          SimTime framework_startup) {
+  mpi::RunOptions options;
+  options.vfs = std::move(vfs);
+  options.startup = TraceJobOptions{}.app_startup + framework_startup;
+  options.cmdline = job.cmdline;
+  return options;
+}
+
+TEST_F(FrameworksFixture, LanlTraceStreamsEqualNaiveReference) {
+  using Mode = interpose::PtraceTracer::Mode;
+  const mpi::Job job = small_parallel_job();
+  for (const Mode mode : {Mode::kLtrace, Mode::kStrace}) {
+    for (const std::size_t capacity : {std::size_t{1}, std::size_t{256}}) {
+      SCOPED_TRACE(::testing::Message() << "mode " << static_cast<int>(mode)
+                                        << " capacity " << capacity);
+      LanlTraceParams params;
+      params.mode = mode;
+      params.batch_capacity = capacity;
+      const TraceRunResult r = LanlTrace(params).trace(
+          cluster_, job, std::make_shared<pfs::Pfs>(), {});
+
+      auto flat = std::make_shared<trace::VectorSink>();
+      auto tracer = std::make_shared<interpose::PtraceTracer>(
+          mode, flat, params.costs, capacity);
+      auto collector = std::make_shared<interpose::ProbeCollector>();
+      mpi::RunOptions options = run_options(std::make_shared<pfs::Pfs>(), job,
+                                            params.wrapper_startup);
+      options.observers = {tracer, collector};
+      mpi::Runtime runtime(cluster_, options);
+      (void)runtime.run(LanlTrace::wrap_job(job).programs);
+
+      ASSERT_EQ(r.bundle.ranks.size(), 8u);
+      expect_same_streams(r.bundle, group_by_rank(flat->events()));
+      EXPECT_TRUE(r.bundle.barrier_events == collector->barriers());
+    }
+  }
+}
+
+TEST_F(FrameworksFixture, PartraceStreamsAndBarriersEqualNaiveReference) {
+  const mpi::Job job = small_parallel_job();
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{256}}) {
+    SCOPED_TRACE(::testing::Message() << "capacity " << capacity);
+    PartraceParams params;
+    params.sampling = 0.5;
+    params.batch_capacity = capacity;
+    const TraceRunResult r = Partrace(params).trace(
+        cluster_, job, std::make_shared<pfs::Pfs>(), {});
+
+    auto flat = std::make_shared<trace::VectorSink>();
+    auto interposer = std::make_shared<interpose::DynLibInterposer>(
+        flat, params.costs, capacity);
+    auto engine = std::make_shared<ThrottleEngine>(
+        job.nranks(), params.sampling, params.throttle_delay);
+    mpi::RunOptions options = run_options(std::make_shared<pfs::Pfs>(), job,
+                                          params.preload_setup);
+    options.observers = {interposer, engine};
+    options.throttler = engine;
+    mpi::Runtime runtime(cluster_, options);
+    (void)runtime.run(job.programs);
+
+    const Reference ref = group_by_rank(flat->events());
+    expect_same_streams(r.bundle, ref);
+    ASSERT_FALSE(ref.barriers.empty());
+    EXPECT_TRUE(r.bundle.barrier_events == ref.barriers);
+    ASSERT_FALSE(engine->edges().empty());
+    EXPECT_EQ(r.bundle.dependencies, engine->edges());
+  }
+}
+
+TEST_F(FrameworksFixture, TracefsStreamsEqualNaiveReference) {
+  const mpi::Job job = small_parallel_job();
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{256}}) {
+    SCOPED_TRACE(::testing::Message() << "capacity " << capacity);
+    TracefsParams params;
+    params.shim.batch_capacity = capacity;
+    Tracefs tracefs(params);
+    const TraceRunResult r =
+        tracefs.trace(cluster_, job, std::make_shared<fs::MemFs>(), {});
+
+    auto flat = std::make_shared<trace::VectorSink>();
+    const auto shim =
+        tracefs.mount(std::make_shared<fs::MemFs>(), flat, &cluster_);
+    mpi::Runtime runtime(cluster_, run_options(shim, job, 0));
+    (void)runtime.run(job.programs);
+    shim->flush();
+
+    ASSERT_EQ(r.bundle.ranks.size(), 8u);
+    expect_same_streams(r.bundle, group_by_rank(flat->events()));
+  }
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // Self-metrics layer tests: the obs registry (counters, gauges,
 // histograms, snapshots, deltas, JSON), concurrent-hammer exactness, the
 // disarmed path's inertness (bit-identical query results and error text
-// with metrics on or off), the async sink's pipeline metrics, and the
-// cold-store decode cross-check — the block.decode.stored_bytes counter
-// must equal the store's own pool_infos() decoded-byte accounting exactly.
+// with metrics on or off), the capture batch counters and per-block encode
+// timers, and the cold-store decode cross-check — the
+// block.decode.stored_bytes counter must equal the store's own
+// pool_infos() decoded-byte accounting exactly.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
@@ -16,7 +18,8 @@
 
 #include "analysis/dfg/dfg.h"
 #include "analysis/unified_store.h"
-#include "trace/async_sink.h"
+#include "frameworks/lanl_trace.h"
+#include "pfs/pfs.h"
 #include "trace/binary_format.h"
 #include "trace/block_view.h"
 #include "trace/event_batch.h"
@@ -24,6 +27,7 @@
 #include "util/error.h"
 #include "util/metrics.h"
 #include "util/strings.h"
+#include "workload/mpi_io_test.h"
 
 namespace iotaxo {
 namespace {
@@ -233,8 +237,8 @@ TEST(Metrics, SnapshotCarriesFullCatalogAndJsonIsDeterministic) {
   // A selection spanning every instrumented layer: pre-registration means
   // they are present (zero) even though nothing ran in this test.
   for (const char* name :
-       {"sink.async.batches_delivered", "sink.async.queue_depth",
-        "sink.async.backpressure_wait_ns", "block.decode.stored_bytes",
+       {"sink.batch.flushes", "sink.batch.events",
+        "block.encode.compress_ns", "block.decode.stored_bytes",
         "block.decode.crc_ns", "store.query.count",
         "store.query.segments_skipped", "store.compact.eras_spilled",
         "store.attach.duration_ns", "durable.write.fsync_ns",
@@ -543,79 +547,64 @@ TEST(Metrics, EachScanSkipsAndDecodesWhatItsPredicateAllows) {
   std::filesystem::remove_all(dir);
 }
 
-// ------------------------------------------------------------ async sink
+// ------------------------------------------------- capture and encode
 
-class ThrowingSink : public trace::EventSink {
- public:
-  void on_event(const TraceEvent&) override {
-    throw IoError("downstream is broken");
-  }
-};
-
-/// Delivery slow enough for a capacity-1 queue to backpressure producers.
-class SlowCountingSink : public trace::EventSink {
- public:
-  void on_event(const TraceEvent&) override { ++events_; }
-  void on_batch(const EventBatch& batch) override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    events_ += static_cast<long long>(batch.size());
-  }
-  [[nodiscard]] long long events() const noexcept { return events_; }
-
- private:
-  long long events_ = 0;
-};
-
-TEST(Metrics, AsyncSinkDeliveryAndBackpressure) {
+TEST(Metrics, CaptureCountsBatchFlushesAndEncodeTimesEachStage) {
   const ArmGuard guard;
+  const sim::Cluster cluster([] {
+    sim::ClusterParams p;
+    p.node_count = 4;
+    return p;
+  }());
+  workload::MpiIoTestParams params;
+  params.nranks = 4;
+  params.block = 64 * kKiB;
+  params.total_bytes = 32 * kMiB;
+  frameworks::LanlTrace lanl;  // ltrace mode, batch capacity 256
   const obs::MetricsSnapshot before = obs::snapshot();
-  auto downstream = std::make_shared<SlowCountingSink>();
-  {
-    trace::AsyncOptions options;
-    options.queue_capacity = 1;
-    options.workers = 1;
-    trace::AsyncBatchSink sink(downstream, options);
-    for (int b = 0; b < 8; ++b) {
-      EventBatch batch = EventBatch::from_events(sample_events(4));
-      sink.on_batch_owned(std::move(batch));
-    }
-    sink.flush();
-  }
+  const frameworks::TraceRunResult run =
+      lanl.trace(cluster, workload::make_mpi_io_test(params),
+                 std::make_shared<pfs::Pfs>(), frameworks::TraceJobOptions{});
   const obs::MetricsSnapshot d = obs::delta(before, obs::snapshot());
-  EXPECT_EQ(counter_value(d, "sink.async.batches_delivered"), 8u);
-  EXPECT_EQ(counter_value(d, "sink.async.events_delivered"), 32u);
-  EXPECT_EQ(downstream->events(), 32);
-  EXPECT_GT(counter_value(d, "sink.async.backpressure_stalls"), 0u);
-  EXPECT_GT(hist_count(d, "sink.async.backpressure_wait_ns"), 0u);
-  const auto depth = d.values.find("sink.async.queue_depth");
-  ASSERT_NE(depth, d.values.end());
-  EXPECT_GE(depth->second.high_water, 1u);
-  EXPECT_EQ(counter_value(d, "sink.async.delivery_errors"), 0u);
-}
-
-TEST(Metrics, AsyncSinkRecordsDeliveryErrors) {
-  const ArmGuard guard;
-  const obs::MetricsSnapshot before = obs::snapshot();
-  {
-    trace::AsyncBatchSink sink(std::make_shared<ThrowingSink>());
-    sink.on_batch_owned(EventBatch::from_events(sample_events(2)));
-    EXPECT_THROW(sink.flush(), IoError);  // flush() rethrows first_error_
-    // Destroyed with no further error pending: nothing to drop.
+  // RankBatcher delivers each rank's events in ceil(n_r / 256) batches.
+  std::uint64_t flushes = 0;
+  std::uint64_t events = 0;
+  for (const trace::RankStream& rs : run.bundle.ranks) {
+    flushes += (rs.events.size() + 255) / 256;
+    events += rs.events.size();
   }
-  const obs::MetricsSnapshot d = obs::delta(before, obs::snapshot());
-  EXPECT_EQ(counter_value(d, "sink.async.delivery_errors"), 1u);
-  EXPECT_EQ(counter_value(d, "sink.async.errors_dropped"), 0u);
+  ASSERT_EQ(run.bundle.ranks.size(), 4u);
+  EXPECT_GT(flushes, 4u);  // several full batches per rank, then remainders
+  EXPECT_EQ(counter_value(d, "sink.batch.flushes"), flushes);
+  EXPECT_EQ(counter_value(d, "sink.batch.events"), events);
+  EXPECT_EQ(events, static_cast<std::uint64_t>(run.bundle.total_events()));
 
-  // A destructor-swallowed drain failure is still visible in metrics.
-  const obs::MetricsSnapshot before2 = obs::snapshot();
-  {
-    trace::AsyncBatchSink sink(std::make_shared<ThrowingSink>());
-    sink.on_batch_owned(EventBatch::from_events(sample_events(2)));
-    // No flush(): the destructor drains, swallows, and counts the drop.
-  }
-  const obs::MetricsSnapshot d2 = obs::delta(before2, obs::snapshot());
-  EXPECT_EQ(counter_value(d2, "sink.async.delivery_errors"), 1u);
-  EXPECT_EQ(counter_value(d2, "sink.async.errors_dropped"), 1u);
+  // A 3-block container records one sample per block for each stage it
+  // runs, and none for a stage that is switched off.
+  const EventBatch batch = EventBatch::from_events(sample_events(300));
+  using Samples = std::array<std::uint64_t, 3>;  // compress, crc, encrypt
+  const auto stage_samples = [&batch](const trace::BinaryOptions& options) {
+    const obs::MetricsSnapshot b = obs::snapshot();
+    (void)trace::encode_binary_v3(batch, options, 128);
+    const obs::MetricsSnapshot e = obs::delta(b, obs::snapshot());
+    return Samples{hist_count(e, "block.encode.compress_ns"),
+                   hist_count(e, "block.encode.crc_ns"),
+                   hist_count(e, "block.encode.encrypt_ns")};
+  };
+  trace::BinaryOptions all;
+  all.compress = true;
+  all.checksum = true;
+  all.encrypt = true;
+  all.key = derive_key("metrics");
+  EXPECT_EQ(stage_samples(all), (Samples{3, 3, 3}));
+  all.project = true;  // two column groups per block, still one sample
+  EXPECT_EQ(stage_samples(all), (Samples{3, 3, 3}));
+  trace::BinaryOptions crc_only;
+  crc_only.checksum = true;
+  EXPECT_EQ(stage_samples(crc_only), (Samples{0, 3, 0}));
+  trace::BinaryOptions none;
+  none.checksum = false;
+  EXPECT_EQ(stage_samples(none), (Samples{0, 0, 0}));
 }
 
 }  // namespace

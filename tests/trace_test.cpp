@@ -4,6 +4,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <limits>
+#include <string>
 
 #include "trace/binary_format.h"
 #include "trace/bundle.h"
@@ -168,6 +171,49 @@ TEST(TextFormat, ParserRejectsGarbage) {
       FormatError);
 }
 
+TEST(TextFormat, ParserRejectsHostileStampsAndDurations) {
+  TextTraceWriter::StreamMeta meta;
+  for (const char* line : {
+           // fields format_timestamp cannot emit, overflowing ones included
+           "99999999999:00:00.000000 SYS_open() = 0 <0.000001>",
+           "00:2147483647:00.000000 SYS_open() = 0 <0.000001>",
+           "00:00:00.9223372036854775807 SYS_open() = 0 <0.000001>",
+           "24:00:00.000000 SYS_open() = 0 <0.000001>",
+           "10:60:00.000000 SYS_open() = 0 <0.000001>",
+           "10:00:00.1000000 SYS_open() = 0 <0.000001>",
+           "10:-5:00.000000 SYS_open() = 0 <0.000001>",
+           "+1:00:00.000000 SYS_open() = 0 <0.000001>",
+           "10:00:00 SYS_open() = 0 <0.000001>",
+           "10:00:00.00x SYS_open() = 0 <0.000001>",
+           // durations from_seconds cannot represent
+           "10:00:00.000000 SYS_open() = 0 <1e300>",
+           "10:00:00.000000 SYS_open() = 0 <-1e300>",
+           "10:00:00.000000 SYS_open() = 0 <inf>",
+           "10:00:00.000000 SYS_open() = 0 <nan>",
+       }) {
+    EXPECT_THROW((void)TextTraceParser::parse_line(line, meta, 0),
+                 FormatError)
+        << line;
+  }
+  // A day base the stamp cannot be added to.
+  EXPECT_THROW(
+      (void)TextTraceParser::parse_line(
+          "10:00:00.000000 SYS_open() = 0 <0.000001>", meta,
+          std::numeric_limits<SimTime>::max()),
+      FormatError);
+  EXPECT_THROW((void)TextTraceParser::parse(
+                   "# iotaxo raw trace v1\n# daybase 12ab\n"),
+               FormatError);
+  // Stamps before the UTC offset render with negative fields; they still
+  // round-trip.
+  TraceEvent early = make_syscall("SYS_close", {"3"}, 0);
+  early.local_start = kSecond;
+  const auto parsed = TextTraceParser::parse(
+      TextTraceWriter::render(TextTraceWriter::StreamMeta{}, {early}));
+  ASSERT_EQ(parsed.events.size(), 1u);
+  EXPECT_EQ(parsed.events[0].local_start, kSecond);
+}
+
 class BinaryRoundTrip : public ::testing::TestWithParam<int> {
  protected:
   [[nodiscard]] static BinaryOptions options_for(int mask) {
@@ -300,6 +346,60 @@ TEST(Bundle, SaveLoadRoundTrip) {
   ASSERT_EQ(loaded.dependencies.size(), 1u);
   EXPECT_EQ(loaded.dependencies[0], (DependencyEdge{0, 3, "obj_1"}));
   EXPECT_EQ(loaded.call_summary.at("SYS_open").count, 1);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Bundle, LoadRejectsMalformedNumbers) {
+  TraceBundle b;
+  RankStream rs;
+  rs.rank = 2;
+  rs.host = "host02";
+  rs.pid = 77;
+  rs.events = sample_stream();
+  b.ranks.push_back(rs);
+  b.dependencies.push_back(DependencyEdge{0, 2, "obj_1"});
+  SummarySink sink;
+  sink.on_event(sample_syscall());
+  b.merge_summary(sink);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "iotaxo_bundle_hostile";
+  const auto write = [&dir](const char* name, const std::string& text) {
+    std::ofstream(dir / name, std::ios::binary) << text;
+  };
+  const std::string rank_text =
+      TextTraceWriter::render({"host02", 2, 77}, rs.events);
+  const std::string header = "# host host02 rank 2 pid 77";
+  ASSERT_NE(rank_text.find(header), std::string::npos);
+  const auto with_header = [&](const std::string& replacement) {
+    std::string text = rank_text;
+    text.replace(text.find(header), header.size(), replacement);
+    return text;
+  };
+  struct Case {
+    const char* file;
+    std::string text;
+  };
+  const Case cases[] = {
+      {"call_summary.tsv", "name\tcount\ttotal_ns\nSYS_open\tmany\t34000\n"},
+      {"call_summary.tsv", "name\tcount\ttotal_ns\nSYS_open\t1\t34us\n"},
+      {"call_summary.tsv", "name\tcount\ttotal_ns\nSYS_open\t1\n"},
+      {"call_summary.tsv",
+       "name\tcount\ttotal_ns\nSYS_open\t99999999999999999999\t1\n"},
+      {"dependencies.tsv", "from\tto\tvia\nzero\t2\tobj_1\n"},
+      {"dependencies.tsv", "from\tto\tvia\n0\t4294967298\tobj_1\n"},
+      {"dependencies.tsv", "from\tto\tvia\n0\t2\n"},
+      {"rank_0002.trace", with_header("# host host02 rank two pid 77")},
+      {"rank_0002.trace", with_header("# host host02 rank 2 pid -1")},
+      {"rank_0002.trace", with_header("# host host02 rank 2 pid 4294967296")},
+  };
+  for (const Case& c : cases) {
+    std::filesystem::remove_all(dir);
+    b.save(dir.string());
+    ASSERT_NO_THROW((void)TraceBundle::load(dir.string()));
+    write(c.file, c.text);
+    EXPECT_THROW((void)TraceBundle::load(dir.string()), FormatError)
+        << c.file << ": " << c.text;
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <set>
 
 #include "util/ascii_chart.h"
@@ -189,6 +191,21 @@ TEST(Strings, FormatPct) {
   EXPECT_EQ(format_pct(0.124), "12.4%");
   EXPECT_EQ(format_pct(2.22), "222.0%");
   EXPECT_EQ(format_pct(0.0551, 0), "6%");
+}
+
+TEST(Strings, DecimalMatchesPrintf) {
+  for (const long long v :
+       {std::numeric_limits<long long>::min(),
+        static_cast<long long>(std::numeric_limits<std::int32_t>::min()),
+        -1LL, 0LL, 9LL, 10LL,
+        static_cast<long long>(std::numeric_limits<std::int32_t>::max()),
+        std::numeric_limits<long long>::max()}) {
+    EXPECT_EQ(decimal(v), strprintf("%lld", v)) << v;
+  }
+  for (const int v : {std::numeric_limits<int>::min(), -7, 0, 65536,
+                      std::numeric_limits<int>::max()}) {
+    EXPECT_EQ(decimal(v), strprintf("%d", v)) << v;
+  }
 }
 
 TEST(Crc32, KnownVector) {

@@ -24,8 +24,8 @@
 #   ./tools/check_build.sh --metrics [build-dir]# build + the self-metrics
 #                                               # suite, then assert metrics
 #                                               # are inert when disarmed and
-#                                               # that an armed CLI run emits
-#                                               # the expected JSON key set
+#                                               # run tools/smoke_metrics.sh
+#                                               # (the armed CLI smoke)
 #   ./tools/check_build.sh --stream [build-dir] # build + the streaming-
 #                                               # ingest suite, then drive
 #                                               # 1000 small CLI flushes and
@@ -102,10 +102,11 @@ case "${MODE}" in
     BUILD_DIR="${1:-${REPO_ROOT}/build-tsan}"
     cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" -DIOTAXO_TSAN=ON
     cmake --build "${BUILD_DIR}" -j
-    # The suites that exercise the concurrent pipeline (async flush, sharded
-    # sinks, parallel store scans, batched capture, zero-copy view sources,
-    # the DFG pool pass on parallel scan chunks, the live DFG fold inside
-    # streaming ingest) under TSan.
+    # The suites that exercise the concurrent pipeline (parallel store
+    # scans, zero-copy view sources, the DFG pool pass on parallel scan
+    # chunks, the live DFG fold inside streaming ingest, the thread pool)
+    # under TSan. Capture delivers inline on one thread; batch_test rides
+    # along for its RankBatcher and StringPool cases.
     ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" \
       -R 'concurrency_test|batch_test|zero_copy_test|util_test|dfg_test|stream_ingest_test'
     # Damage skipping under parallel scans: the shared damage tally and the
@@ -177,64 +178,15 @@ case "${MODE}" in
     cmake --build "${BUILD_DIR}" -j
     # The self-metrics suite: registry exactness under concurrency,
     # snapshot-delta arithmetic, the decode/pool_infos cross-check, the
-    # async sink's pipeline metrics.
+    # capture and encode counters.
     ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" \
       -R 'metrics_test'
     # Metrics must be inert when IOTAXO_METRICS is unset — the disarmed
     # mirror of the --faults inertness check.
     env -u IOTAXO_METRICS "${BUILD_DIR}/metrics_test" \
       --gtest_filter='Metrics.InactiveByDefault'
-    # An armed CLI run must produce the per-run JSON report with the
-    # instrumented layers lit up: a cold encrypted+projected multi-block
-    # container statted with --metrics-out has to show decode work, stage
-    # timings, index skips, and the durable write that produced the file.
-    METRICS_TMP="$(mktemp -d)"
-    trap 'rm -rf "${METRICS_TMP}"' EXIT
-    "${BUILD_DIR}/iotaxo_cli" trace --framework lanl --workload mpiio \
-      --ranks 4 --binary-out "${METRICS_TMP}/m.iotb3" --key smoke \
-      --project --block-records 256 \
-      --metrics-out "${METRICS_TMP}/trace_metrics.json" > /dev/null
-    "${BUILD_DIR}/iotaxo_cli" stat "${METRICS_TMP}/m.iotb3" --key smoke \
-      --metrics-out "${METRICS_TMP}/stat_metrics.json" > "${METRICS_TMP}/stat.out"
-    for key in metrics_schema block.decode.stored_bytes block.decode.crc_ns \
-               block.decode.decrypt_ns block.decode.decompress_ns \
-               store.query.count store.query.segments_scanned \
-               store.query.segments_skipped store.query.bytes_in_window_ns \
-               sink.async.queue_depth durable.write.fsync_ns; do
-      if ! grep -q "\"${key}\"" "${METRICS_TMP}/stat_metrics.json"; then
-        echo "METRICS FAIL: stat_metrics.json is missing '${key}'"
-        exit 1
-      fi
-    done
-    # The trace run's report must carry the durable write of the container.
-    if ! grep -q '"durable.write.files": 1' "${METRICS_TMP}/trace_metrics.json"; then
-      echo "METRICS FAIL: trace_metrics.json did not count the durable write"
-      exit 1
-    fi
-    # The armed stat run decoded blocks and skipped others by index.
-    if grep -q '"block.decode.stored_bytes": 0' "${METRICS_TMP}/stat_metrics.json"; then
-      echo "METRICS FAIL: armed stat reported zero decoded bytes"
-      exit 1
-    fi
-    if grep -q '"store.query.segments_skipped": 0' "${METRICS_TMP}/stat_metrics.json"; then
-      echo "METRICS FAIL: armed stat's window probe skipped no blocks"
-      exit 1
-    fi
-    # A plain (disarmed) run prints no metrics surface at all.
-    "${BUILD_DIR}/iotaxo_cli" stat "${METRICS_TMP}/m.iotb3" --key smoke \
-      > "${METRICS_TMP}/plain.out"
-    if grep -qE 'metrics|window probe' "${METRICS_TMP}/plain.out"; then
-      echo "METRICS FAIL: disarmed stat printed a metrics surface"
-      exit 1
-    fi
-    # IOTAXO_METRICS=FILE arms from the environment alone and dumps at exit.
-    IOTAXO_METRICS="${METRICS_TMP}/env_dump.json" \
-      "${BUILD_DIR}/iotaxo_cli" stat "${METRICS_TMP}/m.iotb3" --key smoke \
-      > /dev/null
-    if ! grep -q '"block.decode.stored_bytes"' "${METRICS_TMP}/env_dump.json"; then
-      echo "METRICS FAIL: IOTAXO_METRICS=FILE produced no at-exit dump"
-      exit 1
-    fi
+    # The armed CLI smoke, which tier-1 also runs as ctest's metrics_smoke.
+    "${REPO_ROOT}/tools/smoke_metrics.sh" "${BUILD_DIR}/iotaxo_cli"
     echo "metrics ok: disarmed inert, armed CLI report complete"
     ;;
   stream)
@@ -280,8 +232,8 @@ case "${MODE}" in
     rm -f "${BUILD_DIR}"/BENCH_*.json
     # The gated benches: each writes BENCH_<name>.json next to itself and
     # exits nonzero when its hard gates fail.
-    for bench in bench_batch_pipeline bench_async_flush bench_zero_copy \
-                 bench_dfg bench_iotb3 bench_ingest; do
+    for bench in bench_batch_pipeline bench_zero_copy bench_dfg bench_iotb3 \
+                 bench_ingest; do
       echo "--- ${bench}"
       (cd "${BUILD_DIR}" && "./${bench}") || STATUS=1
     done
