@@ -1,7 +1,8 @@
 // IOTB3 block containers: per-block compression/CRC, the footer mini-index
-// skips, the SIMD scan kernels (PR 6 gates 1-4), and the finished cold
-// tier — per-block encryption, columnar projection, block-parallel decode
-// (PR 7 gates 5-8):
+// skips, the SIMD scan kernels (gates 1-4), and the cold tier — per-block
+// encryption, hot-only decode of the column groups, block-parallel decode
+// (gates 5, 7, 8; gate 6 compared against a whole-record block layout that
+// no longer exists, and its number is retired):
 //
 //   1. A dashboard-shaped mix of narrow windowed queries against a
 //      compressed IOTB3 store must run within 2x of the same mix against an
@@ -22,25 +23,20 @@
 //      views per repetition, since CRCs are verified once per block.
 //   4. Hard identity gates: all aggregate queries must be bit-identical
 //      across an owned ingest, an uncompressed block store, a compressed +
-//      checksummed block store, encrypted / projected / encrypted+projected
-//      block stores, and plain + encrypted cold-compacted stores.
+//      checksummed block store, an encrypted block store, and plain +
+//      encrypted cold-compacted stores.
 //   5. The narrow-probe mix against an encrypted cold store (lazy per-block
 //      decrypt, ingest_view with a key) must run >= 3x faster than
 //      decoding the same encrypted container into an owned batch
 //      (decode_binary_batch with the key), ingesting it, then probing. The
 //      footer stays plaintext, so the keyed view pays decryption only for
 //      the blocks a window touches.
-//   6. The same mix against a projected store must run >= 2x faster than
-//      against the whole-record store: narrow windowed queries read only
-//      the hot column group (33 of 81 bytes per record), so projection
-//      shrinks both the bytes decompressed and the stride scanned. Fresh
-//      stores per repetition, as in gate 2.
-//   7. A full-span bytes_in_window over a projected store must decode at
-//      most half of the stored block bytes (saving >= 2x, measured from
-//      pool_infos decoded_stored_bytes): the cold column group stays
-//      compressed on disk.
-//   8. A cold full scan (call_stats over an encrypted + projected store)
-//      must speed up from 1 to 4 query threads via block-parallel decode.
+//   7. A full-span bytes_in_window must decode at most half of the stored
+//      block bytes (saving >= 2x, measured from pool_infos
+//      decoded_stored_bytes): it reads only the hot column group (33 of
+//      81 bytes per record), so the cold group stays compressed on disk.
+//   8. A cold full scan (call_stats over an encrypted store) must speed up
+//      from 1 to 4 query threads via block-parallel decode.
 //      The floor is hardware-aware: >= 2x when the machine has >= 4 cores,
 //      otherwise a no-regression floor of 0.7 (striping overhead must stay
 //      small even when the threads just time-slice one core).
@@ -83,7 +79,6 @@ constexpr double kCompressedRatioFloor = 0.5;   // within 2x of uncompressed
 constexpr double kBlockSkipFloor = 3.0;
 constexpr double kChecksumRatioFloor = 0.667;   // within 1.5x of unchecked
 constexpr double kEncryptedProbeFloor = 3.0;    // vs decode-everything
-constexpr double kProjectedProbeFloor = 2.0;    // vs whole-record blocks
 constexpr double kProjectedSavingFloor = 2.0;   // stored / decoded bytes
 
 /// The capture-shaped stream the other benches use; event i sits at i
@@ -193,20 +188,14 @@ int main() {
   full.checksum = true;
   full.compress = true;
   const CipherKey key = derive_key("bench-iotb3-key");
-  trace::BinaryOptions encrypted = full;
+  trace::BinaryOptions encrypted = full;  // the finished cold tier
   encrypted.encrypt = true;
   encrypted.key = key;
-  trace::BinaryOptions projected = full;
-  projected.project = true;
-  trace::BinaryOptions sealed = encrypted;  // the finished cold tier
-  sealed.project = true;
 
   const std::string v3_plain_path = "bench_iotb3_plain.iotb3";
   const std::string v3_lz_path = "bench_iotb3_lz.iotb3";
   const std::string v3_full_path = "bench_iotb3_full.iotb3";
   const std::string v3_enc_path = "bench_iotb3_enc.iotb3";
-  const std::string v3_proj_path = "bench_iotb3_proj.iotb3";
-  const std::string v3_sealed_path = "bench_iotb3_sealed.iotb3";
   const std::vector<std::uint8_t> v3_plain =
       trace::encode_binary_v3(batch, plain);
   // Gate 5's baseline decodes these bytes whole; its lazy side maps the
@@ -217,8 +206,6 @@ int main() {
   write_file(v3_lz_path, trace::encode_binary_v3(batch, compressed));
   write_file(v3_full_path, trace::encode_binary_v3(batch, full));
   write_file(v3_enc_path, v3_enc_bytes);
-  write_file(v3_proj_path, trace::encode_binary_v3(batch, projected));
-  write_file(v3_sealed_path, trace::encode_binary_v3(batch, sealed));
   const std::vector<std::uint8_t> v3_crc = [&] {
     trace::BinaryOptions crc_only;
     crc_only.checksum = true;
@@ -303,28 +290,12 @@ int main() {
   }
   const double encrypted_probe_speedup = fallback_s / enc_probe_s;
 
-  // --- gate 6: projected probes vs whole-record blocks ---------------------
-  // Same probe mix, fresh stores per repetition; compared against the
-  // gate-2 indexed time on the whole-record container (identical protocol).
-  double proj_probe_s = 1e100;
-  bool proj_identical = true;
-  for (int r = 0; r < kRepetitions; ++r) {
-    analysis::UnifiedTraceStore store = open_store(v3_proj_path);
-    const auto t0 = std::chrono::steady_clock::now();
-    const Bytes proj_total = narrow_probes(store);
-    const auto t1 = std::chrono::steady_clock::now();
-    proj_probe_s = std::min(proj_probe_s,
-                            std::chrono::duration<double>(t1 - t0).count());
-    proj_identical = proj_identical && proj_total == probe_total;
-  }
-  const double projected_probe_speedup = indexed_s / proj_probe_s;
-
-  // --- gate 7: projected decode saving on a full-span scan -----------------
+  // --- gate 7: hot-only decode saving on a full-span scan ------------------
   // bytes_in_window over the whole span touches every block but needs only
   // the hot column group; the cold groups must stay undecoded.
   double projected_decode_saving = 0.0;
   {
-    analysis::UnifiedTraceStore store = open_store(v3_proj_path);
+    analysis::UnifiedTraceStore store = open_store(v3_full_path);
     (void)store.bytes_in_window(0, kSpan);
     for (const analysis::StorePoolInfo& info : store.pool_infos()) {
       if (info.decoded_stored_bytes > 0) {
@@ -335,8 +306,8 @@ int main() {
   }
 
   // --- gate 8: block-parallel cold full scan, 1 vs 4 query threads ---------
-  // call_stats over the sealed (encrypted + projected) store decodes every
-  // block; decode_blocks stripes them across the query-thread budget. The
+  // call_stats over the encrypted store decodes every block's hot group;
+  // decode_blocks stripes them across the query-thread budget. The
   // floor is hardware-aware: a single-core machine can only time-slice, so
   // there the gate just bounds the striping overhead.
   const unsigned hw_threads = std::thread::hardware_concurrency();
@@ -348,7 +319,7 @@ int main() {
   for (int r = 0; r < kRepetitions; ++r) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       analysis::UnifiedTraceStore store;
-      store.ingest_view(v3_sealed_path, {{"framework", "bench"}}, key);
+      store.ingest_view(v3_enc_path, {{"framework", "bench"}}, key);
       store.set_query_threads(threads);
       const auto t0 = std::chrono::steady_clock::now();
       auto stats = store.call_stats();
@@ -377,12 +348,6 @@ int main() {
   enc_id_store.ingest_view(v3_enc_path, {{"framework", "bench"}}, key);
   enc_id_store.set_query_threads(1);
   const bool identity_encrypted = all_queries(enc_id_store) == owned_results;
-  const analysis::UnifiedTraceStore proj_id_store = open_store(v3_proj_path);
-  const bool identity_projected = all_queries(proj_id_store) == owned_results;
-  analysis::UnifiedTraceStore sealed_id_store;
-  sealed_id_store.ingest_view(v3_sealed_path, {{"framework", "bench"}}, key);
-  sealed_id_store.set_query_threads(1);
-  const bool identity_sealed = all_queries(sealed_id_store) == owned_results;
   // Cold spills get their own scratch directories: compaction commits each
   // era through the directory's MANIFEST.iotm, so sharing the cwd would
   // leave sticky era numbering behind between bench runs.
@@ -395,8 +360,8 @@ int main() {
   cold.binary = full;
   (void)owned.compact(static_cast<std::size_t>(-1), cold);
   const bool identity_cold = all_queries(owned) == owned_results;
-  // Cold-compact straight into the finished cold-tier shape: encrypted +
-  // projected eras, reopened for swap-in with the same key.
+  // Cold-compact straight into the finished cold-tier shape: encrypted
+  // eras, reopened for swap-in with the same key.
   analysis::UnifiedTraceStore owned_sealed;
   owned_sealed.ingest(batch, {{"framework", "bench"}});
   owned_sealed.set_query_threads(1);
@@ -406,17 +371,17 @@ int main() {
   analysis::UnifiedTraceStore::ColdTierOptions cold_sealed;
   cold_sealed.directory = cold_sealed_dir;
   cold_sealed.file_prefix = "era";
-  cold_sealed.binary = sealed;
+  cold_sealed.binary = encrypted;
   (void)owned_sealed.compact(static_cast<std::size_t>(-1), cold_sealed);
   const bool identity_cold_sealed = all_queries(owned_sealed) == owned_results;
   // --- armed replay for the embedded metrics object ------------------------
-  // All gated timings above ran disarmed; a fresh sealed store driven armed
+  // All gated timings above ran disarmed; a fresh encrypted store driven armed
   // (first-touch block decode, then narrow probes and a full scan) feeds
   // the artifact's "metrics" object.
   const obs::MetricsSnapshot metrics_before = bench::metrics_baseline();
   {
     analysis::UnifiedTraceStore armed_store;
-    armed_store.ingest_view(v3_sealed_path, {{"framework", "bench"}}, key);
+    armed_store.ingest_view(v3_enc_path, {{"framework", "bench"}}, key);
     armed_store.set_query_threads(1);
     (void)narrow_probes(armed_store);
     (void)armed_store.call_stats();
@@ -429,20 +394,16 @@ int main() {
   std::remove(v3_lz_path.c_str());
   std::remove(v3_full_path.c_str());
   std::remove(v3_enc_path.c_str());
-  std::remove(v3_proj_path.c_str());
-  std::remove(v3_sealed_path.c_str());
 
   const bool identical = probe_identical && skip_identical &&
-                         scan_identical && enc_identical && proj_identical &&
+                         scan_identical && enc_identical &&
                          parallel_identical && identity_plain && identity_v3 &&
-                         identity_encrypted && identity_projected &&
-                         identity_sealed && identity_cold &&
+                         identity_encrypted && identity_cold &&
                          identity_cold_sealed;
   const bool pass = identical && compressed_ratio >= kCompressedRatioFloor &&
                     block_skip_speedup >= kBlockSkipFloor &&
                     checksum_ratio >= kChecksumRatioFloor &&
                     encrypted_probe_speedup >= kEncryptedProbeFloor &&
-                    projected_probe_speedup >= kProjectedProbeFloor &&
                     projected_decode_saving >= kProjectedSavingFloor &&
                     parallel_scan_speedup >= parallel_floor;
 
@@ -459,8 +420,6 @@ int main() {
       "  \"checksummed_scan_ratio_floor\": %.3f,\n"
       "  \"encrypted_probe_speedup\": %.2f,\n"
       "  \"encrypted_probe_speedup_floor\": %.1f,\n"
-      "  \"projected_probe_speedup\": %.2f,\n"
-      "  \"projected_probe_speedup_floor\": %.1f,\n"
       "  \"projected_decode_saving\": %.2f,\n"
       "  \"projected_decode_saving_floor\": %.1f,\n"
       "  \"parallel_scan_speedup\": %.2f,\n"
@@ -469,8 +428,6 @@ int main() {
       "  \"identity_plain\": %s,\n"
       "  \"identity_v3\": %s,\n"
       "  \"identity_encrypted\": %s,\n"
-      "  \"identity_projected\": %s,\n"
-      "  \"identity_encrypted_projected\": %s,\n"
       "  \"identity_cold_compact\": %s,\n"
       "  \"identity_cold_compact_sealed\": %s,\n"
       "  \"probe_results_identical\": %s,\n"
@@ -479,15 +436,13 @@ int main() {
       kEvents, BlockView(v3_plain).block_count(), compressed_ratio,
       kCompressedRatioFloor, block_skip_speedup, kBlockSkipFloor,
       checksum_ratio, kChecksumRatioFloor, encrypted_probe_speedup,
-      kEncryptedProbeFloor, projected_probe_speedup, kProjectedProbeFloor,
-      projected_decode_saving, kProjectedSavingFloor, parallel_scan_speedup,
-      parallel_floor, hw_threads, identity_plain ? "true" : "false",
-      identity_v3 ? "true" : "false", identity_encrypted ? "true" : "false",
-      identity_projected ? "true" : "false",
-      identity_sealed ? "true" : "false", identity_cold ? "true" : "false",
+      kEncryptedProbeFloor, projected_decode_saving, kProjectedSavingFloor,
+      parallel_scan_speedup, parallel_floor, hw_threads,
+      identity_plain ? "true" : "false", identity_v3 ? "true" : "false",
+      identity_encrypted ? "true" : "false", identity_cold ? "true" : "false",
       identity_cold_sealed ? "true" : "false",
       (probe_identical && skip_identical && scan_identical &&
-       enc_identical && proj_identical && parallel_identical)
+       enc_identical && parallel_identical)
           ? "true"
           : "false",
       metrics_json.c_str());
@@ -509,14 +464,10 @@ int main() {
               "fallback (floor %.1fx) | fallback %.2f ms, lazy %.2f ms\n",
               encrypted_probe_speedup, kEncryptedProbeFloor, fallback_s * 1e3,
               enc_probe_s * 1e3);
-  std::printf("projected   hot-column probes %.2fx whole-record blocks "
-              "(floor %.1fx) | full %.2f ms, hot %.2f ms\n",
-              projected_probe_speedup, kProjectedProbeFloor, indexed_s * 1e3,
-              proj_probe_s * 1e3);
-  std::printf("projected   full-span scan decoded 1/%.2f of stored bytes "
+  std::printf("hot-only    full-span scan decoded 1/%.2f of stored bytes "
               "(floor 1/%.1f)\n",
               projected_decode_saving, kProjectedSavingFloor);
-  std::printf("parallel    sealed cold scan %.2fx from 1 to 4 query "
+  std::printf("parallel    encrypted cold scan %.2fx from 1 to 4 query "
               "threads (floor %.2fx) | 1t %.2f ms, 4t %.2f ms\n",
               parallel_scan_speedup, parallel_floor, scan1_s * 1e3,
               scan4_s * 1e3);
@@ -525,12 +476,11 @@ int main() {
                 "capped to no-regression (threads time-slice one core)\n",
                 hw_threads);
   }
-  std::printf("identity    plain=%s v3=%s enc=%s proj=%s enc+proj=%s "
-              "cold-compact=%s cold-compact-sealed=%s\n",
+  std::printf("identity    plain=%s v3=%s enc=%s cold-compact=%s "
+              "cold-compact-sealed=%s\n",
               identity_plain ? "yes" : "no", identity_v3 ? "yes" : "no",
               identity_encrypted ? "yes" : "no",
-              identity_projected ? "yes" : "no",
-              identity_sealed ? "yes" : "no", identity_cold ? "yes" : "no",
+              identity_cold ? "yes" : "no",
               identity_cold_sealed ? "yes" : "no");
   std::printf("BENCH_JSON_BEGIN\n%sBENCH_JSON_END\n", json.c_str());
 
@@ -542,8 +492,8 @@ int main() {
     std::fprintf(stderr,
                  "FAIL: iotb3 gates (compressed %.3f >= %.3f: %d, skip "
                  "%.2f >= %.1f: %d, crc %.3f >= %.3f: %d, enc %.2f >= "
-                 "%.1f: %d, proj %.2f >= %.1f: %d, saving %.2f >= %.1f: "
-                 "%d, parallel %.2f >= %.2f: %d, identical=%d)\n",
+                 "%.1f: %d, saving %.2f >= %.1f: %d, parallel %.2f >= "
+                 "%.2f: %d, identical=%d)\n",
                  compressed_ratio, kCompressedRatioFloor,
                  compressed_ratio >= kCompressedRatioFloor,
                  block_skip_speedup, kBlockSkipFloor,
@@ -551,8 +501,6 @@ int main() {
                  kChecksumRatioFloor, checksum_ratio >= kChecksumRatioFloor,
                  encrypted_probe_speedup, kEncryptedProbeFloor,
                  encrypted_probe_speedup >= kEncryptedProbeFloor,
-                 projected_probe_speedup, kProjectedProbeFloor,
-                 projected_probe_speedup >= kProjectedProbeFloor,
                  projected_decode_saving, kProjectedSavingFloor,
                  projected_decode_saving >= kProjectedSavingFloor,
                  parallel_scan_speedup, parallel_floor,

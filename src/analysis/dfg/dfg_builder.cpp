@@ -257,7 +257,7 @@ void DfgMerge::mine(const UnifiedTraceStore& store, const DfgOptions& options,
         });
         miner.finish_pool(pool);
       },
-      range);
+      range.has_value() ? &*range : nullptr);
   for (const PoolMiner& miner : chunks) {
     for (const PoolPartial& partial : miner.partials) {
       merge(store, partial);

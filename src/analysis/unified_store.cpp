@@ -636,7 +636,6 @@ std::vector<StorePoolInfo> UnifiedTraceStore::pool_infos() const {
       info.records = static_cast<long long>(pool.blocks->size());
       info.approx_bytes = pool.file.size();
       info.encrypted = pool.blocks->encrypted();
-      info.projected = pool.blocks->projected();
       info.stored_bytes = pool.blocks->stored_bytes_total();
       info.decoded_stored_bytes = pool.blocks->decoded_stored_bytes();
       info.damaged_blocks = pool.blocks->failed_blocks();
@@ -725,8 +724,6 @@ std::map<std::string, CallStats> UnifiedTraceStore::call_stats() const {
           if (s.hot != nullptr) {
             trace::scan::accumulate_call_stats_hot(s.hot, s.size(),
                                                    rows.data());
-          } else if (s.raw != nullptr) {
-            trace::scan::accumulate_call_stats(s.raw, s.size(), rows.data());
           } else {
             s.for_each([&](const auto& rec) {
               trace::scan::CallAccum& row = rows[rec.name()];
@@ -846,10 +843,6 @@ Bytes UnifiedTraceStore::bytes_in_window(SimTime begin, SimTime end) const {
           if (s.hot != nullptr) {
             total += trace::scan::sum_transfer_bytes_in_window_hot(
                 s.hot, s.size(), idx.sys_write_id, idx.sys_read_id, begin,
-                end);
-          } else if (s.raw != nullptr) {
-            total += trace::scan::sum_transfer_bytes_in_window(
-                s.raw, s.size(), idx.sys_write_id, idx.sys_read_id, begin,
                 end);
           } else {
             s.for_each([&](const auto& rec) {

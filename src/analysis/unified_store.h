@@ -29,8 +29,8 @@
 // index-carrying segments (one per owned pool, one per block), and scans
 // skip or stream segments the same way they skip pools — a narrow window on
 // a compressed era decompresses only the blocks it overlaps. Block segments
-// also expose their decoded records in the fixed stride, which the queries
-// feed to the SIMD scan kernels (trace/scan_kernels.h) instead of
+// also expose their decoded hot column group in its fixed stride, which the
+// queries feed to the SIMD scan kernels (trace/scan_kernels.h) instead of
 // per-record accessor loops. set_use_indexes(false) disables both skip
 // levels for benchmarking; results are identical either way.
 // compact(era_bytes) merges runs of small owned pools into era-sized
@@ -85,12 +85,11 @@ namespace iotaxo::analysis {
 // segment for owned pools, one per block for block pools). The
 // segment_has_* / segment_overlaps predicates are conservative — "true"
 // means "may contain" — so skipping a false segment is always exact.
-// segment_record_bytes() returns the segment's records serialized in the
-// fixed whole-record stride for the SIMD scan kernels, or nullptr when the
-// pool's records are not serialized (owned batches). For projected IOTB3
-// pools, segment_hot_bytes() additionally exposes just the hot column
-// group (hotlayout stride) so narrow queries decode a fraction of the
-// stored bytes; segment_prefetch() decodes a set of segments across a
+// segment_hot_bytes() and segment_cold_bytes() return the segment's two
+// decoded column groups (hotlayout and coldlayout strides), or nullptr
+// when the pool's records are not serialized (owned batches); a scan that
+// reads only hot columns decodes only the hot group, a fraction of the
+// stored bytes. segment_prefetch() decodes a set of segments across a
 // thread pool before a serial scan walks them (block pools only — a no-op
 // for owned pools).
 
@@ -143,10 +142,10 @@ struct BatchAccess {
   [[nodiscard]] bool segment_has_io_call(std::size_t) const noexcept {
     return true;
   }
-  [[nodiscard]] const std::uint8_t* segment_record_bytes(std::size_t) const {
+  [[nodiscard]] const std::uint8_t* segment_hot_bytes(std::size_t) const {
     return nullptr;
   }
-  [[nodiscard]] const std::uint8_t* segment_hot_bytes(std::size_t) const {
+  [[nodiscard]] const std::uint8_t* segment_cold_bytes(std::size_t) const {
     return nullptr;
   }
   void segment_prefetch(const std::vector<std::size_t>&, std::size_t,
@@ -206,14 +205,15 @@ struct BlockAccess {
   [[nodiscard]] bool segment_has_io_call(std::size_t k) const noexcept {
     return v->block_has_io_call(k);
   }
-  [[nodiscard]] const std::uint8_t* segment_record_bytes(std::size_t k) const {
-    return v->block_bytes(k).data();
-  }
-  /// The segment's HOT column group (hotlayout stride) for projected
-  /// containers — decodes only that group — or nullptr otherwise (callers
-  /// fall back to segment_record_bytes).
+  /// The segment's hot column group (hotlayout stride); decodes only that
+  /// group.
   [[nodiscard]] const std::uint8_t* segment_hot_bytes(std::size_t k) const {
-    return v->projected() ? v->hot_bytes(k).data() : nullptr;
+    return v->hot_bytes(k).data();
+  }
+  /// The segment's cold column group (coldlayout stride); decodes the hot
+  /// group first if it has not been.
+  [[nodiscard]] const std::uint8_t* segment_cold_bytes(std::size_t k) const {
+    return v->cold_bytes(k).data();
   }
   /// Parallel-decode `segs` before a serial scan: failures stay sticky in
   /// the block cache and rethrow deterministically when the scan touches
@@ -225,8 +225,8 @@ struct BlockAccess {
 };
 
 /// An owned record behind the RecordView getters the scans read, so one
-/// kernel body compiles for hot columns (the HotRecordView subset),
-/// serialized records and owned records alike.
+/// kernel body compiles for hot columns (the HotRecordView subset), decoded
+/// column groups and owned records alike.
 struct RecordFields {
   const trace::EventRecord& r;
 
@@ -300,11 +300,11 @@ class IntKeyTable {
 };
 
 /// One segment's records as the scan driver hands them to a kernel:
-/// records [begin, end) of segment `segment`, read through `acc`. The
-/// driver picks the form: `hot` points at their hot column group
-/// (hotlayout stride) when the scan reads hot columns of a projected pool;
-/// otherwise `raw` points at them serialized whole (v2layout stride) for
-/// block pools; owned pools leave both null.
+/// records [begin, end) of segment `segment`, read through `acc`. For block
+/// pools `hot` points at their rows in the decoded hot column group
+/// (hotlayout stride), and `cold` at their rows in the cold group
+/// (coldlayout stride) when the scan's predicate clears hot_only; owned
+/// pools leave both null and hand out EventRecords.
 template <class Acc>
 struct ScanRows {
   const Acc& acc;
@@ -312,7 +312,7 @@ struct ScanRows {
   std::size_t begin;
   std::size_t end;
   const std::uint8_t* hot;
-  const std::uint8_t* raw;
+  const std::uint8_t* cold;
 
   [[nodiscard]] std::size_t size() const noexcept { return end - begin; }
 
@@ -331,12 +331,13 @@ struct ScanRows {
 
   /// fn(rec) for each record in order, rec offering the RecordFields
   /// getters (cold columns included). For scans whose predicate clears
-  /// hot_only: the driver never hands them hot columns.
+  /// hot_only: only they are handed cold rows.
   template <class Fn>
   void for_each_whole(Fn&& fn) const {
-    if (raw != nullptr) {
+    if (hot != nullptr) {
       for (std::size_t j = 0; j < size(); ++j) {
-        fn(trace::RecordView(raw + j * trace::v2layout::kStride));
+        fn(trace::RecordView(hot + j * trace::hotlayout::kStride,
+                             cold + j * trace::coldlayout::kStride));
       }
     } else {
       for (std::size_t i = begin; i < end; ++i) {
@@ -364,8 +365,8 @@ struct ScanPredicate {
   bool fd_path_or_io_bytes = false;
   /// Only I/O calls matter.
   bool io_call = false;
-  /// The kernel reads hot columns only, so projected pools decode just
-  /// their hot group; false hands the kernel whole records.
+  /// The kernel reads hot columns only, so block pools decode just their
+  /// hot group; false hands the kernel whole records.
   bool hot_only = true;
 };
 
@@ -422,7 +423,6 @@ struct StorePoolInfo {
   /// decoded_stored_bytes how many of them queries have decoded (hot and
   /// cold groups counted separately). Zero for non-block pools.
   bool encrypted = false;
-  bool projected = false;
   std::size_t stored_bytes = 0;
   std::size_t decoded_stored_bytes = 0;
   /// Blocks whose decode has failed sticky so far (block-backed pools;
@@ -575,9 +575,10 @@ class UnifiedTraceStore {
   struct ColdTierOptions {
     /// Directory the era containers are written into (must exist).
     std::string directory;
-    /// Container options for the eras: compress/checksum/encrypt/project
-    /// all flow to the encoder (encrypt requires `binary.key`, which is
-    /// also used to open the written era for swap-in).
+    /// Container options for the eras: compress/checksum/encrypt flow to
+    /// the encoder, which stores every block as hot + cold column groups
+    /// (encrypt requires `binary.key`, which is also used to open the
+    /// written era for swap-in).
     trace::BinaryOptions binary;
     std::uint32_t block_records = trace::v3layout::kDefaultBlockRecords;
     /// Era files are named <directory>/<file_prefix>-<n>.iotb3, where n is
@@ -622,9 +623,9 @@ class UnifiedTraceStore {
   }
 
   /// The scan driver under every query, the DFG pool pass and the live DFG
-  /// fold. It first walks the pool indexes of every pool (or just
-  /// `range`'s) and counts the pools `pred` rules out as skipped. The pools
-  /// that remain are split into contiguous chunks:
+  /// fold. It first walks the pool indexes of every pool (or, given a
+  /// `range`, just its pool) and counts the pools `pred` rules out as
+  /// skipped. The pools that remain are split into contiguous chunks:
   /// min(thread budget, pools left) of them, at least one, where the
   /// budget is `threads` (0 = hardware concurrency). A probe that leaves
   /// one pool therefore runs inline, with no workers. For every remaining
@@ -641,7 +642,7 @@ class UnifiedTraceStore {
   template <class Part, class Visit>
   [[nodiscard]] std::vector<Part> scan_pools(
       const ScanPredicate& pred, std::size_t threads, Part init,
-      Visit&& visit, const std::optional<ScanRange>& range = {}) const;
+      Visit&& visit, const ScanRange* range = nullptr) const;
 
   /// Worker threads the queries' scans may use: 0 = auto (hardware
   /// concurrency), 1 = serial. Scans go parallel only when several sources
@@ -730,8 +731,8 @@ class UnifiedTraceStore {
   /// and ordered by corrected stamp (local_start). Events with equal stamps
   /// come out in store order: pool (== source) order, then record order
   /// within the pool. The order is the same at every thread count and for
-  /// owned, projected and encrypted pools alike. Only the returned rows are
-  /// materialized.
+  /// owned and block pools alike, encrypted or not. Only the returned rows
+  /// are materialized.
   [[nodiscard]] std::vector<trace::TraceEvent> rank_timeline(int rank) const;
 
   /// Bytes moved by I/O calls inside [begin, end) on the common timeline.
@@ -929,12 +930,13 @@ class UnifiedTraceStore {
 template <class Part, class Visit>
 std::vector<Part> UnifiedTraceStore::scan_pools(
     const ScanPredicate& pred, std::size_t threads, Part init,
-    Visit&& visit, const std::optional<ScanRange>& range) const {
-  std::size_t first = 0;
-  std::size_t last = pools_.size();
-  if (range.has_value()) {
-    first = range->pool;
-    last = first + 1;
+    Visit&& visit, const ScanRange* range) const {
+  // A null range scans every pool. It is read once, into locals.
+  const bool ranged = range != nullptr;
+  const ScanRange bounds = ranged ? *range : ScanRange{};
+  const std::size_t first = ranged ? bounds.pool : 0;
+  const std::size_t last = ranged ? first + 1 : pools_.size();
+  if (ranged) {
     check_pool_index(first);
   }
   const bool indexed = use_indexes_;
@@ -965,8 +967,8 @@ std::vector<Part> UnifiedTraceStore::scan_pools(
       const std::size_t p = survivors[j];
       with_pool_access(p, [&](const auto& acc) {
         const PoolIndex& index = pools_[p].index;
-        const std::size_t lo = range.has_value() ? range->begin : 0;
-        const std::size_t hi = range.has_value() ? range->end : acc.size();
+        const std::size_t lo = ranged ? bounds.begin : 0;
+        const std::size_t hi = ranged ? bounds.end : acc.size();
         visit(parts[c], p, acc, [&](auto&& kernel) {
           std::vector<std::size_t> touched;
           std::size_t skipped = 0;
@@ -992,12 +994,13 @@ std::vector<Part> UnifiedTraceStore::scan_pools(
             // skipping it drops exactly its records.
             try {
               ScanRows<std::decay_t<decltype(acc)>> rows{
-                  acc, k, begin, end, nullptr, nullptr};
-              if (pred.hot_only &&
-                  (rows.hot = acc.segment_hot_bytes(k)) != nullptr) {
+                  acc, k, begin, end, acc.segment_hot_bytes(k), nullptr};
+              if (rows.hot != nullptr) {
                 rows.hot += (begin - seg_first) * trace::hotlayout::kStride;
-              } else if ((rows.raw = acc.segment_record_bytes(k)) != nullptr) {
-                rows.raw += (begin - seg_first) * trace::v2layout::kStride;
+                if (!pred.hot_only) {
+                  rows.cold = acc.segment_cold_bytes(k) +
+                              (begin - seg_first) * trace::coldlayout::kStride;
+                }
               }
               kernel(rows);
             } catch (const FormatError&) {

@@ -32,9 +32,9 @@ constexpr char kMagicV3[6] = {'I', 'O', 'T', 'B', '3', '\n'};
 constexpr std::uint8_t kFlagCompressed = 0x01;
 constexpr std::uint8_t kFlagEncrypted = 0x02;
 constexpr std::uint8_t kFlagChecksummed = 0x04;
-constexpr std::uint8_t kFlagProjected = 0x08;
+constexpr std::uint8_t kFlagColumnGroups = 0x08;
 constexpr std::uint8_t kKnownFlags =
-    kFlagCompressed | kFlagEncrypted | kFlagChecksummed | kFlagProjected;
+    kFlagCompressed | kFlagEncrypted | kFlagChecksummed | kFlagColumnGroups;
 
 class Writer {
  public:
@@ -72,30 +72,9 @@ class Writer {
   return v;
 }
 
-void encode_record(Writer& w, const EventRecord& rec) {
-  w.u8(static_cast<std::uint8_t>(rec.cls));
-  w.u32(rec.name);
-  // args_begin is not written: batch arg slices are contiguous in record
-  // order, so the decoder reconstructs it as a running sum.
-  w.u32(rec.args_count);
-  w.i64(rec.ret);
-  w.i64(rec.local_start);
-  w.i64(rec.duration);
-  w.i32(rec.rank);
-  w.i32(rec.node);
-  w.u32(rec.pid);
-  w.u32(rec.host);
-  w.u32(rec.path);
-  w.i32(rec.fd);
-  w.i64(rec.bytes);
-  w.i64(rec.offset);
-  w.u32(rec.uid);
-  w.u32(rec.gid);
-}
-
-/// The two column groups of one projected record (hotlayout / coldlayout
-/// in record_view.h). Their field unions exactly cover encode_record's
-/// fields; args_begin stays implicit (running sum) in both layouts.
+/// The two column groups of one record (hotlayout / coldlayout in
+/// record_view.h). args_begin is implicit in both: batch arg slices are
+/// contiguous in record order, so the decoder rebuilds it as a running sum.
 void encode_hot_record(Writer& w, const EventRecord& rec) {
   w.u8(static_cast<std::uint8_t>(rec.cls));
   w.u32(rec.name);
@@ -162,14 +141,13 @@ std::vector<std::uint8_t> encode_binary_v3(const EventBatch& batch,
   }
 
   const EncodeMetrics& metrics = encode_metrics();
-  const std::uint32_t ngroups = options.project ? 2 : 1;
   Writer footer;
   std::vector<std::uint8_t> bitmap(bitmap_bytes);
   std::uint64_t block_offset = 0;
   for (std::size_t b = 0; b < nblocks; ++b) {
     const std::size_t first = b * block_records;
     const std::size_t n = std::min<std::size_t>(block_records, count - first);
-    Writer plain_w;  // full 81-byte stride, or the hot group when projected
+    Writer hot_w;
     Writer cold_w;
     SimTime min_time = batch.record(first).local_start;
     SimTime max_time = min_time;
@@ -177,12 +155,8 @@ std::vector<std::uint8_t> encode_binary_v3(const EventBatch& batch,
     std::fill(bitmap.begin(), bitmap.end(), 0);
     for (std::size_t i = first; i < first + n; ++i) {
       const EventRecord& rec = batch.record(i);
-      if (options.project) {
-        encode_hot_record(plain_w, rec);
-        encode_cold_record(cold_w, rec);
-      } else {
-        encode_record(plain_w, rec);
-      }
+      encode_hot_record(hot_w, rec);
+      encode_cold_record(cold_w, rec);
       min_time = std::min(min_time, rec.local_start);
       max_time = std::max(max_time, rec.local_start);
       bitmap[rec.name >> 3] |=
@@ -201,16 +175,16 @@ std::vector<std::uint8_t> encode_binary_v3(const EventBatch& batch,
     // (per-block IV derived from the ordinal + group; nothing stored), then
     // checksum what is stored. A stage spans both groups, so each records
     // one sample per block.
-    std::vector<std::uint8_t> groups[2] = {plain_w.take(), cold_w.take()};
+    std::vector<std::uint8_t> groups[2] = {hot_w.take(), cold_w.take()};
     if (options.compress) {
       const obs::ScopedTimer timer(metrics.compress_ns);
-      for (std::uint32_t g = 0; g < ngroups; ++g) {
-        groups[g] = lz_compress(groups[g]);
+      for (std::vector<std::uint8_t>& group : groups) {
+        group = lz_compress(group);
       }
     }
     if (options.encrypt) {
       const obs::ScopedTimer timer(metrics.encrypt_ns);
-      for (std::uint32_t g = 0; g < ngroups; ++g) {
+      for (std::uint32_t g = 0; g < 2; ++g) {
         groups[g] = cbc_encrypt_with_iv(groups[g], *options.key,
                                         v3layout::block_iv(b, g));
       }
@@ -218,35 +192,31 @@ std::vector<std::uint8_t> encode_binary_v3(const EventBatch& batch,
     std::uint32_t crcs[2] = {0, 0};
     if (options.checksum) {
       const obs::ScopedTimer timer(metrics.crc_ns);
-      for (std::uint32_t g = 0; g < ngroups; ++g) {
+      for (std::uint32_t g = 0; g < 2; ++g) {
         crcs[g] = crc32(groups[g]);
       }
     }
-    const std::vector<std::uint8_t>& stored = groups[0];
+    const std::vector<std::uint8_t>& hot_stored = groups[0];
     const std::vector<std::uint8_t>& cold_stored = groups[1];
     footer.u64(block_offset);
-    footer.u64(stored.size());
+    footer.u64(hot_stored.size());
     // Owned-batch arg slices are contiguous in record order, so the block's
     // running args_begin is the first record's (the same invariant that lets
-    // the record layout omit args_begin entirely).
+    // the column groups omit args_begin entirely).
     footer.u64(batch.record(first).args_begin);
     footer.u32(static_cast<std::uint32_t>(n));
     footer.u32(crcs[0]);
     footer.i64(min_time);
     footer.i64(max_time);
     footer.u8(flags);
-    if (options.project) {
-      footer.u64(cold_stored.size());
-      footer.u32(crcs[1]);
-    }
+    footer.u64(cold_stored.size());
+    footer.u32(crcs[1]);
     for (const std::uint8_t byte : bitmap) {
       footer.u8(byte);
     }
-    block_offset += stored.size() + cold_stored.size();
-    payload.bytes(stored);
-    if (options.project) {
-      payload.bytes(cold_stored);
-    }
+    block_offset += hot_stored.size() + cold_stored.size();
+    payload.bytes(hot_stored);
+    payload.bytes(cold_stored);
   }
 
   const std::vector<std::uint8_t> footer_bytes = footer.take();
@@ -256,7 +226,7 @@ std::vector<std::uint8_t> encode_binary_v3(const EventBatch& batch,
   payload.u32(crc32(footer_bytes));
   payload.u32(v3layout::kFooterMagic);
 
-  std::uint8_t container_flags = 0;
+  std::uint8_t container_flags = kFlagColumnGroups;
   if (options.compress) {
     container_flags |= kFlagCompressed;
   }
@@ -265,9 +235,6 @@ std::vector<std::uint8_t> encode_binary_v3(const EventBatch& batch,
   }
   if (options.checksum) {
     container_flags |= kFlagChecksummed;
-  }
-  if (options.project) {
-    container_flags |= kFlagProjected;
   }
   Writer out;
   for (const char c : kMagicV3) {
@@ -305,11 +272,15 @@ BinaryHeader peek_binary_header(std::span<const std::uint8_t> data) {
   if ((flags & ~kKnownFlags) != 0) {
     throw FormatError("binary trace: unknown container flags");
   }
+  if ((flags & kFlagColumnGroups) == 0) {
+    throw FormatError(
+        "binary trace: IOTB3 containers in the whole-record block layout "
+        "are not supported (only hot + cold column groups are read)");
+  }
   BinaryHeader h;
   h.compressed = (flags & kFlagCompressed) != 0;
   h.encrypted = (flags & kFlagEncrypted) != 0;
   h.checksummed = (flags & kFlagChecksummed) != 0;
-  h.projected = (flags & kFlagProjected) != 0;
   h.count = load_u64(data.data() + 7);
   h.payload_length = load_u64(data.data() + 15);
   return h;

@@ -7,7 +7,7 @@
 // Envelope:
 //   magic   "IOTB3\n"   6 bytes
 //   flags   u8  (bit0 compressed, bit1 encrypted, bit2 checksummed,
-//                bit3 projected)
+//                bit3 column groups: required, always set by the writer)
 //   count   u64 LE   number of event records
 //   paylen  u64 LE   payload length (everything after this header)
 //   payload
@@ -31,17 +31,14 @@
 //                             xtea_encrypt_block(kKeyCheckPlain, key), so
 //                             a wrong key is rejected at open rather than
 //                             surfacing as per-block padding corruption
-//   blocks  concatenated stored blocks. Plain form: the block's records —
-//           either one group at the 81-byte record stride (v2layout in
-//           record_view.h: cls, name-id, args-count, ret, local_start,
-//           duration, rank, node, pid, host-id, path-id, fd, bytes, offset,
-//           uid, gid; args slices are contiguous in record order, so a
-//           record's args_begin is the running sum of counts), or (flags
-//           bit3, "projected") two column groups stored back to back: a hot
-//           group at the 33-byte hotlayout stride (cls, name, rank,
-//           local_start, duration, bytes — everything the windowed /
-//           rate / call-stats / DFG scans read) followed by a cold group
-//           at the 48-byte coldlayout stride (the remaining fields).
+//   blocks  concatenated stored blocks. Each block is two column groups
+//           stored back to back: a hot group at the 33-byte hotlayout
+//           stride (record_view.h: cls, name, rank, local_start, duration,
+//           bytes — everything the windowed / rate / call-stats / DFG
+//           scans read), then a cold group at the 48-byte coldlayout
+//           stride (args count, ret, node, pid, host-id, path-id, fd,
+//           offset, uid, gid). Args slices are contiguous in record order,
+//           so a record's args_begin is the running sum of counts.
 //           Each group's stored form is lz_compress(plain) when bit0 is
 //           set, then cbc_encrypt_with_iv(..., block_iv(b, group)) when
 //           bit1 is set (IV derived from the block ordinal + group; not
@@ -52,20 +49,20 @@
 //           decoder, which writes into one buffer of that size and rejects
 //           a stream that would overrun it or end short of it.
 //   footer  nblocks fixed entries (offsets in v3layout below):
-//             u64 offset       byte offset of the stored block in `blocks`
-//             u64 stored_len   stored byte length (projected: of the HOT
-//                              group; the cold group follows contiguously)
+//             u64 offset       byte offset of the block's hot group in
+//                              `blocks` (the cold group follows it)
+//             u64 stored_len   stored byte length of the hot group
 //             u64 args_begin   running sum of args_count at block start
 //             u32 records      record count (== block_records except last)
-//             u32 crc          CRC-32 of the STORED bytes (0 when bit2 off;
-//                              projected: of the hot group's stored bytes)
+//             u32 crc          CRC-32 of the hot group's STORED bytes (0
+//                              when bit2 off)
 //             i64 min_time     min/max local_start over the block
 //             i64 max_time
 //             u8  flags        bit0 has_fd_path, bit1 has_io_bytes,
 //                              bit2 has_io_call (mirrors the store's
 //                              PoolIndex, per block)
-//             cold_len  u64    ONLY when flags bit3 (projected): the cold
-//             cold_crc  u32    group's stored length + CRC
+//             u64 cold_len     the cold group's stored length
+//             u32 cold_crc     and CRC (0 when bit2 off)
 //             name bitmap      (nstrings + 7) / 8 bytes; bit id is set iff
 //                              some record's *name* is string id `id`
 //   trailer (24 bytes, last in the payload)
@@ -77,8 +74,7 @@
 //     magic       u32 LE   v3layout::kFooterMagic
 // flags bit2 (checksummed) governs the per-block CRCs; bit1 (encrypted)
 // encrypts each stored group AFTER compression, leaving head, footer and
-// trailer plaintext so index skips still work without the key; bit3
-// (projected) selects the two-column-group record layout.
+// trailer plaintext so index skips still work without the key.
 //
 // What encryption protects: the records only. Without the key anyone can
 // read every interned string (call names, paths, hosts, argument
@@ -88,11 +84,14 @@
 // Callers that need the names secret encrypt them before encoding
 // (anon::EncryptingAnonymizer, which Tracefs::anonymize applies).
 //
-// Compatibility: IOTB3 is the only container written or read. The older
-// IOTB1 (self-delimiting records) and IOTB2 (one unblocked record section
-// under whole-body transforms) magics are still recognised, by
-// looks_binary and by peek_binary_header, which rejects them with a
-// FormatError naming the version. Every reader (BlockView,
+// Compatibility: IOTB3 with column groups is the only container written or
+// read. The older IOTB1 (self-delimiting records) and IOTB2 (one unblocked
+// record section under whole-body transforms) magics are still recognised,
+// by looks_binary and by peek_binary_header, which rejects them with a
+// FormatError naming the version. peek_binary_header likewise rejects an
+// IOTB3 container whose flags bit3 is clear (blocks of 81-byte whole
+// records, which earlier writers produced unless asked to project), with a
+// FormatError naming that layout. Every reader (BlockView,
 // decode_binary_batch, the store) therefore refuses them the same way.
 //
 // Durability / recovery protocol
@@ -155,12 +154,9 @@ inline constexpr std::size_t kEntryCrc = 28;        // u32
 inline constexpr std::size_t kEntryMinTime = 32;    // i64
 inline constexpr std::size_t kEntryMaxTime = 40;    // i64
 inline constexpr std::size_t kEntryFlags = 48;      // u8
-inline constexpr std::size_t kEntryFixedSize = 49;  // bitmap follows
-/// Projected containers append two cold-group fields after kEntryFlags;
-/// the bitmap then follows at kEntryFixedSize + kEntryProjectedExtra.
-inline constexpr std::size_t kEntryColdLen = 49;        // u64
-inline constexpr std::size_t kEntryColdCrc = 57;        // u32
-inline constexpr std::size_t kEntryProjectedExtra = 12;
+inline constexpr std::size_t kEntryColdLen = 49;    // u64
+inline constexpr std::size_t kEntryColdCrc = 57;    // u32
+inline constexpr std::size_t kEntryFixedSize = 61;  // bitmap follows
 
 inline constexpr std::uint8_t kBlockHasFdPath = 0x01;
 inline constexpr std::uint8_t kBlockHasIoBytes = 0x02;
@@ -179,7 +175,7 @@ inline constexpr std::uint64_t kKeyCheckPlain = 0x33425846'1077B3AAULL;
 
 /// Per-(block, column-group) CBC IV, a pure function of the ordinals
 /// (splitmix64 finalizer) — the decoder re-derives it, nothing is stored
-/// with the ciphertext. Group 0 is the hot (or only) group, group 1 cold.
+/// with the ciphertext. Group 0 is the hot group, group 1 cold.
 [[nodiscard]] constexpr std::uint64_t block_iv(std::uint64_t block,
                                                std::uint32_t group) noexcept {
   std::uint64_t x = 0x1077B3C0DEC0FFEEULL ^ (block << 1) ^ group;
@@ -193,17 +189,17 @@ struct BinaryOptions {
   bool compress = false;
   bool encrypt = false;
   bool checksum = true;
-  /// Columnar projection: store each block as a hot + cold column group
-  /// so narrow queries decode a fraction of the bytes.
+  /// Ignored: every block is stored as a hot + cold column group pair.
+  /// Kept so callers written when projection was optional still compile.
   bool project = false;
   /// Required when encrypt is true.
   std::optional<CipherKey> key;
 };
 
-/// Serialize a batch to the IOTB3 block container: per-block
-/// compression, CRC and encryption plus the footer mini-index, with
-/// optional columnar projection (options.project). Throws ConfigError when
-/// options.encrypt is set without a key or block_records is 0.
+/// Serialize a batch to the IOTB3 block container: hot + cold column
+/// groups per block, per-group compression, CRC and encryption, plus the
+/// footer mini-index. Throws ConfigError when options.encrypt is set
+/// without a key or block_records is 0.
 [[nodiscard]] std::vector<std::uint8_t> encode_binary_v3(
     const EventBatch& batch, const BinaryOptions& options,
     std::uint32_t block_records = v3layout::kDefaultBlockRecords);
@@ -242,12 +238,13 @@ struct BinaryHeader {
   bool compressed = false;
   bool encrypted = false;
   bool checksummed = false;
-  bool projected = false;  // columnar projection (flags bit3)
   std::uint64_t count = 0;
   std::uint64_t payload_length = 0;
 };
 /// Throws FormatError on a short buffer, an unknown magic or an unknown
-/// flag bit, and on IOTB1/IOTB2 containers (the message names the version).
+/// flag bit, on IOTB1/IOTB2 containers (the message names the version) and
+/// on IOTB3 containers without column groups (the message names the
+/// whole-record layout).
 [[nodiscard]] BinaryHeader peek_binary_header(
     std::span<const std::uint8_t> data);
 

@@ -51,6 +51,11 @@ DecodeMetrics& metrics() {
   return v;
 }
 
+/// The footer flag bits the hot group decides; the cold group decides the
+/// rest.
+constexpr std::uint8_t kHotFlags =
+    v3layout::kBlockHasIoCall | v3layout::kBlockHasIoBytes;
+
 /// PKCS#7-padded length of an x-byte plaintext (always 1..8 pad bytes).
 [[nodiscard]] constexpr std::uint64_t padded_len(std::uint64_t x) noexcept {
   return x + (8 - x % 8);
@@ -180,9 +185,7 @@ BlockView::BlockView(std::span<const std::uint8_t> data,
     throw FormatError("binary trace v3: footer checksum mismatch");
   }
   bitmap_bytes_ = (static_cast<std::size_t>(nstrings) + 7) / 8;
-  entry_fixed_ = v3layout::kEntryFixedSize +
-                 (header_.projected ? v3layout::kEntryProjectedExtra : 0);
-  const std::size_t entry_size = entry_fixed_ + bitmap_bytes_;
+  const std::size_t entry_size = v3layout::kEntryFixedSize + bitmap_bytes_;
   // An overstated (or understated) block count cannot pass: the footer
   // must hold exactly nblocks entries, and nblocks must match the record
   // count the envelope declared.
@@ -213,10 +216,8 @@ BlockView::BlockView(std::span<const std::uint8_t> data,
     m.min_time = static_cast<SimTime>(load_u64(e + v3layout::kEntryMinTime));
     m.max_time = static_cast<SimTime>(load_u64(e + v3layout::kEntryMaxTime));
     m.flags = e[v3layout::kEntryFlags];
-    if (header_.projected) {
-      m.cold_len = load_u64(e + v3layout::kEntryColdLen);
-      m.cold_crc = load_u32(e + v3layout::kEntryColdCrc);
-    }
+    m.cold_len = load_u64(e + v3layout::kEntryColdLen);
+    m.cold_crc = load_u32(e + v3layout::kEntryColdCrc);
     // Stored groups are contiguous and exactly fill the block region.
     if (m.offset != running_offset ||
         m.stored_len > blocks_.size() - running_offset) {
@@ -238,26 +239,20 @@ BlockView::BlockView(std::span<const std::uint8_t> data,
     // groups are that plus PKCS#7 padding. (Compressed lengths are only
     // bounded, not predicted.)
     const std::uint64_t hot_plain =
-        static_cast<std::uint64_t>(m.records) *
-        (header_.projected ? hotlayout::kStride : v2layout::kStride);
+        static_cast<std::uint64_t>(m.records) * hotlayout::kStride;
     const std::uint64_t cold_plain =
-        header_.projected
-            ? static_cast<std::uint64_t>(m.records) * coldlayout::kStride
-            : 0;
+        static_cast<std::uint64_t>(m.records) * coldlayout::kStride;
     if (!header_.compressed) {
       const std::uint64_t expect_hot =
           header_.encrypted ? padded_len(hot_plain) : hot_plain;
       const std::uint64_t expect_cold =
-          header_.projected
-              ? (header_.encrypted ? padded_len(cold_plain) : cold_plain)
-              : 0;
+          header_.encrypted ? padded_len(cold_plain) : cold_plain;
       if (m.stored_len != expect_hot || m.cold_len != expect_cold) {
         throw FormatError("binary trace v3: block size mismatch");
       }
     } else if (header_.encrypted &&
                (m.stored_len % 8 != 0 || m.stored_len == 0 ||
-                (header_.projected &&
-                 (m.cold_len % 8 != 0 || m.cold_len == 0)))) {
+                m.cold_len % 8 != 0 || m.cold_len == 0)) {
       throw FormatError("binary trace v3: block size mismatch");
     }
     if (m.args_begin > nargids ||
@@ -272,7 +267,7 @@ BlockView::BlockView(std::span<const std::uint8_t> data,
     throw FormatError("binary trace: trailing bytes after records");
   }
 
-  lazy_ = std::make_shared<LazyState>(meta_.size(), header_.projected);
+  lazy_ = std::make_shared<LazyState>(meta_.size());
 }
 
 std::span<const std::uint8_t> BlockView::decode_group_plain(
@@ -306,9 +301,7 @@ std::span<const std::uint8_t> BlockView::decode_group_plain(
     plain = owned;
   }
   const std::size_t stride =
-      !header_.projected ? v2layout::kStride
-                         : (group == 0 ? hotlayout::kStride
-                                       : coldlayout::kStride);
+      group == 0 ? hotlayout::kStride : coldlayout::kStride;
   const std::size_t plain_size = static_cast<std::size_t>(m.records) * stride;
   if (header_.compressed) {
     const obs::ScopedTimer timer(metrics().decompress_ns);
@@ -328,63 +321,12 @@ std::span<const std::uint8_t> BlockView::decode_group_plain(
   return plain;
 }
 
-void BlockView::validate_full(std::size_t b,
-                              std::span<const std::uint8_t> plain) const {
-  // Structural validation + index cross-check: the records must agree with
-  // everything the footer claimed about this block, or the mini-index was
-  // lying and skip decisions made on it were unsound.
-  const BlockMeta& m = meta_[b];
-  const std::size_t n = m.records;
-  const std::uint32_t nstrings = static_cast<std::uint32_t>(strings_.size());
-  std::uint64_t args_sum = 0;
-  std::vector<std::uint8_t> bitmap(bitmap_bytes_, 0);
-  std::uint8_t flags = 0;
-  for (std::size_t r = 0; r < n; ++r) {
-    const RecordView rec(plain.data() + r * v2layout::kStride);
-    if (static_cast<std::uint8_t>(rec.cls()) >
-        static_cast<std::uint8_t>(EventClass::kAnnotation)) {
-      throw FormatError(strprintf("binary trace v3: block %zu is corrupt", b));
-    }
-    const StrId name = rec.name();
-    if (name >= nstrings || rec.host() >= nstrings || rec.path() >= nstrings) {
-      throw FormatError(strprintf("binary trace v3: block %zu is corrupt", b));
-    }
-    args_sum += rec.args_count();
-    bitmap[name >> 3] |= static_cast<std::uint8_t>(1u << (name & 7u));
-    if (rec.path() != 0 && rec.fd() >= 0) {
-      flags |= v3layout::kBlockHasFdPath;
-    }
-    if (rec.is_io_call()) {
-      flags |= v3layout::kBlockHasIoCall;
-      if (rec.bytes() > 0) {
-        flags |= v3layout::kBlockHasIoBytes;
-      }
-    }
-  }
-  SimTime lo = 0;
-  SimTime hi = 0;
-  if (n > 0) {
-    scan::minmax_stamps(plain.data(), n, &lo, &hi);
-  }
-  const std::uint64_t args_end = b + 1 < meta_.size()
-                                     ? meta_[b + 1].args_begin
-                                     : static_cast<std::uint64_t>(
-                                           arg_id_count());
-  const bool index_ok =
-      m.args_begin + args_sum == args_end && lo == m.min_time &&
-      hi == m.max_time && flags == m.flags &&
-      std::equal(bitmap.begin(), bitmap.end(), bitmap_of(b));
-  if (!index_ok) {
-    throw FormatError(
-        strprintf("binary trace v3: block %zu disagrees with its index", b));
-  }
-}
-
 void BlockView::validate_hot(std::size_t b,
                              std::span<const std::uint8_t> hot) const {
-  // The hot-group subset of validate_full: everything checkable without
-  // the cold fields. args_sum and has_fd_path live in the cold group, so
-  // those footer claims are cross-checked only by a full-record decode.
+  // Structural validation + the hot half of the footer cross-check: the
+  // rows must agree with everything the footer claims that the hot fields
+  // decide, or the mini-index was lying and skip decisions made on it were
+  // unsound. validate_cold checks the rest.
   const BlockMeta& m = meta_[b];
   const std::size_t n = m.records;
   const std::uint32_t nstrings = static_cast<std::uint32_t>(strings_.size());
@@ -413,8 +355,6 @@ void BlockView::validate_hot(std::size_t b,
   if (n > 0) {
     scan::minmax_stamps_hot(hot.data(), n, &lo, &hi);
   }
-  constexpr std::uint8_t kHotFlags =
-      v3layout::kBlockHasIoCall | v3layout::kBlockHasIoBytes;
   const bool index_ok =
       lo == m.min_time && hi == m.max_time &&
       (flags & kHotFlags) == (m.flags & kHotFlags) &&
@@ -425,47 +365,39 @@ void BlockView::validate_hot(std::size_t b,
   }
 }
 
-std::span<const std::uint8_t> BlockView::decode_full_plain(
-    std::size_t b, std::vector<std::uint8_t>& owned) const {
-  if (!header_.projected) {
-    const std::span<const std::uint8_t> plain =
-        decode_group_plain(b, 0, owned);
-    validate_full(b, plain);
-    return plain;
-  }
-  // Projected: stitch the hot group (cached + validated via its own slot,
-  // so a hot failure is sticky in both caches with identical text) and
-  // the cold group back into the full 81-byte stride, then run the full
-  // cross-check on the stitched records.
-  const std::span<const std::uint8_t> hot = hot_bytes(b);
-  std::vector<std::uint8_t> cold_owned;
-  const std::span<const std::uint8_t> cold =
-      decode_group_plain(b, 1, cold_owned);
-  const std::size_t n = meta_[b].records;
-  owned.resize(n * v2layout::kStride);
+void BlockView::validate_cold(std::size_t b,
+                              std::span<const std::uint8_t> cold) const {
+  // The cold half of the footer cross-check: host and path ids, the
+  // block's args slice (the counts must sum to exactly the span up to the
+  // next block's args_begin) and the fd+path flag bit.
+  const BlockMeta& m = meta_[b];
+  const std::size_t n = m.records;
+  const std::uint32_t nstrings = static_cast<std::uint32_t>(strings_.size());
+  std::uint64_t args_sum = 0;
+  std::uint8_t flags = 0;
   for (std::size_t r = 0; r < n; ++r) {
-    const std::uint8_t* h = hot.data() + r * hotlayout::kStride;
-    const std::uint8_t* c = cold.data() + r * coldlayout::kStride;
-    std::uint8_t* f = owned.data() + r * v2layout::kStride;
-    f[v2layout::kCls] = h[hotlayout::kCls];
-    std::memcpy(f + v2layout::kName, h + hotlayout::kName, 4);
-    std::memcpy(f + v2layout::kArgsCount, c + coldlayout::kArgsCount, 4);
-    std::memcpy(f + v2layout::kRet, c + coldlayout::kRet, 8);
-    std::memcpy(f + v2layout::kLocalStart, h + hotlayout::kLocalStart, 8);
-    std::memcpy(f + v2layout::kDuration, h + hotlayout::kDuration, 8);
-    std::memcpy(f + v2layout::kRank, h + hotlayout::kRank, 4);
-    std::memcpy(f + v2layout::kNode, c + coldlayout::kNode, 4);
-    std::memcpy(f + v2layout::kPid, c + coldlayout::kPid, 4);
-    std::memcpy(f + v2layout::kHost, c + coldlayout::kHost, 4);
-    std::memcpy(f + v2layout::kPath, c + coldlayout::kPath, 4);
-    std::memcpy(f + v2layout::kFd, c + coldlayout::kFd, 4);
-    std::memcpy(f + v2layout::kBytes, h + hotlayout::kBytes, 8);
-    std::memcpy(f + v2layout::kOffset, c + coldlayout::kOffset, 8);
-    std::memcpy(f + v2layout::kUid, c + coldlayout::kUid, 4);
-    std::memcpy(f + v2layout::kGid, c + coldlayout::kGid, 4);
+    const std::uint8_t* row = cold.data() + r * coldlayout::kStride;
+    const StrId host = detail::load_u32(row + coldlayout::kHost);
+    const StrId path = detail::load_u32(row + coldlayout::kPath);
+    if (host >= nstrings || path >= nstrings) {
+      throw FormatError(strprintf("binary trace v3: block %zu is corrupt", b));
+    }
+    args_sum += detail::load_u32(row + coldlayout::kArgsCount);
+    if (path != 0 && detail::load_i32(row + coldlayout::kFd) >= 0) {
+      flags |= v3layout::kBlockHasFdPath;
+    }
   }
-  validate_full(b, owned);
-  return owned;
+  const std::uint64_t args_end = b + 1 < meta_.size()
+                                     ? meta_[b + 1].args_begin
+                                     : static_cast<std::uint64_t>(
+                                           arg_id_count());
+  // Every footer flag bit the hot pass does not decide must match, so an
+  // unknown bit is a lie too.
+  if (m.args_begin + args_sum != args_end ||
+      flags != (m.flags & ~kHotFlags)) {
+    throw FormatError(
+        strprintf("binary trace v3: block %zu disagrees with its index", b));
+  }
 }
 
 std::span<const std::uint8_t> BlockView::acquire_slot(
@@ -497,21 +429,26 @@ std::span<const std::uint8_t> BlockView::acquire_slot(
         // This thread won the decode; it runs outside any lock so other
         // blocks decode concurrently on other threads.
         try {
+          if (!hot) {
+            // The cold group is served only beside a validated hot group:
+            // a hot failure rethrows here and turns sticky in this slot
+            // too, with the same text.
+            (void)hot_bytes(b);
+          }
           std::vector<std::uint8_t> owned;
           const std::span<const std::uint8_t> plain =
-              hot ? [&] {
-                const std::span<const std::uint8_t> p =
-                    decode_group_plain(b, 0, owned);
-                validate_hot(b, p);
-                return p;
-              }()
-                  : decode_full_plain(b, owned);
+              decode_group_plain(b, hot ? 0 : 1, owned);
+          if (hot) {
+            validate_hot(b, plain);
+          } else {
+            validate_cold(b, plain);
+          }
           // Moving the vector never relocates its heap buffer, so spans
           // into `owned` stay valid across the move.
           slot.owned = std::move(owned);
           slot.bytes = plain;
-          // First-touch decode win: a hot-slot claim is a hot-group-only
-          // decode; a full-slot claim decoded (or stitched) whole records.
+          // First-touch decode win, counted per group; full_blocks counts
+          // the cold-group decodes that whole-record reads pay for.
           (hot ? metrics().hot_blocks : metrics().full_blocks).add(1);
           publish(kReady);
           return slot.bytes;
@@ -540,36 +477,19 @@ std::span<const std::uint8_t> BlockView::acquire_slot(
   }
 }
 
-std::span<const std::uint8_t> BlockView::decode_block_slow(
-    std::size_t b) const {
-  return acquire_slot(lazy_->full, b, /*hot=*/false);
-}
-
-std::span<const std::uint8_t> BlockView::hot_bytes(std::size_t b) const {
-  if (!header_.projected) {
-    throw ConfigError("block view: hot_bytes requires a projected container");
-  }
-  BlockSlot& slot = lazy_->hot[b];
-  if (slot.state.load(std::memory_order_acquire) == kReady) {
-    return slot.bytes;
-  }
-  return acquire_slot(lazy_->hot, b, /*hot=*/true);
-}
-
 void BlockView::decode_blocks(const std::vector<std::size_t>& blocks,
                               std::size_t threads, bool hot_only) const {
   if (blocks.size() <= 1 || threads <= 1) {
     return;  // the caller's serial pass decodes (and throws) in order
   }
-  const bool hot = hot_only && header_.projected;
   parallel_for(
       blocks.size(),
       [&](std::size_t i) {
         try {
-          if (hot) {
+          if (hot_only) {
             (void)hot_bytes(blocks[i]);
           } else {
-            (void)block_bytes(blocks[i]);
+            (void)cold_bytes(blocks[i]);
           }
         } catch (const Error&) {
           // Recorded sticky in the slot; the serial scan that follows

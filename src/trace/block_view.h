@@ -10,22 +10,23 @@
 // must be trustworthy before any skip decision is made on it). Record
 // blocks are NOT touched at open.
 //
-// The first access to a block — record(), for_each(), block_bytes() —
-// pays for exactly that block: CRC over the stored bytes (when the
-// container is checksummed), XTEA-CBC decryption (when encrypted; the CRC
-// covers the stored ciphertext, so integrity is checked before the cipher
-// runs), LZ decompression (when compressed; stored bytes are served
-// zero-copy when neither transform applies), and a structural pass that
-// validates every class byte, string id and args slice AND cross-checks
-// the footer's min/max stamps, name bitmap and flag bits against the
-// records (an index that lies about a block is corruption and rejects
-// that block). Projected containers (header().projected) store each block
-// as a hot + cold column group: hot_bytes(b) decodes and validates the
-// hot group alone (the fields windowed/rate/call-stats/DFG scans read, at
-// hotlayout::kStride), while block_bytes(b) stitches both groups back
-// into the full 81-byte stride — so narrow queries decode a fraction of
-// the stored bytes, and cold-group corruption fails only full-record
-// touches while hot queries keep working.
+// Every block is a hot and a cold column group, decoded separately on
+// first touch: hot_bytes(b) decodes the hot group (the fields windowed /
+// rate / call-stats / DFG scans read, at hotlayout::kStride), cold_bytes(b)
+// the cold group (coldlayout::kStride) after hot_bytes(b) has validated.
+// record(), for_each() and materialize() read both. Decoding a group pays
+// for exactly that group: CRC over its stored bytes (when the container is
+// checksummed), XTEA-CBC decryption (when encrypted; the CRC covers the
+// stored ciphertext, so integrity is checked before the cipher runs), LZ
+// decompression (when compressed; stored bytes are served zero-copy when
+// neither transform applies), and a structural pass that validates every
+// class byte and string id AND cross-checks the footer against the rows:
+// the hot pass checks min/max stamps, the name bitmap and the I/O flag
+// bits, the cold pass host and path ids, the args slice and the fd+path
+// flag bit (an index that lies about a block is corruption and rejects
+// that block). Narrow queries therefore decode a fraction of the stored
+// bytes, and cold-group corruption fails only whole-record touches while
+// hot queries keep working.
 //
 // Decoded groups are cached for the life of the view; failures are sticky
 // (copies of a view share the cache AND the failure state — concurrent
@@ -77,7 +78,6 @@ class BlockView {
 
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
-  [[nodiscard]] bool projected() const noexcept { return header_.projected; }
   [[nodiscard]] bool encrypted() const noexcept { return header_.encrypted; }
 
   // --- per-block mini-index (footer; CRC-verified at open) ---------------
@@ -110,12 +110,12 @@ class BlockView {
   [[nodiscard]] SimTime block_max_time(std::size_t b) const noexcept {
     return meta_[b].max_time;
   }
-  /// Total stored byte length of block b (hot + cold groups when
-  /// projected; possibly compressed and encrypted).
+  /// Total stored byte length of block b (hot + cold groups; possibly
+  /// compressed and encrypted).
   [[nodiscard]] std::uint64_t block_stored_len(std::size_t b) const noexcept {
     return meta_[b].stored_len + meta_[b].cold_len;
   }
-  /// Stored byte length of block b's hot (or only) group.
+  /// Stored byte length of block b's hot group.
   [[nodiscard]] std::uint64_t block_hot_stored_len(
       std::size_t b) const noexcept {
     return meta_[b].stored_len;
@@ -160,12 +160,9 @@ class BlockView {
   /// pool_infos() surfaces this as damaged_blocks.
   [[nodiscard]] std::size_t failed_blocks() const noexcept {
     std::size_t n = 0;
-    for (std::size_t b = 0; b < lazy_->full.size(); ++b) {
-      const bool failed =
-          lazy_->full[b].state.load(std::memory_order_acquire) == kFailed ||
-          (!lazy_->hot.empty() &&
-           lazy_->hot[b].state.load(std::memory_order_acquire) == kFailed);
-      if (failed) {
+    for (std::size_t b = 0; b < meta_.size(); ++b) {
+      if (lazy_->hot[b].state.load(std::memory_order_acquire) == kFailed ||
+          lazy_->cold[b].state.load(std::memory_order_acquire) == kFailed) {
         ++n;
       }
     }
@@ -192,40 +189,39 @@ class BlockView {
 
   // --- record access (lazy per-block decode + verify) --------------------
 
-  /// Block b's records as raw fixed-stride bytes (block_size(b) records of
-  /// v2layout::kStride each) — decoded, CRC-verified, decrypted and
-  /// validated on first touch, cached after; projected containers stitch
-  /// the hot + cold groups here. Zero-copy into the container buffer for
-  /// plain containers. Throws FormatError when the block is corrupt
-  /// (sticky: every later touch rethrows the identical error).
-  [[nodiscard]] std::span<const std::uint8_t> block_bytes(
-      std::size_t b) const {
-    BlockSlot& slot = lazy_->full[b];
-    if (slot.state.load(std::memory_order_acquire) == kReady) {
-      return slot.bytes;
-    }
-    return decode_block_slow(b);
+  /// Block b's HOT column group (block_size(b) records of
+  /// hotlayout::kStride each) — decoded, CRC-verified, decrypted and
+  /// validated on first touch, cached after; zero-copy into the container
+  /// buffer when neither compressed nor encrypted. Cold-group corruption is
+  /// invisible here. Throws FormatError when the group is corrupt (sticky:
+  /// every later touch rethrows the identical error).
+  [[nodiscard]] std::span<const std::uint8_t> hot_bytes(std::size_t b) const {
+    return group_bytes(lazy_->hot, b, /*hot=*/true);
   }
 
-  /// Block b's HOT column group (block_size(b) records of
-  /// hotlayout::kStride each) — projected containers only (throws
-  /// ConfigError otherwise). Decodes, verifies and caches the hot group
-  /// alone; cold-group corruption is invisible here.
-  [[nodiscard]] std::span<const std::uint8_t> hot_bytes(std::size_t b) const;
+  /// Block b's COLD column group (block_size(b) records of
+  /// coldlayout::kStride each), with the same first-touch decode and
+  /// caching. Decoded only after hot_bytes(b) has validated, so a
+  /// hot-group failure is sticky here too, with the same text.
+  [[nodiscard]] std::span<const std::uint8_t> cold_bytes(std::size_t b) const {
+    return group_bytes(lazy_->cold, b, /*hot=*/false);
+  }
 
   /// Prefetch-decode `blocks` across up to `threads` workers (no-op for
-  /// 0/1 blocks or threads). hot_only decodes just the hot group of
-  /// projected containers (full blocks otherwise). Per-block failures are
-  /// swallowed here — they are recorded sticky, and the caller's serial
-  /// scan rethrows them deterministically on first touch.
+  /// 0/1 blocks or threads). hot_only decodes just the hot groups (both
+  /// groups otherwise). Per-block failures are swallowed here — they are
+  /// recorded sticky, and the caller's serial scan rethrows them
+  /// deterministically on first touch.
   void decode_blocks(const std::vector<std::size_t>& blocks,
                      std::size_t threads, bool hot_only) const;
 
-  /// Record i, touching (and possibly decoding + stitching) its block.
+  /// Record i, touching (and possibly decoding) both groups of its block.
   [[nodiscard]] RecordView record(std::size_t i) const {
     const std::size_t b = block_of(i);
-    return RecordView(block_bytes(b).data() +
-                      (i - block_first(b)) * v2layout::kStride);
+    const std::size_t r = i - block_first(b);
+    const std::uint8_t* cold = cold_bytes(b).data();
+    return RecordView(hot_bytes(b).data() + r * hotlayout::kStride,
+                      cold + r * coldlayout::kStride);
   }
 
   /// Visit records in order: fn(index, RecordView, args_begin). Streams
@@ -234,12 +230,14 @@ class BlockView {
   void for_each(Fn&& fn) const {
     std::size_t i = 0;
     for (std::size_t b = 0; b < meta_.size(); ++b) {
-      const std::span<const std::uint8_t> bytes = block_bytes(b);
+      const std::uint8_t* cold = cold_bytes(b).data();
+      const std::uint8_t* hot = hot_bytes(b).data();
       // Cannot wrap: open rejects containers with > 2^32 argument ids.
       auto args_begin = static_cast<std::uint32_t>(meta_[b].args_begin);
       const std::size_t n = meta_[b].records;
       for (std::size_t r = 0; r < n; ++r, ++i) {
-        const RecordView rec(bytes.data() + r * v2layout::kStride);
+        const RecordView rec(hot + r * hotlayout::kStride,
+                             cold + r * coldlayout::kStride);
         fn(i, rec, args_begin);
         args_begin += rec.args_count();
       }
@@ -258,8 +256,8 @@ class BlockView {
  private:
   struct BlockMeta {
     std::uint64_t offset = 0;
-    std::uint64_t stored_len = 0;  // hot (or only) group
-    std::uint64_t cold_len = 0;    // projected containers only
+    std::uint64_t stored_len = 0;  // hot group
+    std::uint64_t cold_len = 0;
     std::uint64_t args_begin = 0;
     std::uint32_t records = 0;
     std::uint32_t crc = 0;
@@ -292,31 +290,39 @@ class BlockView {
   /// concurrently.
   struct LazyState {
     static constexpr std::size_t kStripes = 16;
-    std::vector<BlockSlot> full;
-    std::vector<BlockSlot> hot;  // projected containers only
+    std::vector<BlockSlot> hot;
+    std::vector<BlockSlot> cold;
     std::atomic<std::uint64_t> decoded_stored{0};
     std::mutex stripe_m[kStripes];
     std::condition_variable stripe_cv[kStripes];
-    LazyState(std::size_t n, bool projected)
-        : full(n), hot(projected ? n : 0) {}
+    explicit LazyState(std::size_t n) : hot(n), cold(n) {}
   };
 
   /// Footer bitmap of block b (bitmap_bytes_ bytes, after the fixed entry
-  /// fields — which include the cold extent when projected).
+  /// fields).
   [[nodiscard]] const std::uint8_t* bitmap_of(std::size_t b) const noexcept {
-    return footer_.data() + b * (entry_fixed_ + bitmap_bytes_) + entry_fixed_;
+    return footer_.data() + b * (v3layout::kEntryFixedSize + bitmap_bytes_) +
+           v3layout::kEntryFixedSize;
   }
 
-  std::span<const std::uint8_t> decode_block_slow(std::size_t b) const;
+  /// One group's cached bytes: the ready fast path inline, the first touch
+  /// (or a sticky failure) through acquire_slot.
+  [[nodiscard]] std::span<const std::uint8_t> group_bytes(
+      std::vector<BlockSlot>& slots, std::size_t b, bool hot) const {
+    const BlockSlot& slot = slots[b];
+    if (slot.state.load(std::memory_order_acquire) == kReady) {
+      return slot.bytes;
+    }
+    return acquire_slot(slots, b, hot);
+  }
+
   std::span<const std::uint8_t> acquire_slot(std::vector<BlockSlot>& slots,
                                              std::size_t b, bool hot) const;
   std::span<const std::uint8_t> decode_group_plain(
       std::size_t b, std::uint32_t group, std::vector<std::uint8_t>& owned)
       const;
-  std::span<const std::uint8_t> decode_full_plain(
-      std::size_t b, std::vector<std::uint8_t>& owned) const;
-  void validate_full(std::size_t b, std::span<const std::uint8_t> plain) const;
   void validate_hot(std::size_t b, std::span<const std::uint8_t> hot) const;
+  void validate_cold(std::size_t b, std::span<const std::uint8_t> cold) const;
 
   BinaryHeader header_;
   std::optional<CipherKey> key_;
@@ -329,7 +335,6 @@ class BlockView {
   std::size_t count_ = 0;
   std::uint32_t nominal_ = 1;  // records per full block
   std::size_t bitmap_bytes_ = 0;
-  std::size_t entry_fixed_ = v3layout::kEntryFixedSize;
   std::vector<BlockMeta> meta_;
   std::shared_ptr<LazyState> lazy_;
 };

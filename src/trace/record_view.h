@@ -1,13 +1,13 @@
-// In-place record access for the IOTB3 container: the three fixed-stride
-// record layouts (the 81-byte whole record, and the 33-byte hot + 48-byte
-// cold column groups of projected containers), the RecordView and
-// HotRecordView that read fields straight out of decoded block bytes, and
-// MappedTraceFile, which owns a container's bytes for file-backed
-// trace::BlockViews (block_view.h). No EventBatch is allocated and no
-// string is copied: scanning a record is a sequence of little-endian loads
-// out of the decoded block, which is what makes multi-million-event
-// analysis over on-disk stores run at hardware speed (Recorder-style
-// compact storage read back without materialization).
+// In-place record access for the IOTB3 container: the two fixed-stride
+// column groups every block stores (the 33-byte hot group and the 48-byte
+// cold group), the HotRecordView and RecordView that read fields straight
+// out of decoded group bytes, and MappedTraceFile, which owns a
+// container's bytes for file-backed trace::BlockViews (block_view.h). No
+// EventBatch is allocated and no string is copied: scanning a record is a
+// sequence of little-endian loads out of the decoded groups, which is what
+// makes multi-million-event analysis over on-disk stores run at hardware
+// speed (Recorder-style compact storage read back without
+// materialization).
 //
 // MappedTraceFile mmaps the file read-only where the platform allows and
 // falls back to reading the bytes into an owned buffer otherwise. Moving a
@@ -25,33 +25,10 @@
 
 namespace iotaxo::trace {
 
-/// Byte layout of one fixed-stride whole record (little-endian, matching
-/// encode_binary_v3's writer; see the container comment in
-/// binary_format.h). Offsets are within the record, not the payload.
-namespace v2layout {
-inline constexpr std::size_t kCls = 0;          // u8
-inline constexpr std::size_t kName = 1;         // u32
-inline constexpr std::size_t kArgsCount = 5;    // u32
-inline constexpr std::size_t kRet = 9;          // i64
-inline constexpr std::size_t kLocalStart = 17;  // i64
-inline constexpr std::size_t kDuration = 25;    // i64
-inline constexpr std::size_t kRank = 33;        // i32
-inline constexpr std::size_t kNode = 37;        // i32
-inline constexpr std::size_t kPid = 41;         // u32
-inline constexpr std::size_t kHost = 45;        // u32
-inline constexpr std::size_t kPath = 49;        // u32
-inline constexpr std::size_t kFd = 53;          // i32
-inline constexpr std::size_t kBytes = 57;       // i64
-inline constexpr std::size_t kOffset = 65;      // i64
-inline constexpr std::size_t kUid = 73;         // u32
-inline constexpr std::size_t kGid = 77;         // u32
-inline constexpr std::size_t kStride = 81;      // total record size
-}  // namespace v2layout
-
-/// Byte layout of one record's HOT column group in a projected IOTB3 block
-/// (see binary_format.h): the fields every windowed / rate / call-stats /
-/// DFG scan reads, packed at a 33-byte stride so narrow queries decode a
-/// fraction of the stored bytes. hot + cold strides sum to the whole 81.
+/// Byte layout of one record's HOT column group in an IOTB3 block (see
+/// binary_format.h; little-endian, offsets within the row): the fields
+/// every windowed / rate / call-stats / DFG scan reads, packed at a 33-byte
+/// stride so narrow queries decode a fraction of the stored bytes.
 namespace hotlayout {
 inline constexpr std::size_t kCls = 0;          // u8
 inline constexpr std::size_t kName = 1;         // u32
@@ -62,9 +39,8 @@ inline constexpr std::size_t kBytes = 25;       // i64
 inline constexpr std::size_t kStride = 33;
 }  // namespace hotlayout
 
-/// The COLD remainder of a projected record: everything the whole record
-/// carries that the hot group does not (args, ret, ids, fd, offset,
-/// uid/gid).
+/// The COLD remainder of a record: every field the hot group does not
+/// carry (args count, ret, ids, fd, offset, uid/gid).
 namespace coldlayout {
 inline constexpr std::size_t kArgsCount = 0;    // u32
 inline constexpr std::size_t kRet = 4;          // i64
@@ -79,55 +55,102 @@ inline constexpr std::size_t kGid = 44;         // u32
 inline constexpr std::size_t kStride = 48;
 }  // namespace coldlayout
 
-/// One whole record read in place from a decoded block. Field accessors are
-/// unchecked single loads; the owning BlockView validated class bytes and
-/// string ids when it decoded the block, so accessors cannot observe
-/// malformed values.
-class RecordView {
+namespace detail {
+// The payload is not alignment-guaranteed within the container, so the
+// loads assemble bytes explicitly. The fully unrolled little-endian
+// OR-of-shifts is the idiom compilers fold into one unaligned mov; these
+// must stay inline — field accessors run millions of times per scan.
+[[nodiscard]] inline std::uint32_t load_u32(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+[[nodiscard]] inline std::int32_t load_i32(const std::uint8_t* p) noexcept {
+  return static_cast<std::int32_t>(load_u32(p));
+}
+[[nodiscard]] inline std::int64_t load_i64(const std::uint8_t* p) noexcept {
+  return static_cast<std::int64_t>(
+      static_cast<std::uint64_t>(load_u32(p)) |
+      (static_cast<std::uint64_t>(load_u32(p + 4)) << 32));
+}
+}  // namespace detail
+
+/// One record's hot column group read in place from a block's decoded hot
+/// bytes (hotlayout stride). Field accessors are unchecked single loads;
+/// the owning BlockView validated class bytes and name ids when it decoded
+/// the group, so accessors cannot observe malformed values.
+class HotRecordView {
  public:
-  explicit RecordView(const std::uint8_t* p) noexcept : p_(p) {}
+  explicit HotRecordView(const std::uint8_t* hot) noexcept : hot_(hot) {}
 
   [[nodiscard]] EventClass cls() const noexcept {
-    return static_cast<EventClass>(p_[v2layout::kCls]);
+    return static_cast<EventClass>(hot_[hotlayout::kCls]);
   }
-  [[nodiscard]] StrId name() const noexcept { return u32(v2layout::kName); }
-  [[nodiscard]] std::uint32_t args_count() const noexcept {
-    return u32(v2layout::kArgsCount);
-  }
-  [[nodiscard]] long long ret() const noexcept { return i64(v2layout::kRet); }
-  [[nodiscard]] SimTime local_start() const noexcept {
-    return i64(v2layout::kLocalStart);
-  }
-  [[nodiscard]] SimTime duration() const noexcept {
-    return i64(v2layout::kDuration);
+  [[nodiscard]] StrId name() const noexcept {
+    return detail::load_u32(hot_ + hotlayout::kName);
   }
   [[nodiscard]] std::int32_t rank() const noexcept {
-    return i32(v2layout::kRank);
+    return detail::load_i32(hot_ + hotlayout::kRank);
   }
-  [[nodiscard]] std::int32_t node() const noexcept {
-    return i32(v2layout::kNode);
+  [[nodiscard]] SimTime local_start() const noexcept {
+    return detail::load_i64(hot_ + hotlayout::kLocalStart);
   }
-  [[nodiscard]] std::uint32_t pid() const noexcept {
-    return u32(v2layout::kPid);
+  [[nodiscard]] SimTime duration() const noexcept {
+    return detail::load_i64(hot_ + hotlayout::kDuration);
   }
-  [[nodiscard]] StrId host() const noexcept { return u32(v2layout::kHost); }
-  [[nodiscard]] StrId path() const noexcept { return u32(v2layout::kPath); }
-  [[nodiscard]] std::int32_t fd() const noexcept { return i32(v2layout::kFd); }
-  [[nodiscard]] Bytes bytes() const noexcept { return i64(v2layout::kBytes); }
-  [[nodiscard]] Bytes offset() const noexcept {
-    return i64(v2layout::kOffset);
-  }
-  [[nodiscard]] std::uint32_t uid() const noexcept {
-    return u32(v2layout::kUid);
-  }
-  [[nodiscard]] std::uint32_t gid() const noexcept {
-    return u32(v2layout::kGid);
+  [[nodiscard]] Bytes bytes() const noexcept {
+    return detail::load_i64(hot_ + hotlayout::kBytes);
   }
 
   [[nodiscard]] bool is_io_call() const noexcept {
     const EventClass c = cls();
     return c == EventClass::kSyscall || c == EventClass::kLibraryCall ||
            c == EventClass::kFsOperation;
+  }
+
+ private:
+  const std::uint8_t* hot_;
+};
+
+/// One whole record read in place: its row in a block's decoded hot group
+/// plus its row in the same block's decoded cold group (coldlayout
+/// stride). Same unchecked-load contract as HotRecordView: the owning
+/// BlockView validated both groups.
+class RecordView : public HotRecordView {
+ public:
+  RecordView(const std::uint8_t* hot, const std::uint8_t* cold) noexcept
+      : HotRecordView(hot), cold_(cold) {}
+
+  [[nodiscard]] std::uint32_t args_count() const noexcept {
+    return detail::load_u32(cold_ + coldlayout::kArgsCount);
+  }
+  [[nodiscard]] long long ret() const noexcept {
+    return detail::load_i64(cold_ + coldlayout::kRet);
+  }
+  [[nodiscard]] std::int32_t node() const noexcept {
+    return detail::load_i32(cold_ + coldlayout::kNode);
+  }
+  [[nodiscard]] std::uint32_t pid() const noexcept {
+    return detail::load_u32(cold_ + coldlayout::kPid);
+  }
+  [[nodiscard]] StrId host() const noexcept {
+    return detail::load_u32(cold_ + coldlayout::kHost);
+  }
+  [[nodiscard]] StrId path() const noexcept {
+    return detail::load_u32(cold_ + coldlayout::kPath);
+  }
+  [[nodiscard]] std::int32_t fd() const noexcept {
+    return detail::load_i32(cold_ + coldlayout::kFd);
+  }
+  [[nodiscard]] Bytes offset() const noexcept {
+    return detail::load_i64(cold_ + coldlayout::kOffset);
+  }
+  [[nodiscard]] std::uint32_t uid() const noexcept {
+    return detail::load_u32(cold_ + coldlayout::kUid);
+  }
+  [[nodiscard]] std::uint32_t gid() const noexcept {
+    return detail::load_u32(cold_ + coldlayout::kGid);
   }
 
   /// Flat copy into the owned-record form. `args_begin` is the running sum
@@ -158,74 +181,7 @@ class RecordView {
   }
 
  private:
-  // The payload is not alignment-guaranteed within the container, so the
-  // loads assemble bytes explicitly. The fully unrolled little-endian
-  // OR-of-shifts is the idiom compilers fold into one unaligned mov; these
-  // must stay inline — field accessors run millions of times per scan.
-  [[nodiscard]] std::uint32_t u32(std::size_t off) const noexcept {
-    const std::uint8_t* p = p_ + off;
-    return static_cast<std::uint32_t>(p[0]) |
-           (static_cast<std::uint32_t>(p[1]) << 8) |
-           (static_cast<std::uint32_t>(p[2]) << 16) |
-           (static_cast<std::uint32_t>(p[3]) << 24);
-  }
-  [[nodiscard]] std::uint64_t u64(std::size_t off) const noexcept {
-    return static_cast<std::uint64_t>(u32(off)) |
-           (static_cast<std::uint64_t>(u32(off + 4)) << 32);
-  }
-  [[nodiscard]] std::int32_t i32(std::size_t off) const noexcept {
-    return static_cast<std::int32_t>(u32(off));
-  }
-  [[nodiscard]] std::int64_t i64(std::size_t off) const noexcept {
-    return static_cast<std::int64_t>(u64(off));
-  }
-
-  const std::uint8_t* p_;
-};
-
-/// One record's hot column group read in place from a projected IOTB3
-/// block's decoded hot bytes (hotlayout stride). Same unchecked-load
-/// contract as RecordView: the owning BlockView validated the group.
-class HotRecordView {
- public:
-  explicit HotRecordView(const std::uint8_t* p) noexcept : p_(p) {}
-
-  [[nodiscard]] EventClass cls() const noexcept {
-    return static_cast<EventClass>(p_[hotlayout::kCls]);
-  }
-  [[nodiscard]] StrId name() const noexcept { return u32(hotlayout::kName); }
-  [[nodiscard]] std::int32_t rank() const noexcept {
-    return static_cast<std::int32_t>(u32(hotlayout::kRank));
-  }
-  [[nodiscard]] SimTime local_start() const noexcept {
-    return i64(hotlayout::kLocalStart);
-  }
-  [[nodiscard]] SimTime duration() const noexcept {
-    return i64(hotlayout::kDuration);
-  }
-  [[nodiscard]] Bytes bytes() const noexcept { return i64(hotlayout::kBytes); }
-
-  [[nodiscard]] bool is_io_call() const noexcept {
-    const EventClass c = cls();
-    return c == EventClass::kSyscall || c == EventClass::kLibraryCall ||
-           c == EventClass::kFsOperation;
-  }
-
- private:
-  [[nodiscard]] std::uint32_t u32(std::size_t off) const noexcept {
-    const std::uint8_t* p = p_ + off;
-    return static_cast<std::uint32_t>(p[0]) |
-           (static_cast<std::uint32_t>(p[1]) << 8) |
-           (static_cast<std::uint32_t>(p[2]) << 16) |
-           (static_cast<std::uint32_t>(p[3]) << 24);
-  }
-  [[nodiscard]] std::int64_t i64(std::size_t off) const noexcept {
-    return static_cast<std::int64_t>(
-        static_cast<std::uint64_t>(u32(off)) |
-        (static_cast<std::uint64_t>(u32(off + 4)) << 32));
-  }
-
-  const std::uint8_t* p_;
+  const std::uint8_t* cold_;
 };
 
 /// Read-only bytes of a trace file, mmapped when possible. Move-only; the

@@ -137,149 +137,99 @@ std::uint32_t max_u32_le(const std::uint8_t* p, std::size_t n) noexcept {
 }
 
 namespace {
-
-// The strided kernels, templated on the record layout (v2's 81-byte full
-// stride, or the projected hot group's 33-byte stride). One instantiation
-// per layout keeps the unroll/predication structure — and the fold order,
-// hence bit-identical results — shared between the two.
-template <std::size_t kStride, std::size_t kClsOff, std::size_t kNameOff,
-          std::size_t kStartOff, std::size_t kDurOff, std::size_t kBytesOff>
-struct StridedKernels {
-  static void minmax(const std::uint8_t* recs, std::size_t n, SimTime* lo,
-                     SimTime* hi) noexcept {
-    const std::uint8_t* p = recs + kStartOff;
-    SimTime lo0 = load_i64(p);
-    SimTime hi0 = lo0;
-    SimTime lo1 = lo0;
-    SimTime hi1 = hi0;
-    std::size_t i = 1;
-    // 2x unrolled with independent accumulators: the min and max folds run
-    // in parallel ALU ports instead of serializing on one chain.
-    for (; i + 2 <= n; i += 2) {
-      const SimTime a = load_i64(p + i * kStride);
-      const SimTime b = load_i64(p + (i + 1) * kStride);
-      lo0 = std::min(lo0, a);
-      hi0 = std::max(hi0, a);
-      lo1 = std::min(lo1, b);
-      hi1 = std::max(hi1, b);
-    }
-    for (; i < n; ++i) {
-      const SimTime a = load_i64(p + i * kStride);
-      lo0 = std::min(lo0, a);
-      hi0 = std::max(hi0, a);
-    }
-    *lo = std::min(lo0, lo1);
-    *hi = std::max(hi0, hi1);
-  }
-
-  static Bytes sum_transfer(const std::uint8_t* recs, std::size_t n,
-                            StrId sys_write, StrId sys_read, SimTime begin,
-                            SimTime end) noexcept {
-    // Branchless predication: every record contributes rec.bytes & mask
-    // where mask is all-ones iff (class == syscall) & (name is a transfer
-    // id) & (begin <= start < end). Id 0 never matches (no event has an
-    // empty name), mirroring is_transfer() in the store.
-    const auto contribution = [&](const std::uint8_t* rec) noexcept -> Bytes {
-      const bool is_sys = rec[kClsOff] == 0;  // EventClass::kSyscall
-      const StrId name = load_u32(rec + kNameOff);
-      const bool transfer = (sys_write != 0 && name == sys_write) ||
-                            (sys_read != 0 && name == sys_read);
-      const SimTime start = load_i64(rec + kStartOff);
-      const bool in_window = start >= begin && start < end;
-      const auto mask =
-          -static_cast<std::int64_t>(is_sys & transfer & in_window);
-      return load_i64(rec + kBytesOff) & mask;
-    };
-    Bytes t0 = 0;
-    Bytes t1 = 0;
-    Bytes t2 = 0;
-    Bytes t3 = 0;
-    std::size_t i = 0;
-#if defined(_OPENMP) || defined(IOTAXO_OPENMP_SIMD)
-#pragma omp simd reduction(+ : t0, t1, t2, t3)
-#endif
-    for (std::size_t j = 0; j < n / 4 * 4; j += 4) {
-      t0 += contribution(recs + j * kStride);
-      t1 += contribution(recs + (j + 1) * kStride);
-      t2 += contribution(recs + (j + 2) * kStride);
-      t3 += contribution(recs + (j + 3) * kStride);
-    }
-    i = n / 4 * 4;
-    for (; i < n; ++i) {
-      t0 += contribution(recs + i * kStride);
-    }
-    return t0 + t1 + t2 + t3;
-  }
-
-  static void call_stats(const std::uint8_t* recs, std::size_t n,
-                         CallAccum* rows) noexcept {
-    // The scatter (rows[name] += ...) cannot vectorize, but the field
-    // gathers can be hoisted and the I/O-byte contribution made
-    // branchless: classes 0..2 (syscall, library call, fs op) are the I/O
-    // classes.
-    const auto fold = [&](const std::uint8_t* rec) noexcept {
-      const StrId name = load_u32(rec + kNameOff);
-      const auto io_mask = -static_cast<std::int64_t>(rec[kClsOff] <= 2);
-      CallAccum& row = rows[name];
-      ++row.count;
-      row.time += load_i64(rec + kDurOff);
-      row.bytes += load_i64(rec + kBytesOff) & io_mask;
-    };
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      fold(recs + i * kStride);
-      fold(recs + (i + 1) * kStride);
-      fold(recs + (i + 2) * kStride);
-      fold(recs + (i + 3) * kStride);
-    }
-    for (; i < n; ++i) {
-      fold(recs + i * kStride);
-    }
-  }
-};
-
-using V2Kernels =
-    StridedKernels<v2layout::kStride, v2layout::kCls, v2layout::kName,
-                   v2layout::kLocalStart, v2layout::kDuration,
-                   v2layout::kBytes>;
-using HotKernels =
-    StridedKernels<hotlayout::kStride, hotlayout::kCls, hotlayout::kName,
-                   hotlayout::kLocalStart, hotlayout::kDuration,
-                   hotlayout::kBytes>;
-
+// The strided row kernels read the hot group's fields at fixed offsets.
+constexpr std::size_t kStride = hotlayout::kStride;
 }  // namespace
-
-void minmax_stamps(const std::uint8_t* recs, std::size_t n, SimTime* lo,
-                   SimTime* hi) noexcept {
-  V2Kernels::minmax(recs, n, lo, hi);
-}
-
-Bytes sum_transfer_bytes_in_window(const std::uint8_t* recs, std::size_t n,
-                                   StrId sys_write, StrId sys_read,
-                                   SimTime begin, SimTime end) noexcept {
-  return V2Kernels::sum_transfer(recs, n, sys_write, sys_read, begin, end);
-}
-
-void accumulate_call_stats(const std::uint8_t* recs, std::size_t n,
-                           CallAccum* rows) noexcept {
-  V2Kernels::call_stats(recs, n, rows);
-}
 
 void minmax_stamps_hot(const std::uint8_t* recs, std::size_t n, SimTime* lo,
                        SimTime* hi) noexcept {
-  HotKernels::minmax(recs, n, lo, hi);
+  const std::uint8_t* p = recs + hotlayout::kLocalStart;
+  SimTime lo0 = load_i64(p);
+  SimTime hi0 = lo0;
+  SimTime lo1 = lo0;
+  SimTime hi1 = hi0;
+  std::size_t i = 1;
+  // 2x unrolled with independent accumulators: the min and max folds run
+  // in parallel ALU ports instead of serializing on one chain.
+  for (; i + 2 <= n; i += 2) {
+    const SimTime a = load_i64(p + i * kStride);
+    const SimTime b = load_i64(p + (i + 1) * kStride);
+    lo0 = std::min(lo0, a);
+    hi0 = std::max(hi0, a);
+    lo1 = std::min(lo1, b);
+    hi1 = std::max(hi1, b);
+  }
+  for (; i < n; ++i) {
+    const SimTime a = load_i64(p + i * kStride);
+    lo0 = std::min(lo0, a);
+    hi0 = std::max(hi0, a);
+  }
+  *lo = std::min(lo0, lo1);
+  *hi = std::max(hi0, hi1);
 }
 
 Bytes sum_transfer_bytes_in_window_hot(const std::uint8_t* recs,
                                        std::size_t n, StrId sys_write,
                                        StrId sys_read, SimTime begin,
                                        SimTime end) noexcept {
-  return HotKernels::sum_transfer(recs, n, sys_write, sys_read, begin, end);
+  // Branchless predication: every record contributes rec.bytes & mask
+  // where mask is all-ones iff (class == syscall) & (name is a transfer
+  // id) & (begin <= start < end). Id 0 never matches (no event has an
+  // empty name), mirroring is_transfer() in the store.
+  const auto contribution = [&](const std::uint8_t* rec) noexcept -> Bytes {
+    const bool is_sys = rec[hotlayout::kCls] == 0;  // EventClass::kSyscall
+    const StrId name = load_u32(rec + hotlayout::kName);
+    const bool transfer = (sys_write != 0 && name == sys_write) ||
+                          (sys_read != 0 && name == sys_read);
+    const SimTime start = load_i64(rec + hotlayout::kLocalStart);
+    const bool in_window = start >= begin && start < end;
+    const auto mask = -static_cast<std::int64_t>(is_sys & transfer & in_window);
+    return load_i64(rec + hotlayout::kBytes) & mask;
+  };
+  Bytes t0 = 0;
+  Bytes t1 = 0;
+  Bytes t2 = 0;
+  Bytes t3 = 0;
+  std::size_t i = 0;
+#if defined(_OPENMP) || defined(IOTAXO_OPENMP_SIMD)
+#pragma omp simd reduction(+ : t0, t1, t2, t3)
+#endif
+  for (std::size_t j = 0; j < n / 4 * 4; j += 4) {
+    t0 += contribution(recs + j * kStride);
+    t1 += contribution(recs + (j + 1) * kStride);
+    t2 += contribution(recs + (j + 2) * kStride);
+    t3 += contribution(recs + (j + 3) * kStride);
+  }
+  i = n / 4 * 4;
+  for (; i < n; ++i) {
+    t0 += contribution(recs + i * kStride);
+  }
+  return t0 + t1 + t2 + t3;
 }
 
 void accumulate_call_stats_hot(const std::uint8_t* recs, std::size_t n,
                                CallAccum* rows) noexcept {
-  HotKernels::call_stats(recs, n, rows);
+  // The scatter (rows[name] += ...) cannot vectorize, but the field
+  // gathers can be hoisted and the I/O-byte contribution made branchless:
+  // classes 0..2 (syscall, library call, fs op) are the I/O classes.
+  const auto fold = [&](const std::uint8_t* rec) noexcept {
+    const StrId name = load_u32(rec + hotlayout::kName);
+    const auto io_mask = -static_cast<std::int64_t>(rec[hotlayout::kCls] <= 2);
+    CallAccum& row = rows[name];
+    ++row.count;
+    row.time += load_i64(rec + hotlayout::kDuration);
+    row.bytes += load_i64(rec + hotlayout::kBytes) & io_mask;
+  };
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    fold(recs + i * kStride);
+    fold(recs + (i + 1) * kStride);
+    fold(recs + (i + 2) * kStride);
+    fold(recs + (i + 3) * kStride);
+  }
+  for (; i < n; ++i) {
+    fold(recs + i * kStride);
+  }
 }
 
 }  // namespace iotaxo::trace::scan

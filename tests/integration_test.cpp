@@ -253,7 +253,7 @@ TEST_F(IntegrationFixture, TracefsEncryptionCoversRecordsNotStrings) {
   EXPECT_THROW((void)trace::decode_binary(blob), FormatError);
   EXPECT_THROW((void)trace::BlockView(blob), FormatError);
 
-  // ...and no record is stored in the clear: none of the 81-byte records
+  // ...and no record is stored in the clear: none of the hot or cold rows
   // of the same export without encryption appears in the encrypted one.
   frameworks::TracefsParams plain_params = params;
   plain_params.shim.encrypt = false;
@@ -262,12 +262,16 @@ TEST_F(IntegrationFixture, TracefsEncryptionCoversRecordsNotStrings) {
   const trace::BlockView plain(plain_blob);
   ASSERT_EQ(plain.size(), n_events);
   for (std::size_t b = 0; b < plain.block_count(); ++b) {
-    const auto records = plain.block_bytes(b);
-    for (std::size_t off = 0; off < records.size();
-         off += trace::v2layout::kStride) {
-      const auto record = records.subspan(off, trace::v2layout::kStride);
-      ASSERT_TRUE(contains(plain_blob, record));
-      EXPECT_FALSE(contains(blob, record)) << "record at byte " << off;
+    const std::pair<std::span<const std::uint8_t>, std::size_t> groups[] = {
+        {plain.hot_bytes(b), trace::hotlayout::kStride},
+        {plain.cold_bytes(b), trace::coldlayout::kStride}};
+    for (const auto& [rows, stride] : groups) {
+      for (std::size_t off = 0; off < rows.size(); off += stride) {
+        const auto row = rows.subspan(off, stride);
+        ASSERT_TRUE(contains(plain_blob, row));
+        EXPECT_FALSE(contains(blob, row))
+            << "block " << b << " row at byte " << off;
+      }
     }
   }
 

@@ -330,7 +330,6 @@ TEST(Metrics, DisarmedQueriesAreBitIdentical) {
   trace::BinaryOptions options;
   options.compress = true;
   options.checksum = true;
-  options.project = true;
   const std::vector<std::uint8_t> container =
       trace::encode_binary_v3(batch, options, 16);
   const std::string dir = make_scratch_dir("inert");
@@ -366,7 +365,7 @@ TEST(Metrics, DisarmedQueriesAreBitIdentical) {
     try {
       const trace::BlockView view(corrupt);
       for (std::size_t b = 0; b < view.block_count(); ++b) {
-        (void)view.block_bytes(b);
+        (void)view.cold_bytes(b);  // decodes the hot group first
       }
       return std::string("(no error)");
     } catch (const Error& err) {
@@ -392,7 +391,6 @@ TEST(Metrics, ColdStoreDecodeCrossChecksPoolAccounting) {
   trace::BinaryOptions options;
   options.compress = true;
   options.checksum = true;
-  options.project = true;
   options.encrypt = true;
   options.key = derive_key("metrics-test-key");
   const std::vector<std::uint8_t> container =
@@ -413,8 +411,8 @@ TEST(Metrics, ColdStoreDecodeCrossChecksPoolAccounting) {
   };
 
   // A narrow window, then a full scan: hot-only decodes first, cold
-  // stitches after. After every step the metric must equal the store's
-  // own accounting bit for bit.
+  // groups after. After every step the metric must equal the store's own
+  // accounting bit for bit.
   const obs::MetricsSnapshot before = obs::snapshot();
   const std::uint64_t decoded_before = decoded_now();
   (void)store.bytes_in_window(60 * kMillisecond, 120 * kMillisecond);
@@ -427,7 +425,7 @@ TEST(Metrics, ColdStoreDecodeCrossChecksPoolAccounting) {
   EXPECT_GT(hist_count(mid, "block.decode.decrypt_ns"), 0u);
   EXPECT_GT(hist_count(mid, "block.decode.decompress_ns"), 0u);
 
-  (void)store.hottest_files(8);  // needs cold columns: full decodes
+  (void)store.hottest_files(8);  // needs cold columns: cold-group decodes
   const obs::MetricsSnapshot d = obs::delta(before, obs::snapshot());
   EXPECT_EQ(counter_value(d, "block.decode.stored_bytes"),
             decoded_now() - decoded_before);
@@ -596,8 +594,7 @@ TEST(Metrics, CaptureCountsBatchFlushesAndEncodeTimesEachStage) {
   all.checksum = true;
   all.encrypt = true;
   all.key = derive_key("metrics");
-  EXPECT_EQ(stage_samples(all), (Samples{3, 3, 3}));
-  all.project = true;  // two column groups per block, still one sample
+  // Two column groups per block, still one sample per stage.
   EXPECT_EQ(stage_samples(all), (Samples{3, 3, 3}));
   trace::BinaryOptions crc_only;
   crc_only.checksum = true;

@@ -101,12 +101,11 @@ class StreamSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(StreamSeeds, BinaryRoundTripIsLossless) {
   Rng rng(GetParam());
   const auto events = random_stream(rng, 200);
-  for (const int mask : {0, 1, 3, 7, 15}) {
+  for (const int mask : {0, 1, 3, 7}) {
     trace::BinaryOptions options;
     options.compress = (mask & 1) != 0;
     options.encrypt = (mask & 2) != 0;
     options.checksum = (mask & 4) != 0;
-    options.project = (mask & 8) != 0;
     if (options.encrypt) {
       options.key = derive_key("prop");
     }

@@ -660,14 +660,17 @@ struct DamagedFixture {
     }
   }
   trace::BinaryOptions options;
-  options.checksum = true;  // uncompressed: records sit at fixed strides
+  options.checksum = true;  // uncompressed: rows sit at fixed strides
   std::vector<std::uint8_t> bytes = trace::encode_binary_v3(
       EventBatch::from_events(fx.all_events), options, 16);
-  // Flip a byte inside block 1's records. The head ends where the first
-  // block begins; with no compression each block is block_records * the
-  // v2 record stride, so block 1 starts at head_end + 16 strides. The
-  // flip lands mid-record 18 and breaks only block 1's CRC.
-  const std::size_t record_region = 80 * trace::v2layout::kStride;
+  // Flip a byte inside block 1's hot group, so hot-only queries fail too.
+  // The head ends where the first block begins; with no compression each
+  // block is 16 hot rows then 16 cold rows, so block 1's hot group starts
+  // at head_end + 16 * (hot + cold stride). The flip lands in record 18's
+  // hot row and breaks only block 1's hot-group CRC.
+  constexpr std::size_t kRow =
+      trace::hotlayout::kStride + trace::coldlayout::kStride;
+  const std::size_t record_region = 80 * kRow;
   const std::size_t head_end = [&] {
     // Find the block region by length arithmetic: everything between the
     // head and the footer is exactly the 80 records (uncompressed).
@@ -683,7 +686,7 @@ struct DamagedFixture {
     return bytes.size() - trace::v3layout::kTrailerSize - footer_len -
            record_region;
   }();
-  bytes[head_end + 18 * trace::v2layout::kStride + 5] ^= 0x20;
+  bytes[head_end + 16 * kRow + 2 * trace::hotlayout::kStride + 5] ^= 0x20;
   fx.path = dir + "/damaged.iotb3";
   write_file(fx.path, bytes);
   return fx;

@@ -221,7 +221,6 @@ class BinaryRoundTrip : public ::testing::TestWithParam<int> {
     o.compress = (mask & 1) != 0;
     o.encrypt = (mask & 2) != 0;
     o.checksum = (mask & 4) != 0;
-    o.project = (mask & 8) != 0;
     if (o.encrypt) {
       o.key = derive_key("test-key");
     }
@@ -243,7 +242,7 @@ TEST_P(BinaryRoundTrip, EncodeDecode) {
 }
 
 INSTANTIATE_TEST_SUITE_P(FlagCombos, BinaryRoundTrip,
-                         ::testing::Range(0, 16));
+                         ::testing::Range(0, 8));
 
 TEST(BinaryFormat, HeaderPeek) {
   BinaryOptions o;

@@ -1,7 +1,8 @@
 // Tests for the in-place read path over IOTB3 containers: the BlockView
-// (hostile-input rejection, old-version rejection, per-block CRC/
-// compression/encryption, columnar projection, footer mini-index
-// cross-checks, lying-index rejection, block-parallel decode), plus
+// (hostile-input rejection, old-version and old-layout rejection, per-block
+// CRC/compression/encryption, the hot and cold column groups, footer
+// mini-index cross-checks, lying-index rejection, block-parallel decode),
+// plus
 // MappedTraceFile, block-backed and compacted unified-store sources, the
 // pool-index query skips, and the cold-tier era spill.
 #include <gtest/gtest.h>
@@ -168,6 +169,12 @@ TEST_F(MappedFileTest, MissingFileThrows) {
   return events;
 }
 
+/// Stored bytes of one uncompressed, unencrypted 8-record block: its hot
+/// group, then its cold group.
+constexpr std::size_t kPlainHot8 = 8 * hotlayout::kStride;
+constexpr std::size_t kPlainBlock8 =
+    kPlainHot8 + 8 * coldlayout::kStride;
+
 /// Byte positions of the v3 regions, parsed the same way the view does:
 /// head_end is the first stored-block byte, footer the entry region.
 struct V3Regions {
@@ -185,9 +192,8 @@ struct V3Regions {
     }
     return v;
   };
-  // Container flag bits (binary_format.cpp): 0x02 encrypted (head grows a
-  // key-check u64), 0x08 projected (each footer entry grows cold_len u64 +
-  // cold_crc u32).
+  // Container flag bit 0x02 (binary_format.cpp): encrypted, so the head
+  // grows a key-check u64.
   const std::uint8_t flags = bytes[kFlagsOff];
   std::size_t pos = kContainerHeaderSize;
   const std::uint32_t nstrings = u32_at(pos);
@@ -206,9 +212,7 @@ struct V3Regions {
   r.footer_len =
       static_cast<std::size_t>(get_u64(bytes, bytes.size() - v3layout::kTrailerSize));
   r.footer_begin = bytes.size() - v3layout::kTrailerSize - r.footer_len;
-  r.entry_size = v3layout::kEntryFixedSize +
-                 ((flags & 0x08) != 0 ? v3layout::kEntryProjectedExtra : 0) +
-                 (nstrings + 7) / 8;
+  r.entry_size = v3layout::kEntryFixedSize + (nstrings + 7) / 8;
   return r;
 }
 
@@ -251,12 +255,13 @@ TEST(BlockView, RejectsTruncatedBuffer) {
   }
 }
 
-/// Open `bytes` and touch every block: hostile input must surface as a
-/// FormatError at open or on the first touch of the damaged block.
+/// Open `bytes` and touch both groups of every block: hostile input must
+/// surface as a FormatError at open or on the first touch of the damaged
+/// block.
 void open_and_touch_all(const std::vector<std::uint8_t>& bytes) {
   const BlockView view(bytes);
   for (std::size_t b = 0; b < view.block_count(); ++b) {
-    (void)view.block_bytes(b);
+    (void)view.cold_bytes(b);  // decodes the hot group first
   }
 }
 
@@ -274,15 +279,22 @@ TEST(BlockView, RejectsHostileHeadAndRecordEdits) {
     return v;
   };
   // The argument-id table follows the length-prefixed strings and its u64
-  // count; the last record ends where the footer begins.
+  // count. The last block's cold group ends where the footer begins, and
+  // its hot group sits right before the cold group.
   std::size_t args_off = kContainerHeaderSize + 4;
   for (std::uint32_t i = 0; i < u32_at(kContainerHeaderSize); ++i) {
     args_off += 4 + u32_at(args_off);
   }
   ASSERT_GT(get_u64(base, args_off), 0u);  // sample stream has args
   args_off += 8;
-  const std::size_t last_record =
-      locate_v3(base).footer_begin - v2layout::kStride;
+  const BlockView base_view(base);
+  const std::size_t last_n =
+      base_view.block_size(base_view.block_count() - 1);
+  const std::size_t last_cold_row =
+      locate_v3(base).footer_begin - coldlayout::kStride;
+  const std::size_t last_hot_row = locate_v3(base).footer_begin -
+                                   last_n * coldlayout::kStride -
+                                   hotlayout::kStride;
   const auto fill = [](std::vector<std::uint8_t>& b, std::size_t off,
                        std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -319,13 +331,17 @@ TEST(BlockView, RejectsHostileHeadAndRecordEdits) {
       // replay generator), so the table's values are checked at open.
       {"out-of-range arg-id value",
        [&](std::vector<std::uint8_t>& b) { fill(b, args_off, 4); }},
-      {"out-of-range record name id",
+      {"out-of-range record name id (hot group)",
        [&](std::vector<std::uint8_t>& b) {
-         fill(b, last_record + v2layout::kName, 2);
+         fill(b, last_hot_row + hotlayout::kName, 2);
        }},
-      {"args_count overrun",
+      {"args_count overrun (cold group)",
        [&](std::vector<std::uint8_t>& b) {
-         fill(b, last_record + v2layout::kArgsCount, 2);
+         fill(b, last_cold_row + coldlayout::kArgsCount, 2);
+       }},
+      {"out-of-range record path id (cold group)",
+       [&](std::vector<std::uint8_t>& b) {
+         fill(b, last_cold_row + coldlayout::kPath, 2);
        }},
   };
   ASSERT_NO_THROW(open_and_touch_all(base));
@@ -387,6 +403,54 @@ TEST(BlockView, RejectsOldContainerVersionsByName) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(BlockView, RejectsWholeRecordLayoutByName) {
+  // An IOTB3 container with flags bit3 clear stores 81-byte whole records;
+  // every reader refuses it with a FormatError naming that layout, before
+  // reading the head or footer.
+  std::vector<std::uint8_t> whole = encode_sample();
+  ASSERT_NE(whole[kFlagsOff] & 0x08, 0);  // the writer always sets bit3
+  whole[kFlagsOff] &= static_cast<std::uint8_t>(~0x08);
+  EXPECT_TRUE(looks_binary(whole));
+  const auto expect_named = [](const auto& read) {
+    try {
+      read();
+      FAIL() << "a whole-record container was read";
+    } catch (const FormatError& err) {
+      EXPECT_NE(std::string(err.what()).find("whole-record"),
+                std::string::npos)
+          << err.what();
+    }
+  };
+  expect_named([&] { (void)peek_binary_header(whole); });
+  expect_named([&] { (void)BlockView(whole); });
+  expect_named([&] { (void)decode_binary_batch(whole); });
+
+  const std::string dir =
+      strprintf("/tmp/iotaxo_whole_record_%d",
+                ::testing::UnitTest::GetInstance()->random_seed());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  write_binary_file(dir + "/whole.iotb3", whole);
+  {
+    analysis::UnifiedTraceStore store;
+    expect_named([&] { store.ingest_view(dir + "/whole.iotb3"); });
+    EXPECT_EQ(store.total_events(), 0);
+  }
+  // Recovery quarantines it beside a healthy container, with the reason.
+  write_binary_file(dir + "/era-0.iotb3", encode_sample());
+  analysis::UnifiedTraceStore store;
+  const analysis::StoreHealth health = store.attach_dir(dir);
+  EXPECT_EQ(health.recovered_eras, 1u);
+  ASSERT_EQ(health.quarantined.size(), 1u);
+  EXPECT_EQ(health.quarantined[0].file, "whole.iotb3");
+  EXPECT_NE(health.quarantined[0].reason.find("whole-record"),
+            std::string::npos)
+      << health.quarantined[0].reason;
+  EXPECT_EQ(store.total_events(),
+            static_cast<long long>(sample_stream().size()));
+  std::filesystem::remove_all(dir);
+}
+
 TEST(BlockView, RejectsDuplicateStringTableEntries) {
   // A hand-built body whose string table interns "dup" twice must be
   // rejected ("not interned") — records could otherwise reference the
@@ -419,7 +483,7 @@ TEST(BlockView, RejectsDuplicateStringTableEntries) {
     u32(v3layout::kFooterMagic);
 
     std::vector<std::uint8_t> bytes = {'I', 'O', 'T', 'B', '3', '\n'};
-    bytes.push_back(0);  // flags: plain
+    bytes.push_back(0x08);  // flags: column groups, no transforms
     bytes.resize(kContainerHeaderSize, 0);
     put_u64(bytes, kCountOff, 0);
     put_u64(bytes, kPaylenOff, body.size());
@@ -516,8 +580,8 @@ TEST(BlockView, CorruptBlockRejectsOnlyItself) {
   options.checksum = true;  // uncompressed: stored offsets are record math
   std::vector<std::uint8_t> bytes = encode_binary_v3(batch, options, 8);
   const V3Regions r = locate_v3(bytes);
-  // Flip one byte inside block 1's stored bytes (records 8..15).
-  bytes[r.head_end + 8 * v2layout::kStride + 40] ^= 0x20;
+  // Flip one byte inside block 1's hot group (records 8..15).
+  bytes[r.head_end + kPlainBlock8 + 40] ^= 0x20;
 
   const BlockView view(bytes);  // footer intact, blocks untouched: opens
   EXPECT_EQ(view.record(0).to_record(batch.record(0).args_begin),
@@ -584,15 +648,17 @@ TEST(BlockView, RejectsIndexThatLiesAboutABlock) {
   const V3Regions r = locate_v3(base);
   const std::size_t entry1 = r.footer_begin + r.entry_size;  // block 1
 
-  // (a) min-stamp lie: the window says "starts a second early".
+  // (a) min-stamp lie: the window says "starts a second early". The hot
+  // group decides stamps, so hot-only and whole-record reads both reject.
   std::vector<std::uint8_t> lie = base;
-  put_u64(lie, entry1 + 32,
+  put_u64(lie, entry1 + v3layout::kEntryMinTime,
           static_cast<std::uint64_t>(batch.record(8).local_start - kSecond));
   reseal_footer_crc(lie);
   {
     const BlockView view(lie);  // footer CRC is consistent: opens
     EXPECT_EQ(view.record(0).to_record(batch.record(0).args_begin),
               batch.record(0));  // block 0 is honest
+    EXPECT_THROW((void)view.hot_bytes(1), FormatError);
     EXPECT_THROW((void)view.record(8), FormatError);
   }
 
@@ -600,13 +666,26 @@ TEST(BlockView, RejectsIndexThatLiesAboutABlock) {
   std::vector<std::uint8_t> lie2 = base;
   lie2[entry1 + v3layout::kEntryFixedSize] ^= 0x01;
   reseal_footer_crc(lie2);
+  EXPECT_THROW((void)BlockView(lie2).hot_bytes(1), FormatError);
   EXPECT_THROW((void)BlockView(lie2).record(8), FormatError);
 
   // (c) flags lie: claim an all-syscall block has no I/O.
   std::vector<std::uint8_t> lie3 = base;
-  lie3[entry1 + 48] = 0;
+  lie3[entry1 + v3layout::kEntryFlags] = 0;
   reseal_footer_crc(lie3);
   EXPECT_THROW((void)BlockView(lie3).record(8), FormatError);
+
+  // (d) fd+path lie: the cold group decides that bit, so hot-only reads
+  // still serve and the first whole-record read rejects.
+  std::vector<std::uint8_t> lie4 = base;
+  lie4[entry1 + v3layout::kEntryFlags] ^= v3layout::kBlockHasFdPath;
+  reseal_footer_crc(lie4);
+  {
+    const BlockView view(lie4);
+    EXPECT_NO_THROW((void)view.hot_bytes(1));
+    EXPECT_THROW((void)view.cold_bytes(1), FormatError);
+    EXPECT_THROW((void)view.record(8), FormatError);
+  }
 }
 
 // ------------------------------------------------- encryption (per block)
@@ -624,28 +703,22 @@ TEST(BlockView, EncryptWithoutKeyRejectedAtEncode) {
 TEST(BlockView, EncryptedRoundTripMatchesOwnedBatch) {
   const EventBatch batch = EventBatch::from_events(ordered_stream(44));
   for (const bool compress : {false, true}) {
-    for (const bool project : {false, true}) {
-      BinaryOptions options;
-      options.compress = compress;
-      options.project = project;
-      options.encrypt = true;
-      options.key = kTestKey;
-      const std::vector<std::uint8_t> bytes =
-          encode_binary_v3(batch, options, 8);
-      const BlockView view(bytes, kTestKey);
-      EXPECT_TRUE(view.encrypted());
-      EXPECT_EQ(view.projected(), project);
-      ASSERT_EQ(view.size(), batch.size());
-      view.for_each([&](std::size_t i, const RecordView& rec,
-                        std::uint32_t args_begin) {
-        EXPECT_EQ(rec.to_record(args_begin), batch.record(i))
-            << "record " << i << " compress=" << compress
-            << " project=" << project;
-      });
-      // The generic decoder accepts the key too.
-      EXPECT_EQ(decode_binary_batch(bytes, kTestKey).record(10),
-                batch.record(10));
-    }
+    BinaryOptions options;
+    options.compress = compress;
+    options.encrypt = true;
+    options.key = kTestKey;
+    const std::vector<std::uint8_t> bytes = encode_binary_v3(batch, options, 8);
+    const BlockView view(bytes, kTestKey);
+    EXPECT_TRUE(view.encrypted());
+    ASSERT_EQ(view.size(), batch.size());
+    view.for_each([&](std::size_t i, const RecordView& rec,
+                      std::uint32_t args_begin) {
+      EXPECT_EQ(rec.to_record(args_begin), batch.record(i))
+          << "record " << i << " compress=" << compress;
+    });
+    // The generic decoder accepts the key too.
+    EXPECT_EQ(decode_binary_batch(bytes, kTestKey).record(10),
+              batch.record(10));
   }
 }
 
@@ -686,9 +759,10 @@ TEST(BlockView, CorruptCiphertextRejectsOnlyThatBlock) {
   options.checksum = false;  // reach the cipher, not the CRC
   std::vector<std::uint8_t> bytes = encode_binary_v3(batch, options, 8);
   const V3Regions r = locate_v3(bytes);
-  // Uncompressed encrypted blocks store pad8(8 * 81) = 656 bytes each.
-  // Smash block 1's trailing cipher block so PKCS#7 unpadding fails.
-  constexpr std::size_t kStored = 656;
+  // Uncompressed encrypted blocks store pad8(8 * 33) + pad8(8 * 48) =
+  // 272 + 392 = 664 bytes each. Smash block 1's trailing cipher block (the
+  // end of its cold group) so PKCS#7 unpadding fails.
+  constexpr std::size_t kStored = 664;
   bytes[r.head_end + 2 * kStored - 3] ^= 0x20;
 
   const BlockView view(bytes, kTestKey);
@@ -707,38 +781,11 @@ TEST(BlockView, CorruptCiphertextRejectsOnlyThatBlock) {
             batch.record(16));  // block 2 unharmed
 }
 
-// ------------------------------------------------- columnar projection
+// ------------------------------------------------- hot and cold groups
 
-TEST(BlockView, ProjectedRoundTripMatchesOwnedBatch) {
-  const EventBatch batch = EventBatch::from_events(ordered_stream(44));
-  for (const bool compress : {false, true}) {
-    for (const bool checksum : {false, true}) {
-      BinaryOptions options;
-      options.compress = compress;
-      options.checksum = checksum;
-      options.project = true;
-      const std::vector<std::uint8_t> bytes =
-          encode_binary_v3(batch, options, 8);
-      const BlockView view(bytes);
-      EXPECT_TRUE(view.projected());
-      ASSERT_EQ(view.size(), batch.size());
-      view.for_each([&](std::size_t i, const RecordView& rec,
-                        std::uint32_t args_begin) {
-        EXPECT_EQ(rec.to_record(args_begin), batch.record(i))
-            << "record " << i;
-        EXPECT_EQ(view.materialize(i, args_begin), batch.materialize(i))
-            << "record " << i;
-      });
-      EXPECT_EQ(decode_binary_batch(bytes).record(20), batch.record(20));
-    }
-  }
-}
-
-TEST(BlockView, ProjectedHotGroupServesHotColumns) {
+TEST(BlockView, HotGroupServesHotColumns) {
   const EventBatch batch = EventBatch::from_events(ordered_stream(24));
-  BinaryOptions options;
-  options.project = true;
-  const std::vector<std::uint8_t> bytes = encode_binary_v3(batch, options, 8);
+  const std::vector<std::uint8_t> bytes = encode_binary_v3(batch, {}, 8);
   const BlockView view(bytes);
   for (std::size_t b = 0; b < view.block_count(); ++b) {
     // The hot group is strictly smaller than the block's full extent.
@@ -756,63 +803,27 @@ TEST(BlockView, ProjectedHotGroupServesHotColumns) {
       EXPECT_EQ(rec.bytes(), want.bytes);
     }
   }
-  // Non-projected containers have no hot group to hand out.
-  const BlockView flat(encode_binary_v3(batch, {}, 8));
-  EXPECT_THROW((void)flat.hot_bytes(0), ConfigError);
-}
-
-TEST(BlockView, ProjectedIndexLieRejected) {
-  const EventBatch batch = EventBatch::from_events(ordered_stream(24));
-  BinaryOptions options;
-  options.project = true;
-  options.compress = true;
-  options.checksum = true;
-  const std::vector<std::uint8_t> base = encode_binary_v3(batch, options, 8);
-  const V3Regions r = locate_v3(base);
-  const std::size_t entry1 = r.footer_begin + r.entry_size;  // block 1
-
-  // Min-stamp lie: both the hot-only and the stitched full decode
-  // cross-check the window and must reject.
-  std::vector<std::uint8_t> lie = base;
-  put_u64(lie, entry1 + 32,
-          static_cast<std::uint64_t>(batch.record(8).local_start - kSecond));
-  reseal_footer_crc(lie);
-  {
-    const BlockView view(lie);
-    EXPECT_THROW((void)view.hot_bytes(1), FormatError);
-    EXPECT_THROW((void)view.record(8), FormatError);
-    EXPECT_EQ(view.record(0).to_record(batch.record(0).args_begin),
-              batch.record(0));  // block 0 is honest
-  }
-
-  // Bitmap lie (the bitmap sits after the projected extra fields).
-  std::vector<std::uint8_t> lie2 = base;
-  lie2[entry1 + v3layout::kEntryFixedSize + v3layout::kEntryProjectedExtra] ^=
-      0x01;
-  reseal_footer_crc(lie2);
-  EXPECT_THROW((void)BlockView(lie2).hot_bytes(1), FormatError);
 }
 
 TEST(BlockView, ColdGroupCorruptionLeavesHotQueriesWorking) {
   const EventBatch batch = EventBatch::from_events(ordered_stream(24));
   BinaryOptions options;
-  options.project = true;
   options.checksum = true;  // uncompressed: stored offsets are record math
   std::vector<std::uint8_t> bytes = encode_binary_v3(batch, options, 8);
   const V3Regions r = locate_v3(bytes);
-  // Uncompressed projected blocks store hot 8*33 = 264 then cold 8*48 =
-  // 384 bytes, 648 per block. Corrupt block 1's COLD group only.
-  bytes[r.head_end + 648 + 264 + 100] ^= 0x40;
+  // Uncompressed blocks store hot 8*33 = 264 then cold 8*48 = 384 bytes,
+  // 648 per block. Corrupt block 1's COLD group only.
+  bytes[r.head_end + kPlainBlock8 + kPlainHot8 + 100] ^= 0x40;
 
   const BlockView view(bytes);
   // Hot decode of the same block still verifies (its own CRC) and serves.
   const std::span<const std::uint8_t> hot = view.hot_bytes(1);
   EXPECT_EQ(HotRecordView(hot.data()).local_start(),
             batch.record(8).local_start);
-  // The stitched full decode needs the cold group — and rejects.
+  // A whole-record read needs the cold group — and rejects.
   try {
     (void)view.record(8);
-    FAIL() << "stitched a corrupt cold group";
+    FAIL() << "read a corrupt cold group";
   } catch (const FormatError& err) {
     EXPECT_NE(std::string(err.what()).find("block 1"), std::string::npos)
         << err.what();
@@ -825,15 +836,28 @@ TEST(BlockView, ColdGroupCorruptionLeavesHotQueriesWorking) {
 TEST(BlockView, HotGroupCorruptionRejectsBothPaths) {
   const EventBatch batch = EventBatch::from_events(ordered_stream(24));
   BinaryOptions options;
-  options.project = true;
   options.checksum = true;
   std::vector<std::uint8_t> bytes = encode_binary_v3(batch, options, 8);
   const V3Regions r = locate_v3(bytes);
-  bytes[r.head_end + 648 + 10] ^= 0x04;  // block 1's hot group
+  bytes[r.head_end + kPlainBlock8 + 10] ^= 0x04;  // block 1's hot group
 
   const BlockView view(bytes);
-  EXPECT_THROW((void)view.hot_bytes(1), FormatError);
-  EXPECT_THROW((void)view.record(8), FormatError);
+  // The cold group is served only beside a valid hot group: touched first,
+  // it fails with the hot group's error, sticky and verbatim.
+  const auto failure = [](const auto& touch) {
+    try {
+      touch();
+    } catch (const FormatError& e) {
+      return std::string(e.what());
+    }
+    return std::string("(no FormatError)");
+  };
+  const std::string cold_error = failure([&] { (void)view.cold_bytes(1); });
+  EXPECT_NE(cold_error.find("block 1 checksum mismatch"), std::string::npos)
+      << cold_error;
+  EXPECT_EQ(failure([&] { (void)view.hot_bytes(1); }), cold_error);
+  EXPECT_EQ(failure([&] { (void)view.record(8); }), cold_error);
+  EXPECT_EQ(view.failed_blocks(), 1u);
   EXPECT_EQ(view.record(0).to_record(batch.record(0).args_begin),
             batch.record(0));
 }
@@ -845,7 +869,6 @@ TEST(BlockView, DecodeBlocksPrefetchMatchesSerialDecode) {
   BinaryOptions options;
   options.compress = true;
   options.checksum = true;
-  options.project = true;
   const std::vector<std::uint8_t> bytes = encode_binary_v3(batch, options, 8);
   for (const std::size_t threads : {1u, 2u, 4u}) {
     const BlockView view(bytes, std::nullopt);
@@ -868,7 +891,7 @@ TEST(BlockView, SharedStickyFailureAcrossCopiesUnderConcurrentDecode) {
   options.checksum = true;
   std::vector<std::uint8_t> bytes = encode_binary_v3(batch, options, 8);
   const V3Regions r = locate_v3(bytes);
-  bytes[r.head_end + 8 * v2layout::kStride + 40] ^= 0x20;  // block 1
+  bytes[r.head_end + kPlainBlock8 + 40] ^= 0x20;  // block 1's hot group
 
   const BlockView view(bytes);
   const BlockView copy = view;  // copies share the decode slots
@@ -897,9 +920,8 @@ TEST(BlockView, SharedStickyFailureAcrossCopiesUnderConcurrentDecode) {
 }
 
 TEST(BlockView, MutatedCompressedGroupsThrowOrDecodeExactly) {
-  // The stored groups of real compressed containers (whole-record and
-  // projected hot + cold), cut out of the block region and mutated under a
-  // fixed seed and budget. The sized LZ decoder writes 16-byte wild copies
+  // The stored hot and cold groups of a real compressed container, cut out
+  // of the block region and mutated under a fixed seed and budget. The sized LZ decoder writes 16-byte wild copies
   // into slack past the declared size, so every mutant must either be
   // rejected or decode to exactly records x stride bytes; the ASan and
   // UBSan builds run this loop too.
@@ -909,33 +931,29 @@ TEST(BlockView, MutatedCompressedGroupsThrowOrDecodeExactly) {
     std::size_t size = 0;
   };
   std::vector<Group> groups;
-  for (const bool project : {false, true}) {
-    BinaryOptions options;
-    options.checksum = false;
-    options.compress = true;
-    options.project = project;
-    const std::vector<std::uint8_t> bytes =
-        encode_binary_v3(batch, options, /*block_records=*/128);
-    const BlockView view(bytes);
-    std::size_t off = locate_v3(bytes).head_end;
-    const auto cut = [&bytes, &off](std::size_t len) {
-      const auto first = bytes.begin() + static_cast<std::ptrdiff_t>(off);
-      off += len;
-      return std::vector<std::uint8_t>(
-          first, first + static_cast<std::ptrdiff_t>(len));
-    };
-    for (std::size_t b = 0; b < view.block_count(); ++b) {
-      // The first (or only) group, checked against what the view serves.
-      const std::span<const std::uint8_t> plain =
-          project ? view.hot_bytes(b) : view.block_bytes(b);
-      const std::size_t hot_len = view.block_hot_stored_len(b);
-      groups.push_back({cut(hot_len), plain.size()});
+  BinaryOptions options;
+  options.checksum = false;
+  options.compress = true;
+  const std::vector<std::uint8_t> bytes =
+      encode_binary_v3(batch, options, /*block_records=*/128);
+  const BlockView view(bytes);
+  std::size_t off = locate_v3(bytes).head_end;
+  const auto cut = [&bytes, &off](std::size_t len) {
+    const auto first = bytes.begin() + static_cast<std::ptrdiff_t>(off);
+    off += len;
+    return std::vector<std::uint8_t>(first,
+                                     first + static_cast<std::ptrdiff_t>(len));
+  };
+  for (std::size_t b = 0; b < view.block_count(); ++b) {
+    // Each group, checked against what the view serves.
+    const std::size_t hot_len = view.block_hot_stored_len(b);
+    const std::pair<std::size_t, std::span<const std::uint8_t>> parts[] = {
+        {hot_len, view.hot_bytes(b)},
+        {view.block_stored_len(b) - hot_len, view.cold_bytes(b)}};
+    for (const auto& [len, plain] : parts) {
+      groups.push_back({cut(len), plain.size()});
       ASSERT_EQ(lz_decompress(groups.back().stored, plain.size()),
                 std::vector<std::uint8_t>(plain.begin(), plain.end()));
-      if (project) {
-        groups.push_back({cut(view.block_stored_len(b) - hot_len),
-                          view.block_size(b) * coldlayout::kStride});
-      }
     }
   }
 
@@ -985,7 +1003,7 @@ TEST(BlockViewStore, CorruptBlockFailsOnlyQueriesThatTouchIt) {
   options.checksum = true;
   std::vector<std::uint8_t> bytes = encode_binary_v3(batch, options, 8);
   const V3Regions r = locate_v3(bytes);
-  bytes[r.head_end + 8 * v2layout::kStride + 40] ^= 0x20;  // block 1
+  bytes[r.head_end + kPlainBlock8 + 40] ^= 0x20;  // block 1's hot group
 
   const std::string path = "/tmp/iotaxo_iotb3_corrupt_test.iotb3";
   {
@@ -1295,7 +1313,7 @@ TEST(StoreZeroCopy, RepeatedColdCompactNeverRewritesLiveEras) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(StoreZeroCopy, EncryptedProjectedIngestViewMatchesOwned) {
+TEST(StoreZeroCopy, EncryptedIngestViewMatchesOwned) {
   const CipherKey key = derive_key("store-test-pass");
   const std::vector<TraceEvent> events = era_events(0, 120);
   const EventBatch batch = EventBatch::from_events(events);
@@ -1303,10 +1321,9 @@ TEST(StoreZeroCopy, EncryptedProjectedIngestViewMatchesOwned) {
   options.checksum = true;
   options.encrypt = true;
   options.key = key;
-  options.project = true;
   const std::vector<std::uint8_t> bytes =
       trace::encode_binary_v3(batch, options, 16);
-  const std::string path = "/tmp/iotaxo_store_enc_proj_test.iotb3";
+  const std::string path = "/tmp/iotaxo_store_enc_test.iotb3";
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
@@ -1329,12 +1346,11 @@ TEST(StoreZeroCopy, EncryptedProjectedIngestViewMatchesOwned) {
 
   ASSERT_EQ(store.pool_infos().size(), 1u);
   EXPECT_TRUE(store.pool_infos()[0].encrypted);
-  EXPECT_TRUE(store.pool_infos()[0].projected);
   EXPECT_GT(store.pool_infos()[0].stored_bytes, 0u);
   EXPECT_EQ(store.pool_infos()[0].decoded_stored_bytes, 0u);  // still lazy
 
   // A hot-column query decodes strictly less than half the stored bytes
-  // (uncompressed projected blocks: 33 of every 81 record bytes are hot).
+  // (uncompressed blocks: 33 of every 81 record bytes are hot).
   EXPECT_EQ(store.bytes_in_window(0, 10 * kSecond),
             owned.bytes_in_window(0, 10 * kSecond));
   const auto info = store.pool_infos()[0];
@@ -1346,7 +1362,7 @@ TEST(StoreZeroCopy, EncryptedProjectedIngestViewMatchesOwned) {
   EXPECT_EQ(dfg::DfgBuilder(store).build({}), dfg::DfgBuilder(owned).build({}));
 }
 
-TEST(StoreZeroCopy, ColdCompactEncryptedProjectedErasPreserveResults) {
+TEST(StoreZeroCopy, ColdCompactEncryptedErasPreserveResults) {
   const CipherKey key = derive_key("cold-era-pass");
   UnifiedTraceStore store;
   UnifiedTraceStore owned;
@@ -1366,7 +1382,6 @@ TEST(StoreZeroCopy, ColdCompactEncryptedProjectedErasPreserveResults) {
   cold.binary.checksum = true;
   cold.binary.encrypt = true;
   cold.binary.key = key;
-  cold.binary.project = true;
   cold.block_records = 16;
   ASSERT_EQ(store.compact(static_cast<std::size_t>(-1), cold), 1u);
 
@@ -1374,7 +1389,6 @@ TEST(StoreZeroCopy, ColdCompactEncryptedProjectedErasPreserveResults) {
   ASSERT_EQ(infos.size(), 1u);
   EXPECT_TRUE(infos[0].block_backed);
   EXPECT_TRUE(infos[0].encrypted);
-  EXPECT_TRUE(infos[0].projected);
 
   EXPECT_EQ(all_queries(store), before);
   EXPECT_EQ(all_queries(store), all_queries(owned));
@@ -1397,7 +1411,6 @@ TEST(StoreZeroCopy, ParallelColdScanIsDeterministicAcrossThreadCounts) {
   trace::BinaryOptions options;
   options.compress = true;
   options.checksum = true;
-  options.project = true;
   const std::vector<std::uint8_t> bytes =
       trace::encode_binary_v3(batch, options, 16);
   const std::string path = "/tmp/iotaxo_store_parallel_scan_test.iotb3";
@@ -1469,11 +1482,10 @@ TEST(StoreZeroCopy, RankTimelineTiesKeepStoreOrder) {
   for (const EventBatch& batch : batches) {
     owned.ingest(batch, {{"framework", "test"}});
   }
-  trace::BinaryOptions projected;
-  projected.compress = true;
-  projected.project = true;
-  UnifiedTraceStore projected_store;
-  attach_containers(projected_store, batches, projected, "tie_projected");
+  trace::BinaryOptions compressed;
+  compressed.compress = true;
+  UnifiedTraceStore compressed_store;
+  attach_containers(compressed_store, batches, compressed, "tie_compressed");
   trace::BinaryOptions encrypted;
   encrypted.checksum = true;
   encrypted.encrypt = true;
@@ -1483,7 +1495,7 @@ TEST(StoreZeroCopy, RankTimelineTiesKeepStoreOrder) {
 
   const std::pair<const char*, UnifiedTraceStore*> stores[] = {
       {"owned", &owned},
-      {"projected", &projected_store},
+      {"compressed", &compressed_store},
       {"encrypted", &encrypted_store}};
   for (const auto& [kind, store] : stores) {
     for (const std::size_t threads : {1u, 4u}) {
@@ -1535,7 +1547,6 @@ TEST(StoreZeroCopy, HostileFdAndRankValuesAndManyNamesStayBounded) {
   }
   trace::BinaryOptions options;
   options.compress = true;
-  options.project = true;
   UnifiedTraceStore blocks;
   attach_containers(blocks, batches, options, "hostile_values");
 

@@ -16,24 +16,10 @@
 #                                               # root, and fail if any
 #                                               # gate field regresses
 #                                               # below its floor
-#   ./tools/check_build.sh --faults [build-dir] # ASan build + the fault/
-#                                               # recovery suites, then
-#                                               # assert failpoints are inert
-#                                               # without IOTAXO_FAILPOINTS
-#                                               # and armable through it
-#   ./tools/check_build.sh --metrics [build-dir]# build + the self-metrics
-#                                               # suite, then assert metrics
-#                                               # are inert when disarmed and
-#                                               # run tools/smoke_metrics.sh
-#                                               # (the armed CLI smoke)
-#   ./tools/check_build.sh --stream [build-dir] # build + the streaming-
-#                                               # ingest suite, then drive
-#                                               # 1000 small CLI flushes and
-#                                               # assert the era batcher kept
-#                                               # the pool count bounded and
-#                                               # the restart built its pool
-#                                               # indexes from the container
-#                                               # footers
+#
+# The full suite includes the CLI smokes (ctest metrics_smoke,
+# stream_smoke and faults_smoke: tools/smoke_*.sh), so --asan and --ubsan
+# run them under the sanitizer too.
 #
 # Bench gating convention: a bench that wants a regression gate emits a pair
 # of JSON keys, "<metric>" and "<metric>_floor". The floors live in the JSON
@@ -56,15 +42,6 @@ elif [[ "${1:-}" == "--ubsan" ]]; then
   shift
 elif [[ "${1:-}" == "--bench" ]]; then
   MODE=bench
-  shift
-elif [[ "${1:-}" == "--faults" ]]; then
-  MODE=faults
-  shift
-elif [[ "${1:-}" == "--metrics" ]]; then
-  MODE=metrics
-  shift
-elif [[ "${1:-}" == "--stream" ]]; then
-  MODE=stream
   shift
 fi
 
@@ -125,7 +102,8 @@ case "${MODE}" in
     cmake --build "${BUILD_DIR}" -j
     # The whole suite: ASan's sweet spot here is the pointer-heavy zero-copy
     # read path (views into mapped buffers, the accessor seam, the DFG
-    # miner's in-place scans), but leaks and overruns hide anywhere.
+    # miner's in-place scans), but leaks and overruns hide anywhere. The
+    # CLI smokes run the crash matrix's env-armed failpoints under it too.
     ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
     ;;
   ubsan)
@@ -136,91 +114,6 @@ case "${MODE}" in
     # loads in the scan kernels, CRC table folds, block/footer offset
     # arithmetic in the IOTB3 view).
     ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
-    ;;
-  faults)
-    BUILD_DIR="${1:-${REPO_ROOT}/build-asan}"
-    cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" -DIOTAXO_ASAN=ON
-    cmake --build "${BUILD_DIR}" -j
-    # The fault/recovery suites under ASan: the crash matrix (simulated
-    # death at every failpoint, recovery via attach_dir), torn-tmp cleanup,
-    # corrupt-pool quarantine, skip_damaged accounting — plus the
-    # hostile-input zero-copy suite, since both walk damaged containers.
-    ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" \
-      -R 'recovery_test|zero_copy_test'
-    # Failpoints must be inert when IOTAXO_FAILPOINTS is unset (the
-    # fast-path flag stays down; this is the zero-cost contract always-on
-    # capture daemons rely on)...
-    env -u IOTAXO_FAILPOINTS "${BUILD_DIR}/recovery_test" \
-      --gtest_filter='Failpoint.InactiveByDefaultAndAfterClear'
-    # ...and armable from the environment alone: an armed write failpoint
-    # must fail the CLI's durable container write cleanly, leaving no
-    # half-written target behind.
-    FAULT_TMP="$(mktemp -d)"
-    trap 'rm -rf "${FAULT_TMP}"' EXIT
-    if IOTAXO_FAILPOINTS="binary.file.write=error" \
-        "${BUILD_DIR}/iotaxo_cli" trace --framework lanl --workload mpiio \
-        --ranks 2 --binary-out "${FAULT_TMP}/x.iotb3" > /dev/null 2>&1; then
-      echo "FAULTS FAIL: env-armed failpoint did not fail the durable write"
-      exit 1
-    fi
-    if [[ -e "${FAULT_TMP}/x.iotb3" ]]; then
-      echo "FAULTS FAIL: failed durable write left a target file behind"
-      exit 1
-    fi
-    env -u IOTAXO_FAILPOINTS "${BUILD_DIR}/iotaxo_cli" trace \
-      --framework lanl --workload mpiio --ranks 2 \
-      --binary-out "${FAULT_TMP}/x.iotb3" > /dev/null
-    "${BUILD_DIR}/iotaxo_cli" fsck "${FAULT_TMP}/x.iotb3"
-    ;;
-  metrics)
-    BUILD_DIR="${1:-${REPO_ROOT}/build}"
-    cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}"
-    cmake --build "${BUILD_DIR}" -j
-    # The self-metrics suite: registry exactness under concurrency,
-    # snapshot-delta arithmetic, the decode/pool_infos cross-check, the
-    # capture and encode counters.
-    ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" \
-      -R 'metrics_test'
-    # Metrics must be inert when IOTAXO_METRICS is unset — the disarmed
-    # mirror of the --faults inertness check.
-    env -u IOTAXO_METRICS "${BUILD_DIR}/metrics_test" \
-      --gtest_filter='Metrics.InactiveByDefault'
-    # The armed CLI smoke, which tier-1 also runs as ctest's metrics_smoke.
-    "${REPO_ROOT}/tools/smoke_metrics.sh" "${BUILD_DIR}/iotaxo_cli"
-    echo "metrics ok: disarmed inert, armed CLI report complete"
-    ;;
-  stream)
-    BUILD_DIR="${1:-${REPO_ROOT}/build}"
-    cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}"
-    cmake --build "${BUILD_DIR}" -j
-    # The streaming-ingest suite: footer-indexed restarts in era order,
-    # era-ingest vs one-pool-per-flush identity, live-DFG vs cold-rebuild
-    # identity.
-    ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" \
-      -R 'stream_ingest_test'
-    # End-to-end smoke: a 1000-flush storm of small flushes must land in a
-    # bounded number of era pools (the whole point of the open batch), and
-    # a restart on the written IOTB3 era containers must build its pool
-    # indexes from their footers instead of decoding records.
-    STREAM_TMP="$(mktemp -d)"
-    trap 'rm -rf "${STREAM_TMP}"' EXIT
-    "${BUILD_DIR}/iotaxo_cli" stream --dir "${STREAM_TMP}" \
-      --flushes 1000 --events 50 > "${STREAM_TMP}/capture.out"
-    POOLS="$(sed -nE 's/^pools +: ([0-9]+).*/\1/p' "${STREAM_TMP}/capture.out")"
-    if [[ -z "${POOLS}" || "${POOLS}" -gt 32 ]]; then
-      echo "STREAM FAIL: 1000 flushes produced ${POOLS:-?} pools (want <= 32)"
-      cat "${STREAM_TMP}/capture.out"
-      exit 1
-    fi
-    "${BUILD_DIR}/iotaxo_cli" stream --dir "${STREAM_TMP}" --attach \
-      > "${STREAM_TMP}/attach.out"
-    ADOPTED="$(sed -nE 's/^indexes adopted +: ([0-9]+).*/\1/p' "${STREAM_TMP}/attach.out")"
-    if [[ -z "${ADOPTED}" || "${ADOPTED}" -eq 0 ]]; then
-      echo "STREAM FAIL: restart built ${ADOPTED:-?} indexes from footers (want > 0)"
-      cat "${STREAM_TMP}/attach.out"
-      exit 1
-    fi
-    echo "stream ok: 1000 flushes -> ${POOLS} pool(s); restart indexed ${ADOPTED} container(s) from footers"
     ;;
   bench)
     BUILD_DIR="${1:-${REPO_ROOT}/build}"

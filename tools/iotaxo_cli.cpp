@@ -4,7 +4,7 @@
 //                   [--pattern strided|nonstrided|nn] [--ranks N]
 //                   [--block BYTES] [--total BYTES] [--out DIR]
 //                   [--binary-out FILE.iotb3]
-//                   [--project] [--key PASSPHRASE] [--block-records N]
+//                   [--key PASSPHRASE] [--block-records N]
 //   iotaxo classify [--ranks N]
 //   iotaxo replay   --in DIR [--sync barriers|deps|none]
 //   iotaxo analyze  --in DIR [DIR...]
@@ -29,6 +29,7 @@
 // the older IOTB1/IOTB2 formats are rejected with an error naming the
 // version.
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -72,10 +73,35 @@ using namespace iotaxo;
 
 namespace {
 
+/// A numeric option and the values it accepts. Every value lands in an
+/// int, a uint32 or a size_t (a thread or record count), so anything
+/// outside [min, max] would wrap or start absurd work.
+struct IntOption {
+  const char* name;
+  long long min;
+  long long max;
+};
+
+constexpr IntOption kIntOptions[] = {
+    {"ranks", 1, 1 << 16},  // one simulated node per rank
+    {"block", 1, LLONG_MAX},
+    {"total", 1, LLONG_MAX},
+    {"files", 1, INT_MAX},
+    {"block-records", 1, UINT32_MAX},
+    {"threads", 0, 256},  // 0 = hardware concurrency
+    {"rank", 0, INT_MAX},
+    {"seed", 0, LLONG_MAX},
+    {"flushes", 1, INT_MAX},
+    {"events", 1, INT_MAX},
+    {"era-bytes", 1, LLONG_MAX},
+};
+
 struct Args {
   std::string command;
   std::vector<std::string> positional;
   std::map<std::string, std::string> options;
+  /// The numeric options given, parsed and range-checked by parse_args.
+  std::map<std::string, long long> ints;
 
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback = "") const {
@@ -84,9 +110,8 @@ struct Args {
   }
   [[nodiscard]] long long get_int(const std::string& key,
                                   long long fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback
-                               : std::strtoll(it->second.c_str(), nullptr, 10);
+    const auto it = ints.find(key);
+    return it == ints.end() ? fallback : it->second;
   }
 };
 
@@ -94,7 +119,6 @@ struct Args {
 [[nodiscard]] bool is_flag_option(const char* name) {
   return std::strcmp(name, "phases") == 0 ||
          std::strcmp(name, "blocks") == 0 ||
-         std::strcmp(name, "project") == 0 ||
          std::strcmp(name, "repair") == 0 ||
          std::strcmp(name, "attach") == 0 ||
          std::strcmp(name, "metrics") == 0;
@@ -120,6 +144,21 @@ Args parse_args(int argc, char** argv) {
       args.positional.emplace_back(argv[i]);
     }
   }
+  // Numeric options are parsed once, here, before any command runs.
+  for (const IntOption& opt : kIntOptions) {
+    const auto it = args.options.find(opt.name);
+    if (it == args.options.end()) {
+      continue;
+    }
+    const std::optional<long long> v = parse_decimal(it->second);
+    if (!v.has_value() || *v < opt.min || *v > opt.max) {
+      throw ConfigError(strprintf("--%s expects an integer in [%lld, %lld], "
+                                  "got '%s'",
+                                  opt.name, opt.min, opt.max,
+                                  it->second.c_str()));
+    }
+    args.ints[opt.name] = *v;
+  }
   return args;
 }
 
@@ -131,7 +170,7 @@ int usage() {
       "                   [--pattern strided|nonstrided|nn] [--ranks N]\n"
       "                   [--block BYTES] [--total BYTES] [--out DIR]\n"
       "                   [--binary-out FILE.iotb3]\n"
-      "                   [--project] [--key PASSPHRASE] [--block-records N]\n"
+      "                   [--key PASSPHRASE] [--block-records N]\n"
       "  iotaxo classify  [--ranks N]\n"
       "  iotaxo replay    --in DIR [--sync barriers|deps|none]\n"
       "  iotaxo analyze   --in DIR [--in2 DIR] [--in3 DIR]\n"
@@ -239,12 +278,10 @@ int cmd_trace(const Args& args) {
       }
     }
     // Cold-storage defaults (per-block LZ + CRC); --key additionally
-    // encrypts each block and --project splits records into hot + cold
-    // column groups.
+    // encrypts each block.
     trace::BinaryOptions options;
     options.compress = true;
     options.checksum = true;
-    options.project = !args.get("project").empty();
     const std::string passphrase = args.get("key");
     if (!passphrase.empty()) {
       options.encrypt = true;
@@ -255,7 +292,7 @@ int cmd_trace(const Args& args) {
     // overhead.
     const std::vector<std::uint8_t> bytes = trace::encode_binary_v3(
         batch, options,
-        static_cast<std::size_t>(args.get_int("block-records", 4096)));
+        static_cast<std::uint32_t>(args.get_int("block-records", 4096)));
     // Durable write (tmp + fsync + rename): a crash mid-write never
     // leaves a half-container at the target path.
     trace::write_binary_file(binary_out, bytes);
@@ -312,9 +349,9 @@ void print_call_table(const Acc& acc) {
 }
 
 // The IOTB3 footer's per-block mini-index, straight from the view — no
-// record block is decoded to print this. For projected containers the Hot
-// column shows each block's hot-group extent (what a narrow query pays);
-// the trailing line reports the container's stored-vs-decoded footprint.
+// record block is decoded to print this. The Hot column shows each block's
+// hot-group extent (what a narrow query pays); the trailing line reports
+// the container's stored-vs-decoded footprint.
 void print_block_summary(const trace::BlockView& view) {
   TextTable table({"Block", "Records", "Stored", "Hot", "Window (t+)",
                    "Index flags", "Names"});
@@ -342,22 +379,19 @@ void print_block_summary(const trace::BlockView& view) {
     table.add_row(
         {strprintf("%zu", b), strprintf("%u", view.block_size(b)),
          format_bytes(static_cast<Bytes>(view.block_stored_len(b))),
-         view.projected()
-             ? format_bytes(static_cast<Bytes>(view.block_hot_stored_len(b)))
-             : "-",
+         format_bytes(static_cast<Bytes>(view.block_hot_stored_len(b))),
          strprintf("%s .. %s",
                    format_duration(view.block_min_time(b) - base).c_str(),
                    format_duration(view.block_max_time(b) - base).c_str()),
          flags.empty() ? "-" : flags, strprintf("%zu", names)});
   }
   std::fputs(table.render().c_str(), stdout);
-  std::printf("block bytes      : %s stored, %s decoded so far%s%s\n",
+  std::printf("block bytes      : %s stored, %s decoded so far%s\n",
               format_bytes(
                   static_cast<Bytes>(view.stored_bytes_total())).c_str(),
               format_bytes(
                   static_cast<Bytes>(view.decoded_stored_bytes())).c_str(),
-              view.encrypted() ? ", encrypted" : "",
-              view.projected() ? ", projected" : "");
+              view.encrypted() ? ", encrypted" : "");
 }
 
 // The store's per-pool shape, including streaming-ingest state: whether a
@@ -391,9 +425,9 @@ void print_pool_table(const analysis::UnifiedTraceStore& store) {
 
 // Armed `stat` runs add a narrow bytes_in_window query over the middle
 // third of the container's time span: one probe that lights up the
-// index-skip and (for projected containers) hot-only-decode metrics, so a
-// single `stat --metrics-out` report shows what the block mini-indexes
-// and column projection actually save. Whole-file stats are unchanged —
+// index-skip and hot-only-decode metrics, so a single `stat --metrics-out`
+// report shows what the block mini-indexes and the hot column group
+// actually save. Whole-file stats are unchanged —
 // the probe only reads.
 void stat_window_probe(const analysis::UnifiedTraceStore& store) {
   const std::vector<analysis::StorePoolInfo> infos = store.pool_infos();
@@ -425,7 +459,7 @@ void stat_window_probe(const analysis::UnifiedTraceStore& store) {
 
 // `stat` prints a container's shape through the lazy BlockView: the file
 // is mmapped and the per-call table is computed straight off the decoded
-// fixed-stride block records — no EventBatch is ever built, even for a
+// fixed-stride column groups — no EventBatch is ever built, even for a
 // compressed or encrypted container (`--key` for encrypted files).
 int cmd_stat(const Args& args) {
   if (args.positional.empty()) {
@@ -455,10 +489,10 @@ int cmd_stat(const Args& args) {
   // cache, and the summary lines above the table come from the head and
   // footer alone.
   trace::BlockView view(file.bytes(), key_from_args(args));
-  std::printf("container        : IOTB3%s%s%s%s, block-structured\n",
+  std::printf("container        : IOTB3%s%s%s, block-structured (hot+cold "
+              "columns)\n",
               view.header().compressed ? ", compressed" : "",
               view.encrypted() ? ", encrypted (per block)" : "",
-              view.projected() ? ", projected (hot+cold columns)" : "",
               view.header().checksummed ? ", checksummed (per block, on touch)"
                                         : "");
   std::printf("records          : %zu in %zu block(s) of up to %u\n",
@@ -764,8 +798,8 @@ int cmd_anonymize(const Args& args) {
 }
 
 /// Deep-validate one container: envelope, footer, and every block's CRC
-/// (decoding each block exactly once — for projected v3 both column
-/// groups). Returns the list of problems; empty means healthy.
+/// (decoding both column groups of each block exactly once). Returns the
+/// list of problems; empty means healthy.
 [[nodiscard]] std::vector<std::string> validate_container(
     const trace::MappedTraceFile& file, const std::optional<CipherKey>& key) {
   std::vector<std::string> problems;
@@ -780,7 +814,7 @@ int cmd_anonymize(const Args& args) {
   }
   for (std::size_t b = 0; b < view->block_count(); ++b) {
     try {
-      (void)view->block_bytes(b);
+      (void)view->cold_bytes(b);  // decodes the hot group first
     } catch (const Error& err) {
       problems.push_back(strprintf("block %zu: %s", b, err.what()));
     }
@@ -951,8 +985,8 @@ int cmd_fsck(const Args& args) {
   return quarantined.empty() && tmps.empty() ? 0 : 1;
 }
 
-// `stream` exercises the streaming-ingest path end to end, and is the
-// driver behind check_build.sh --stream. The capture half synthesizes
+// `stream` exercises the streaming-ingest path end to end, and is what
+// tools/smoke_stream.sh runs. The capture half synthesizes
 // --flushes small flushes (--events each) and feeds them through a
 // streaming store — the pool table printed at the end shows the open era
 // and how few pools the flush storm produced — while mirroring the same
@@ -1033,7 +1067,8 @@ int cmd_stream(const Args& args) {
     store.ingest(flush, {{"framework", "stream"}, {"application", "smoke"}});
     era_batch.append(flush);
     // Seal the on-disk era at the same granularity the store seals its
-    // open batch: 81 bytes of fixed record plus change per event.
+    // open batch: ~96 bytes of in-memory record, arg ids and strings per
+    // event.
     if (era_batch.size() * 96 >= era_bytes) {
       write_era();
     }

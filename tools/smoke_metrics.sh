@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Armed-metrics CLI smoke: an armed capture and an armed stat must emit the
-# per-run JSON report with the instrumented layers lit up, and a disarmed
-# run must print no metrics surface. ctest runs it as `metrics_smoke`;
-# `tools/check_build.sh --metrics` runs it too.
+# Armed-metrics CLI smoke: metrics are inert when IOTAXO_METRICS is unset,
+# an armed capture and an armed stat must emit the per-run JSON report
+# with the instrumented layers lit up, and a disarmed run must print no
+# metrics surface. ctest runs it as `metrics_smoke`.
 #
-#   tools/smoke_metrics.sh path/to/iotaxo_cli
+#   tools/smoke_metrics.sh path/to/iotaxo_cli path/to/metrics_test
 set -euo pipefail
 
-CLI="${1:?usage: smoke_metrics.sh path/to/iotaxo_cli}"
+CLI="${1:?usage: smoke_metrics.sh path/to/iotaxo_cli path/to/metrics_test}"
+METRICS_TEST="${2:?usage: smoke_metrics.sh path/to/iotaxo_cli path/to/metrics_test}"
 METRICS_TMP="$(mktemp -d)"
 trap 'rm -rf "${METRICS_TMP}"' EXIT
 
@@ -16,12 +17,18 @@ fail() {
   exit 1
 }
 
-# A cold encrypted+projected multi-block container statted with
-# --metrics-out has to show decode work, stage timings, index skips, and
-# the durable write that produced the file.
+# Metrics must be inert when IOTAXO_METRICS is unset — the disarmed mirror
+# of the faults smoke's failpoint check.
+env -u IOTAXO_METRICS "${METRICS_TEST}" \
+  --gtest_filter='Metrics.InactiveByDefault' > /dev/null ||
+  fail "metrics are not inert without IOTAXO_METRICS"
+
+# A cold encrypted multi-block container statted with --metrics-out has
+# to show decode work, stage timings, index skips, and the durable write
+# that produced the file.
 "${CLI}" trace --framework lanl --workload mpiio \
   --ranks 4 --binary-out "${METRICS_TMP}/m.iotb3" --key smoke \
-  --project --block-records 256 \
+  --block-records 256 \
   --metrics-out "${METRICS_TMP}/trace_metrics.json" > /dev/null
 "${CLI}" stat "${METRICS_TMP}/m.iotb3" --key smoke \
   --metrics-out "${METRICS_TMP}/stat_metrics.json" > "${METRICS_TMP}/stat.out"
