@@ -16,14 +16,13 @@
 //   3. A live-DFG snapshot over the streamed store must be >= 2x faster
 //      than a cold DfgBuilder rebuild, and bit-identical to it.
 //
-// Emits BENCH_ingest.json. Gate floors live in the JSON next to the
-// measured values (*_floor keys) so tools/check_build.sh --bench reads
-// thresholds from the artifact instead of hard-coding them twice.
-#include <chrono>
+// Writes BENCH_ingest.json through the shared harness (bench_common.h) and
+// exits 1 when a gate or a check fails.
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "analysis/dfg/dfg.h"
@@ -50,7 +49,6 @@ constexpr std::size_t kPerSource = 4000;
 // bounded-pool-count story), large enough that an era still absorbs
 // hundreds of flushes.
 constexpr std::size_t kEraBytes = 128 * 1024;
-constexpr int kRepetitions = 3;
 
 constexpr double kIngestFloor = 3.0;
 constexpr double kRestartFloor = 5.0;
@@ -81,28 +79,6 @@ constexpr double kLiveDfgFloor = 2.0;
   return batch;
 }
 
-/// Best-of-k wall time of `fn`, in seconds.
-template <class Fn>
-[[nodiscard]] double best_seconds(Fn&& fn) {
-  double best = 1e100;
-  for (int r = 0; r < kRepetitions; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const std::chrono::duration<double> dt =
-        std::chrono::steady_clock::now() - t0;
-    best = std::min(best, dt.count());
-  }
-  return best;
-}
-
-[[nodiscard]] auto five_queries(const UnifiedTraceStore& store,
-                                SimTime span) {
-  return std::tuple{store.call_stats(), store.rank_timeline(3),
-                    store.bytes_in_window(span / 4, span / 2),
-                    store.io_rate_series(from_millis(5.0)),
-                    store.hottest_files(8)};
-}
-
 }  // namespace
 
 int main() {
@@ -126,16 +102,15 @@ int main() {
     for (const EventBatch& flush : flushes) {
       store.ingest(flush, meta);
     }
-    return std::pair{five_queries(store, flush_span), store.pool_count()};
+    return std::pair{bench::query_suite(store, flush_span),
+                     store.pool_count()};
   };
   const auto [streamed_results, streamed_pools] = ingest_to_queryable(true);
   const auto [per_flush_results, per_flush_pools] = ingest_to_queryable(false);
   const bool ingest_identical = streamed_results == per_flush_results;
-  const double per_flush_s =
-      best_seconds([&] { (void)ingest_to_queryable(false); });
-  const double streamed_s =
-      best_seconds([&] { (void)ingest_to_queryable(true); });
-  const double ingest_speedup = per_flush_s / streamed_s;
+  const bench::Pairs ingest =
+      bench::pairs([&] { (void)ingest_to_queryable(false); },
+                   [&] { (void)ingest_to_queryable(true); });
 
   // --- gate 2: restart from footer indexes --------------------------------
   const std::string dir =
@@ -176,9 +151,8 @@ int main() {
   };
   const Bytes attached_probe = restart(true);
   const Bytes decoded_probe = restart(false);
-  const double decoded_s = best_seconds([&] { (void)restart(false); });
-  const double attached_s = best_seconds([&] { (void)restart(true); });
-  const double restart_speedup = decoded_s / attached_s;
+  const bench::Pairs restarts = bench::pairs([&] { (void)restart(false); },
+                                             [&] { (void)restart(true); });
   // Identity across the full suite, not just the probe: an attached store
   // must answer everything exactly like one holding the decoded batches.
   bool restart_identical = attached_probe == decoded_probe;
@@ -188,8 +162,9 @@ int main() {
     fill(attached_store, true);
     fill(decoded_store, false);
     restart_identical =
-        restart_identical && five_queries(attached_store, source_span) ==
-                                 five_queries(decoded_store, source_span);
+        restart_identical &&
+        bench::query_suite(attached_store, source_span) ==
+            bench::query_suite(decoded_store, source_span);
   }
 
   // --- gate 3: live DFG vs cold rebuild ------------------------------------
@@ -203,16 +178,24 @@ int main() {
   const dfg::Dfg snap = live->snapshot();
   const dfg::Dfg cold = dfg::DfgBuilder(live_store).build();
   const bool dfg_identical = snap == cold;
-  const double cold_s =
-      best_seconds([&] { (void)dfg::DfgBuilder(live_store).build(); });
-  const double live_s = best_seconds([&] { (void)live->snapshot(); });
-  const double live_dfg_speedup = cold_s / live_s;
+  const bench::Pairs live_dfg =
+      bench::pairs([&] { (void)dfg::DfgBuilder(live_store).build(); },
+                   [&] { (void)live->snapshot(); });
 
-  const bool pass = ingest_identical && restart_identical && dfg_identical &&
-                    streamed_pools * 10 <= per_flush_pools &&
-                    ingest_speedup >= kIngestFloor &&
-                    restart_speedup >= kRestartFloor &&
-                    live_dfg_speedup >= kLiveDfgFloor;
+  bench::Report report("ingest");
+  report.value("flushes", kFlushes);
+  report.value("events_per_flush", kPerFlush);
+  report.value("restart_sources", kSources);
+  report.value("streamed_pools", streamed_pools);
+  report.value("per_flush_pools", per_flush_pools);
+  report.check("streamed_pools_bounded",
+               streamed_pools * 10 <= per_flush_pools);
+  report.gate("ingest_speedup", ingest.ratio, kIngestFloor);
+  report.check("ingest_identical", ingest_identical);
+  report.gate("restart_speedup", restarts.ratio, kRestartFloor);
+  report.check("restart_identical", restart_identical);
+  report.gate("live_dfg_speedup", live_dfg.ratio, kLiveDfgFloor);
+  report.check("live_dfg_identical", dfg_identical);
 
   // --- armed replay for the embedded metrics object ------------------------
   // The gated timings above ran disarmed; one armed streamed ingest plus an
@@ -221,63 +204,7 @@ int main() {
   const obs::MetricsSnapshot metrics_before = bench::metrics_baseline();
   (void)ingest_to_queryable(true);
   (void)restart(true);
-  const std::string metrics_json = bench::metrics_delta_json(metrics_before);
+  report.metrics(metrics_before);
   std::filesystem::remove_all(dir);
-
-  const std::string json = strprintf(
-      "{\n"
-      "  \"bench\": \"ingest\",\n"
-      "  \"flushes\": %zu,\n"
-      "  \"events_per_flush\": %zu,\n"
-      "  \"restart_sources\": %zu,\n"
-      "  \"streamed_pools\": %zu,\n"
-      "  \"per_flush_pools\": %zu,\n"
-      "  \"ingest_speedup\": %.2f,\n"
-      "  \"ingest_speedup_floor\": %.1f,\n"
-      "  \"ingest_identical\": %s,\n"
-      "  \"restart_speedup\": %.2f,\n"
-      "  \"restart_speedup_floor\": %.1f,\n"
-      "  \"restart_identical\": %s,\n"
-      "  \"live_dfg_speedup\": %.2f,\n"
-      "  \"live_dfg_speedup_floor\": %.1f,\n"
-      "  \"live_dfg_identical\": %s,\n"
-      "  \"metrics\": %s\n"
-      "}\n",
-      kFlushes, kPerFlush, kSources, streamed_pools, per_flush_pools,
-      ingest_speedup, kIngestFloor, ingest_identical ? "true" : "false",
-      restart_speedup, kRestartFloor, restart_identical ? "true" : "false",
-      live_dfg_speedup, kLiveDfgFloor, dfg_identical ? "true" : "false",
-      metrics_json.c_str());
-
-  std::printf("=== bench_ingest ===\n");
-  std::printf("ingest    1000 flushes -> queryable %.2fx one-pool-per-flush "
-              "(floor %.1fx) | %zu pools vs %zu\n",
-              ingest_speedup, kIngestFloor, streamed_pools, per_flush_pools);
-  std::printf("restart   attach+first query %.2fx decode+ingest (floor "
-              "%.1fx) | decoded %.1f ms, attached %.1f ms\n",
-              restart_speedup, kRestartFloor, decoded_s * 1e3,
-              attached_s * 1e3);
-  std::printf("live dfg  snapshot %.2fx cold rebuild (floor %.1fx) | cold "
-              "%.2f ms, live %.2f ms\n",
-              live_dfg_speedup, kLiveDfgFloor, cold_s * 1e3, live_s * 1e3);
-  std::printf("BENCH_JSON_BEGIN\n%sBENCH_JSON_END\n", json.c_str());
-
-  if (std::FILE* f = std::fopen("BENCH_ingest.json", "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-  }
-  if (!pass) {
-    std::fprintf(stderr,
-                 "FAIL: ingest gates (ingest %.2fx >= %.1fx: %d, restart "
-                 "%.2fx >= %.1fx: %d, live dfg %.2fx >= %.1fx: %d, "
-                 "identical ingest=%d restart=%d dfg=%d, pools %zu vs %zu)\n",
-                 ingest_speedup, kIngestFloor, ingest_speedup >= kIngestFloor,
-                 restart_speedup, kRestartFloor,
-                 restart_speedup >= kRestartFloor, live_dfg_speedup,
-                 kLiveDfgFloor, live_dfg_speedup >= kLiveDfgFloor,
-                 ingest_identical, restart_identical, dfg_identical,
-                 streamed_pools, per_flush_pools);
-    return 1;
-  }
-  return 0;
+  return report.finish();
 }

@@ -13,15 +13,15 @@
 //      ratio isolates the decompression cost.
 //   2. On the block-backed store, the narrow-probe mix must run >= 3x
 //      faster with the per-block index skips than with
-//      set_use_indexes(false). Stores are rebuilt fresh for every
-//      repetition — the decoded-block cache would otherwise let the second
-//      repetition of the unindexed run coast on blocks the first one paid
-//      for, flattering the losing side.
+//      set_use_indexes(false). Each repetition opens a fresh store, untimed
+//      — the decoded-block cache would otherwise let the second repetition
+//      of the unindexed run coast on blocks the first one paid for,
+//      flattering the losing side.
 //   3. A full first-touch scan of a checksummed, uncompressed IOTB3 view
 //      must run within 1.5x of the unchecksummed one (ratio >= 0.667): the
 //      slice-by-8 CRC pass is a small tax, not a second decode. Fresh
 //      views per repetition, since CRCs are verified once per block.
-//   4. Hard identity gates: all aggregate queries must be bit-identical
+//   4. Hard identity gates: the five store queries must be bit-identical
 //      across an owned ingest, an uncompressed block store, a compressed +
 //      checksummed block store, an encrypted block store, and plain +
 //      encrypted cold-compacted stores.
@@ -41,16 +41,13 @@
 //      otherwise a no-regression floor of 0.7 (striping overhead must stay
 //      small even when the threads just time-slice one core).
 //
-// Emits BENCH_iotb3.json; floors live next to the measured values
-// (*_floor keys) for tools/check_build.sh --bench.
-#include <algorithm>
-#include <chrono>
+// Writes BENCH_iotb3.json through the shared harness (bench_common.h) and
+// exits 1 when a gate or a check fails.
 #include <cstdio>
 #include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "analysis/unified_store.h"
@@ -60,7 +57,6 @@
 #include "trace/event_batch.h"
 #include "trace/record_view.h"
 #include "util/cipher.h"
-#include "util/strings.h"
 
 namespace {
 
@@ -71,8 +67,6 @@ using trace::RecordView;
 using trace::TraceEvent;
 
 constexpr std::size_t kEvents = 1'000'000;
-constexpr int kRanks = 32;
-constexpr int kRepetitions = 3;
 constexpr int kWindowProbes = 16;
 
 constexpr double kCompressedRatioFloor = 0.5;   // within 2x of uncompressed
@@ -80,54 +74,6 @@ constexpr double kBlockSkipFloor = 3.0;
 constexpr double kChecksumRatioFloor = 0.667;   // within 1.5x of unchecked
 constexpr double kEncryptedProbeFloor = 3.0;    // vs decode-everything
 constexpr double kProjectedSavingFloor = 2.0;   // stored / decoded bytes
-
-/// The capture-shaped stream the other benches use; event i sits at i
-/// microseconds so time windows map cleanly onto blocks.
-[[nodiscard]] std::vector<TraceEvent> synth_events() {
-  static const char* kNames[] = {"SYS_write", "SYS_read",  "SYS_lseek",
-                                 "SYS_open",  "SYS_close", "MPI_File_write_at",
-                                 "write",     "read"};
-  std::vector<TraceEvent> events;
-  events.reserve(kEvents);
-  for (std::size_t i = 0; i < kEvents; ++i) {
-    TraceEvent ev = trace::make_syscall(
-        kNames[i % (sizeof(kNames) / sizeof(kNames[0]))],
-        {"5", "65536", strprintf("%zu", (i % 4096) * 65536)}, 65536);
-    ev.rank = static_cast<int>(i % kRanks);
-    ev.node = ev.rank;
-    ev.pid = 10000 + static_cast<std::uint32_t>(ev.rank);
-    ev.host = strprintf("host%02d.lanl.gov", ev.rank);
-    ev.path = ev.rank % 2 == 0 ? "/pfs/shared/out.dat" : "/pfs/rank/out.dat";
-    ev.fd = 5;
-    ev.bytes = 65536;
-    ev.offset = static_cast<Bytes>(i % 4096) * 65536;
-    ev.local_start = static_cast<SimTime>(i) * kMicrosecond;
-    ev.duration = 3 * kMicrosecond;
-    events.push_back(std::move(ev));
-  }
-  return events;
-}
-
-template <class Fn>
-[[nodiscard]] double best_seconds(Fn&& fn) {
-  double best = 1e100;
-  for (int r = 0; r < kRepetitions; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
-
-void write_file(const std::string& path, const std::vector<std::uint8_t>& b) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr || std::fwrite(b.data(), 1, b.size(), f) != b.size()) {
-    std::fprintf(stderr, "FAIL: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fclose(f);
-}
 
 constexpr SimTime kSpan = static_cast<SimTime>(kEvents) * kMicrosecond;
 
@@ -167,16 +113,10 @@ template <class Store>
   return {writes, bytes};
 }
 
-[[nodiscard]] auto all_queries(const analysis::UnifiedTraceStore& store) {
-  return std::tuple{store.call_stats(), store.bytes_in_window(0, kSpan / 2),
-                    store.io_rate_series(from_millis(5.0)),
-                    store.hottest_files(10)};
-}
-
 }  // namespace
 
 int main() {
-  const std::vector<TraceEvent> events = synth_events();
+  const std::vector<TraceEvent> events = bench::synth_events(kEvents);
   const EventBatch batch = EventBatch::from_events(events);
 
   trace::BinaryOptions plain;  // the gate-1 baseline: no CRC, no compression
@@ -202,10 +142,11 @@ int main() {
   // same container from disk.
   const std::vector<std::uint8_t> v3_enc_bytes =
       trace::encode_binary_v3(batch, encrypted);
-  write_file(v3_plain_path, v3_plain);
-  write_file(v3_lz_path, trace::encode_binary_v3(batch, compressed));
-  write_file(v3_full_path, trace::encode_binary_v3(batch, full));
-  write_file(v3_enc_path, v3_enc_bytes);
+  trace::write_binary_file(v3_plain_path, v3_plain);
+  trace::write_binary_file(v3_lz_path,
+                           trace::encode_binary_v3(batch, compressed));
+  trace::write_binary_file(v3_full_path, trace::encode_binary_v3(batch, full));
+  trace::write_binary_file(v3_enc_path, v3_enc_bytes);
   const std::vector<std::uint8_t> v3_crc = [&] {
     trace::BinaryOptions crc_only;
     crc_only.checksum = true;
@@ -216,79 +157,57 @@ int main() {
   const analysis::UnifiedTraceStore plain_store = open_store(v3_plain_path);
   const analysis::UnifiedTraceStore lz_store = open_store(v3_lz_path);
   const Bytes probe_total = narrow_probes(plain_store);
-  const bool probe_identical = narrow_probes(lz_store) == probe_total;
-  const double uncompressed_s =
-      best_seconds([&] { (void)narrow_probes(plain_store); });
-  const double lz_s = best_seconds([&] { (void)narrow_probes(lz_store); });
-  const double compressed_ratio = uncompressed_s / lz_s;
+  bool probe_identical = narrow_probes(lz_store) == probe_total;
+  const bench::Pairs compressed_probes =
+      bench::pairs([&] { (void)narrow_probes(plain_store); },
+                   [&] { (void)narrow_probes(lz_store); });
 
   // --- gate 2: block-index skips vs full decode ----------------------------
-  // Fresh stores per repetition: the decoded-block cache must not carry
-  // between configurations or repetitions.
-  double indexed_s = 1e100;
-  double unindexed_s = 1e100;
-  bool skip_identical = true;
-  for (int r = 0; r < kRepetitions; ++r) {
-    analysis::UnifiedTraceStore store = open_store(v3_full_path);
-    auto t0 = std::chrono::steady_clock::now();
-    const Bytes with_index = narrow_probes(store);
-    auto t1 = std::chrono::steady_clock::now();
-    indexed_s = std::min(indexed_s,
-                         std::chrono::duration<double>(t1 - t0).count());
-
-    analysis::UnifiedTraceStore flat = open_store(v3_full_path);
-    flat.set_use_indexes(false);
-    t0 = std::chrono::steady_clock::now();
-    const Bytes without_index = narrow_probes(flat);
-    t1 = std::chrono::steady_clock::now();
-    unindexed_s = std::min(unindexed_s,
-                           std::chrono::duration<double>(t1 - t0).count());
-    skip_identical = skip_identical && with_index == without_index &&
-                     with_index == probe_total;
-  }
-  const double block_skip_speedup = unindexed_s / indexed_s;
+  // A fresh store per repetition, opened untimed: the decoded-block cache
+  // must not carry between configurations or repetitions.
+  const auto full_probes = [&](bool use_indexes) {
+    return [&, use_indexes](bench::Timer& timer) {
+      analysis::UnifiedTraceStore store = open_store(v3_full_path);
+      store.set_use_indexes(use_indexes);
+      const Bytes total = timer.time([&] { return narrow_probes(store); });
+      probe_identical = probe_identical && total == probe_total;
+    };
+  };
+  const bench::Pairs block_skip =
+      bench::pairs(full_probes(false), full_probes(true));
 
   // --- gate 3: per-block CRC tax on a full first-touch scan ----------------
   // Fresh views per repetition: the CRC is paid once per block per view.
-  const auto plain_scan = scan_blocks(BlockView(v3_plain));
-  const auto crc_scan = scan_blocks(BlockView(v3_crc));
-  const bool scan_identical = plain_scan == crc_scan;
-  const double plain_s =
-      best_seconds([&] { (void)scan_blocks(BlockView(v3_plain)); });
-  const double crc_s =
-      best_seconds([&] { (void)scan_blocks(BlockView(v3_crc)); });
-  const double checksum_ratio = plain_s / crc_s;
+  probe_identical = probe_identical && scan_blocks(BlockView(v3_plain)) ==
+                                           scan_blocks(BlockView(v3_crc));
+  const bench::Pairs checksummed_scan =
+      bench::pairs([&] { (void)scan_blocks(BlockView(v3_plain)); },
+                   [&] { (void)scan_blocks(BlockView(v3_crc)); });
 
   // --- gate 5: encrypted lazy probes vs decode-everything -------------------
   // The baseline decrypts and decodes the whole encrypted container into an
-  // owned batch before probing. Both sides are timed end to end (open +
-  // probes), fresh per repetition.
-  double enc_probe_s = 1e100;
-  double fallback_s = 1e100;
-  bool enc_identical = true;
-  for (int r = 0; r < kRepetitions; ++r) {
-    auto t0 = std::chrono::steady_clock::now();
-    analysis::UnifiedTraceStore enc_store;
-    enc_store.ingest_view(v3_enc_path, {{"framework", "bench"}}, key);
-    enc_store.set_query_threads(1);
-    const Bytes enc_total = narrow_probes(enc_store);
-    auto t1 = std::chrono::steady_clock::now();
-    enc_probe_s = std::min(enc_probe_s,
-                           std::chrono::duration<double>(t1 - t0).count());
-
-    t0 = std::chrono::steady_clock::now();
-    analysis::UnifiedTraceStore fallback;
-    fallback.ingest(trace::decode_binary_batch(v3_enc_bytes, key),
-                    {{"framework", "bench"}});
-    fallback.set_query_threads(1);
-    const Bytes fallback_total = narrow_probes(fallback);
-    t1 = std::chrono::steady_clock::now();
-    fallback_s = std::min(fallback_s,
-                          std::chrono::duration<double>(t1 - t0).count());
-    enc_identical = enc_identical && enc_total == probe_total &&
-                    fallback_total == probe_total;
-  }
-  const double encrypted_probe_speedup = fallback_s / enc_probe_s;
+  // owned batch before probing. Both sides time the open and the probes,
+  // fresh per repetition; the store is torn down untimed.
+  const bench::Pairs encrypted_probes = bench::pairs(
+      [&](bench::Timer& timer) {
+        analysis::UnifiedTraceStore fallback;
+        const Bytes total = timer.time([&] {
+          fallback.ingest(trace::decode_binary_batch(v3_enc_bytes, key),
+                          {{"framework", "bench"}});
+          fallback.set_query_threads(1);
+          return narrow_probes(fallback);
+        });
+        probe_identical = probe_identical && total == probe_total;
+      },
+      [&](bench::Timer& timer) {
+        analysis::UnifiedTraceStore enc_store;
+        const Bytes total = timer.time([&] {
+          enc_store.ingest_view(v3_enc_path, {{"framework", "bench"}}, key);
+          enc_store.set_query_threads(1);
+          return narrow_probes(enc_store);
+        });
+        probe_identical = probe_identical && total == probe_total;
+      });
 
   // --- gate 7: hot-only decode saving on a full-span scan ------------------
   // bytes_in_window over the whole span touches every block but needs only
@@ -307,47 +226,42 @@ int main() {
 
   // --- gate 8: block-parallel cold full scan, 1 vs 4 query threads ---------
   // call_stats over the encrypted store decodes every block's hot group;
-  // decode_blocks stripes them across the query-thread budget. The
-  // floor is hardware-aware: a single-core machine can only time-slice, so
-  // there the gate just bounds the striping overhead.
+  // decode_blocks stripes them across the query-thread budget. Each
+  // repetition opens a fresh store, untimed. The floor is hardware-aware: a
+  // single-core machine can only time-slice, so there the gate just bounds
+  // the striping overhead.
   const unsigned hw_threads = std::thread::hardware_concurrency();
   const double parallel_floor = hw_threads >= 4 ? 2.0 : 0.7;
-  double scan1_s = 1e100;
-  double scan4_s = 1e100;
-  bool parallel_identical = true;
   std::map<std::string, analysis::CallStats> scan_reference;
-  for (int r = 0; r < kRepetitions; ++r) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+  const auto cold_scan = [&](std::size_t threads) {
+    return [&, threads](bench::Timer& timer) {
       analysis::UnifiedTraceStore store;
       store.ingest_view(v3_enc_path, {{"framework", "bench"}}, key);
       store.set_query_threads(threads);
-      const auto t0 = std::chrono::steady_clock::now();
-      auto stats = store.call_stats();
-      const auto t1 = std::chrono::steady_clock::now();
-      const double s = std::chrono::duration<double>(t1 - t0).count();
-      (threads == 1 ? scan1_s : scan4_s) =
-          std::min(threads == 1 ? scan1_s : scan4_s, s);
+      auto stats = timer.time([&] { return store.call_stats(); });
       if (scan_reference.empty()) {
         scan_reference = std::move(stats);
       } else {
-        parallel_identical = parallel_identical && stats == scan_reference;
+        probe_identical = probe_identical && stats == scan_reference;
       }
-    }
-  }
-  const double parallel_scan_speedup = scan1_s / scan4_s;
+    };
+  };
+  const bench::Pairs parallel_scan = bench::pairs(cold_scan(1), cold_scan(4));
 
   // --- gate 4: v3 query identity across source kinds -----------------------
   analysis::UnifiedTraceStore owned;
   owned.ingest(batch, {{"framework", "bench"}});
   owned.set_query_threads(1);
-  const auto owned_results = all_queries(owned);
-  const analysis::UnifiedTraceStore v3_full_store = open_store(v3_full_path);
-  const bool identity_plain = all_queries(plain_store) == owned_results;
-  const bool identity_v3 = all_queries(v3_full_store) == owned_results;
+  const auto owned_results = bench::query_suite(owned, kSpan);
+  const bool identity_plain =
+      bench::query_suite(plain_store, kSpan) == owned_results;
+  const bool identity_v3 =
+      bench::query_suite(open_store(v3_full_path), kSpan) == owned_results;
   analysis::UnifiedTraceStore enc_id_store;
   enc_id_store.ingest_view(v3_enc_path, {{"framework", "bench"}}, key);
   enc_id_store.set_query_threads(1);
-  const bool identity_encrypted = all_queries(enc_id_store) == owned_results;
+  const bool identity_encrypted =
+      bench::query_suite(enc_id_store, kSpan) == owned_results;
   // Cold spills get their own scratch directories: compaction commits each
   // era through the directory's MANIFEST.iotm, so sharing the cwd would
   // leave sticky era numbering behind between bench runs.
@@ -359,7 +273,7 @@ int main() {
   cold.file_prefix = "era";
   cold.binary = full;
   (void)owned.compact(static_cast<std::size_t>(-1), cold);
-  const bool identity_cold = all_queries(owned) == owned_results;
+  const bool identity_cold = bench::query_suite(owned, kSpan) == owned_results;
   // Cold-compact straight into the finished cold-tier shape: encrypted
   // eras, reopened for swap-in with the same key.
   analysis::UnifiedTraceStore owned_sealed;
@@ -373,7 +287,30 @@ int main() {
   cold_sealed.file_prefix = "era";
   cold_sealed.binary = encrypted;
   (void)owned_sealed.compact(static_cast<std::size_t>(-1), cold_sealed);
-  const bool identity_cold_sealed = all_queries(owned_sealed) == owned_results;
+  const bool identity_cold_sealed =
+      bench::query_suite(owned_sealed, kSpan) == owned_results;
+
+  bench::Report report("iotb3");
+  report.value("events", kEvents);
+  report.value("blocks", BlockView(v3_plain).block_count());
+  report.gate("compressed_query_ratio", compressed_probes.ratio,
+              kCompressedRatioFloor);
+  report.gate("block_skip_speedup", block_skip.ratio, kBlockSkipFloor);
+  report.gate("checksummed_scan_ratio", checksummed_scan.ratio,
+              kChecksumRatioFloor);
+  report.gate("encrypted_probe_speedup", encrypted_probes.ratio,
+              kEncryptedProbeFloor);
+  report.gate("projected_decode_saving", {projected_decode_saving, 0.0},
+              kProjectedSavingFloor);
+  report.gate("parallel_scan_speedup", parallel_scan.ratio, parallel_floor);
+  report.value("hardware_threads", hw_threads);
+  report.check("identity_plain", identity_plain);
+  report.check("identity_v3", identity_v3);
+  report.check("identity_encrypted", identity_encrypted);
+  report.check("identity_cold_compact", identity_cold);
+  report.check("identity_cold_compact_sealed", identity_cold_sealed);
+  report.check("probe_results_identical", probe_identical);
+
   // --- armed replay for the embedded metrics object ------------------------
   // All gated timings above ran disarmed; a fresh encrypted store driven armed
   // (first-touch block decode, then narrow probes and a full scan) feeds
@@ -386,7 +323,7 @@ int main() {
     (void)narrow_probes(armed_store);
     (void)armed_store.call_stats();
   }
-  const std::string metrics_json = bench::metrics_delta_json(metrics_before);
+  report.metrics(metrics_before);
 
   std::filesystem::remove_all(cold_dir);
   std::filesystem::remove_all(cold_sealed_dir);
@@ -394,118 +331,5 @@ int main() {
   std::remove(v3_lz_path.c_str());
   std::remove(v3_full_path.c_str());
   std::remove(v3_enc_path.c_str());
-
-  const bool identical = probe_identical && skip_identical &&
-                         scan_identical && enc_identical &&
-                         parallel_identical && identity_plain && identity_v3 &&
-                         identity_encrypted && identity_cold &&
-                         identity_cold_sealed;
-  const bool pass = identical && compressed_ratio >= kCompressedRatioFloor &&
-                    block_skip_speedup >= kBlockSkipFloor &&
-                    checksum_ratio >= kChecksumRatioFloor &&
-                    encrypted_probe_speedup >= kEncryptedProbeFloor &&
-                    projected_decode_saving >= kProjectedSavingFloor &&
-                    parallel_scan_speedup >= parallel_floor;
-
-  const std::string json = strprintf(
-      "{\n"
-      "  \"bench\": \"iotb3\",\n"
-      "  \"events\": %zu,\n"
-      "  \"blocks\": %zu,\n"
-      "  \"compressed_query_ratio\": %.3f,\n"
-      "  \"compressed_query_ratio_floor\": %.3f,\n"
-      "  \"block_skip_speedup\": %.2f,\n"
-      "  \"block_skip_speedup_floor\": %.1f,\n"
-      "  \"checksummed_scan_ratio\": %.3f,\n"
-      "  \"checksummed_scan_ratio_floor\": %.3f,\n"
-      "  \"encrypted_probe_speedup\": %.2f,\n"
-      "  \"encrypted_probe_speedup_floor\": %.1f,\n"
-      "  \"projected_decode_saving\": %.2f,\n"
-      "  \"projected_decode_saving_floor\": %.1f,\n"
-      "  \"parallel_scan_speedup\": %.2f,\n"
-      "  \"parallel_scan_speedup_floor\": %.2f,\n"
-      "  \"hardware_threads\": %u,\n"
-      "  \"identity_plain\": %s,\n"
-      "  \"identity_v3\": %s,\n"
-      "  \"identity_encrypted\": %s,\n"
-      "  \"identity_cold_compact\": %s,\n"
-      "  \"identity_cold_compact_sealed\": %s,\n"
-      "  \"probe_results_identical\": %s,\n"
-      "  \"metrics\": %s\n"
-      "}\n",
-      kEvents, BlockView(v3_plain).block_count(), compressed_ratio,
-      kCompressedRatioFloor, block_skip_speedup, kBlockSkipFloor,
-      checksum_ratio, kChecksumRatioFloor, encrypted_probe_speedup,
-      kEncryptedProbeFloor, projected_decode_saving, kProjectedSavingFloor,
-      parallel_scan_speedup, parallel_floor, hw_threads,
-      identity_plain ? "true" : "false", identity_v3 ? "true" : "false",
-      identity_encrypted ? "true" : "false", identity_cold ? "true" : "false",
-      identity_cold_sealed ? "true" : "false",
-      (probe_identical && skip_identical && scan_identical &&
-       enc_identical && parallel_identical)
-          ? "true"
-          : "false",
-      metrics_json.c_str());
-
-  std::printf("=== bench_iotb3 ===\n");
-  std::printf("compressed  narrow probes %.3fx of uncompressed blocks "
-              "(floor %.3fx) | uncompressed %.2f ms, lz %.2f ms\n",
-              compressed_ratio, kCompressedRatioFloor, uncompressed_s * 1e3,
-              lz_s * 1e3);
-  std::printf("block-skip  indexed probes %.2fx unindexed (floor %.1fx) | "
-              "unindexed %.2f ms, indexed %.2f ms\n",
-              block_skip_speedup, kBlockSkipFloor, unindexed_s * 1e3,
-              indexed_s * 1e3);
-  std::printf("crc         checksummed scan %.3fx of unchecked "
-              "(floor %.3fx) | plain %.2f ms, crc %.2f ms\n",
-              checksum_ratio, kChecksumRatioFloor, plain_s * 1e3,
-              crc_s * 1e3);
-  std::printf("encrypted   lazy keyed probes %.2fx decode-everything "
-              "fallback (floor %.1fx) | fallback %.2f ms, lazy %.2f ms\n",
-              encrypted_probe_speedup, kEncryptedProbeFloor, fallback_s * 1e3,
-              enc_probe_s * 1e3);
-  std::printf("hot-only    full-span scan decoded 1/%.2f of stored bytes "
-              "(floor 1/%.1f)\n",
-              projected_decode_saving, kProjectedSavingFloor);
-  std::printf("parallel    encrypted cold scan %.2fx from 1 to 4 query "
-              "threads (floor %.2fx) | 1t %.2f ms, 4t %.2f ms\n",
-              parallel_scan_speedup, parallel_floor, scan1_s * 1e3,
-              scan4_s * 1e3);
-  if (hw_threads < 4) {
-    std::printf("parallel    note: hardware_concurrency=%u < 4, floor "
-                "capped to no-regression (threads time-slice one core)\n",
-                hw_threads);
-  }
-  std::printf("identity    plain=%s v3=%s enc=%s cold-compact=%s "
-              "cold-compact-sealed=%s\n",
-              identity_plain ? "yes" : "no", identity_v3 ? "yes" : "no",
-              identity_encrypted ? "yes" : "no",
-              identity_cold ? "yes" : "no",
-              identity_cold_sealed ? "yes" : "no");
-  std::printf("BENCH_JSON_BEGIN\n%sBENCH_JSON_END\n", json.c_str());
-
-  if (std::FILE* f = std::fopen("BENCH_iotb3.json", "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-  }
-  if (!pass) {
-    std::fprintf(stderr,
-                 "FAIL: iotb3 gates (compressed %.3f >= %.3f: %d, skip "
-                 "%.2f >= %.1f: %d, crc %.3f >= %.3f: %d, enc %.2f >= "
-                 "%.1f: %d, saving %.2f >= %.1f: %d, parallel %.2f >= "
-                 "%.2f: %d, identical=%d)\n",
-                 compressed_ratio, kCompressedRatioFloor,
-                 compressed_ratio >= kCompressedRatioFloor,
-                 block_skip_speedup, kBlockSkipFloor,
-                 block_skip_speedup >= kBlockSkipFloor, checksum_ratio,
-                 kChecksumRatioFloor, checksum_ratio >= kChecksumRatioFloor,
-                 encrypted_probe_speedup, kEncryptedProbeFloor,
-                 encrypted_probe_speedup >= kEncryptedProbeFloor,
-                 projected_decode_saving, kProjectedSavingFloor,
-                 projected_decode_saving >= kProjectedSavingFloor,
-                 parallel_scan_speedup, parallel_floor,
-                 parallel_scan_speedup >= parallel_floor, identical);
-    return 1;
-  }
-  return 0;
+  return report.finish();
 }

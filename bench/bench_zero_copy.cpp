@@ -12,17 +12,14 @@
 //      run >= 3x faster with the pool indexes than with
 //      set_use_indexes(false), with identical results. Measured serial so
 //      the number is the index win, not thread-pool noise.
-//   3. compact() must shrink the pool count while keeping all four
-//      aggregate queries byte-identical to the uncompacted store, serial
-//      and parallel alike.
+//   3. compact() must shrink the pool count while keeping the five store
+//      queries identical to the uncompacted store, serial and parallel
+//      alike.
 //
-// Emits BENCH_zero_copy.json. Gate floors live in the JSON next to the
-// measured values (*_floor keys) so tools/check_build.sh --bench reads
-// thresholds from the artifact instead of hard-coding them twice.
-#include <chrono>
+// Writes BENCH_zero_copy.json through the shared harness (bench_common.h)
+// and exits 1 when a gate or a check fails.
 #include <cstdio>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "analysis/unified_store.h"
@@ -30,7 +27,6 @@
 #include "trace/binary_format.h"
 #include "trace/block_view.h"
 #include "trace/event_batch.h"
-#include "util/error.h"
 #include "util/strings.h"
 
 namespace {
@@ -44,65 +40,11 @@ using trace::RecordView;
 using trace::TraceEvent;
 
 constexpr std::size_t kEvents = 200'000;
-constexpr int kRanks = 32;
-constexpr int kRepetitions = 5;
 constexpr std::size_t kStoreSources = 32;
 constexpr int kWindowProbes = 16;
 
 constexpr double kViewScanFloor = 5.0;
 constexpr double kIndexedQueryFloor = 3.0;
-
-/// The same capture-shaped stream the other pipeline benches use: a
-/// handful of call names, per-rank hosts, shared paths, distinct offset
-/// args. Event i sits at i microseconds, so the 32 store sources (chunks
-/// of kEvents/32) occupy disjoint time eras — the shape a long-lived
-/// aggregation service accumulates.
-[[nodiscard]] std::vector<TraceEvent> synth_events() {
-  static const char* kNames[] = {"SYS_write", "SYS_read",  "SYS_lseek",
-                                 "SYS_open",  "SYS_close", "MPI_File_write_at",
-                                 "write",     "read"};
-  std::vector<TraceEvent> events;
-  events.reserve(kEvents);
-  for (std::size_t i = 0; i < kEvents; ++i) {
-    TraceEvent ev = trace::make_syscall(
-        kNames[i % (sizeof(kNames) / sizeof(kNames[0]))],
-        {"5", "65536", strprintf("%zu", (i % 4096) * 65536)}, 65536);
-    ev.rank = static_cast<int>(i % kRanks);
-    ev.node = ev.rank;
-    ev.pid = 10000 + static_cast<std::uint32_t>(ev.rank);
-    ev.host = strprintf("host%02d.lanl.gov", ev.rank);
-    ev.path = ev.rank % 2 == 0 ? "/pfs/shared/out.dat" : "/pfs/rank/out.dat";
-    ev.fd = 5;
-    ev.bytes = 65536;
-    ev.offset = static_cast<Bytes>(i % 4096) * 65536;
-    ev.local_start = static_cast<SimTime>(i) * kMicrosecond;
-    ev.duration = 3 * kMicrosecond;
-    events.push_back(std::move(ev));
-  }
-  return events;
-}
-
-/// Best-of-k wall time of `fn`, in seconds.
-template <class Fn>
-[[nodiscard]] double best_seconds(Fn&& fn) {
-  double best = 1e100;
-  for (int r = 0; r < kRepetitions; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
-
-void write_file(const std::string& path, const std::vector<std::uint8_t>& b) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr || std::fwrite(b.data(), 1, b.size(), f) != b.size()) {
-    std::fprintf(stderr, "FAIL: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fclose(f);
-}
 
 [[nodiscard]] std::vector<std::uint8_t> read_file(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -159,43 +101,46 @@ struct ScanResult {
   return out;
 }
 
-/// decode-then-scan vs view open+scan over one on-disk container; returns
-/// the speedup and verifies both sides agree.
-[[nodiscard]] double view_vs_decode(const std::string& path, bool* identical) {
+/// decode-then-scan vs view open+scan over one on-disk container; checks
+/// that both sides agree.
+[[nodiscard]] bench::Pairs view_vs_decode(const std::string& path,
+                                          bool* identical) {
   ScanResult decoded_result;
-  const double decode_s = best_seconds([&] {
-    const std::vector<std::uint8_t> bytes = read_file(path);
-    const EventBatch batch = trace::decode_binary_batch(bytes);
-    decoded_result = scan_batch(batch);
-  });
   ScanResult view_result;
-  const double view_s = best_seconds([&] {
-    const MappedTraceFile file(path);
-    const BlockView view(file.bytes());
-    view_result = scan_view(view);
-  });
+  const bench::Pairs pairs = bench::pairs(
+      [&] {
+        const std::vector<std::uint8_t> bytes = read_file(path);
+        const EventBatch batch = trace::decode_binary_batch(bytes);
+        decoded_result = scan_batch(batch);
+      },
+      [&] {
+        const MappedTraceFile file(path);
+        const BlockView view(file.bytes());
+        view_result = scan_view(view);
+      });
   *identical = *identical && decoded_result == view_result;
-  return decode_s / view_s;
+  return pairs;
 }
 
 }  // namespace
 
 int main() {
-  const std::vector<TraceEvent> events = synth_events();
+  const std::vector<TraceEvent> events = bench::synth_events(kEvents);
   const EventBatch batch = EventBatch::from_events(events);
 
   // --- gate 1: in-place view vs decode -------------------------------------
   trace::BinaryOptions plain;
   plain.checksum = false;
   const std::string plain_path = "bench_zero_copy_plain.iotb3";
-  write_file(plain_path, trace::encode_binary_v3(batch, plain));
+  trace::write_binary_file(plain_path, trace::encode_binary_v3(batch, plain));
   trace::BinaryOptions checksummed;  // defaults: checksum on
   const std::string crc_path = "bench_zero_copy_crc.iotb3";
-  write_file(crc_path, trace::encode_binary_v3(batch, checksummed));
+  trace::write_binary_file(crc_path,
+                           trace::encode_binary_v3(batch, checksummed));
 
   bool scans_identical = true;
-  const double view_speedup = view_vs_decode(plain_path, &scans_identical);
-  const double view_speedup_crc = view_vs_decode(crc_path, &scans_identical);
+  const bench::Pairs view = view_vs_decode(plain_path, &scans_identical);
+  const bench::Pairs view_crc = view_vs_decode(crc_path, &scans_identical);
   std::remove(plain_path.c_str());
   std::remove(crc_path.c_str());
 
@@ -231,101 +176,52 @@ int main() {
   store.set_query_threads(1);  // isolate the index win from thread effects
   store.set_use_indexes(false);
   const auto unindexed_results = windowed_queries();
-  const double unindexed_s = best_seconds([&] { (void)windowed_queries(); });
   store.set_use_indexes(true);
-  const auto indexed_results = windowed_queries();
-  const double indexed_s = best_seconds([&] { (void)windowed_queries(); });
-  const double indexed_speedup = unindexed_s / indexed_s;
-  const bool indexed_identical = indexed_results == unindexed_results;
-
-  // --- gate 3: era compaction keeps results bit-identical ------------------
-  const auto all_queries = [&] {
-    return std::tuple{store.call_stats(), store.bytes_in_window(0, span / 2),
-                      store.io_rate_series(bucket), store.hottest_files(10)};
+  const bool indexed_identical = windowed_queries() == unindexed_results;
+  const auto windowed = [&](bool use_indexes) {
+    return [&, use_indexes](bench::Timer& timer) {
+      store.set_use_indexes(use_indexes);
+      (void)timer.time(windowed_queries);
+    };
   };
+  const bench::Pairs indexed = bench::pairs(windowed(false), windowed(true));
+  store.set_use_indexes(true);
+
+  // --- gate 3: era compaction keeps results identical ----------------------
   store.set_query_threads(1);
-  const auto before_serial = all_queries();
+  const auto before_serial = bench::query_suite(store, span);
   store.set_query_threads(4);
-  const auto before_parallel = all_queries();
+  const auto before_parallel = bench::query_suite(store, span);
   const std::size_t pools_before = store.pool_count();
   const std::size_t pools_after = store.compact(8 * kMiB);
   store.set_query_threads(1);
-  const bool compact_serial_identical = all_queries() == before_serial;
+  const bool compact_serial_identical =
+      bench::query_suite(store, span) == before_serial;
   store.set_query_threads(4);
-  const bool compact_parallel_identical = all_queries() == before_parallel;
-  const bool parallel_identical = before_parallel == before_serial;
-  const bool compacted = pools_after < pools_before;
+  const bool compact_parallel_identical =
+      bench::query_suite(store, span) == before_parallel;
 
-  const bool pass = scans_identical && indexed_identical &&
-                    parallel_identical && compact_serial_identical &&
-                    compact_parallel_identical && compacted &&
-                    view_speedup >= kViewScanFloor &&
-                    indexed_speedup >= kIndexedQueryFloor;
+  bench::Report report("zero_copy");
+  report.value("events", kEvents);
+  report.value("store_sources", kStoreSources);
+  report.gate("view_scan_speedup", view.ratio, kViewScanFloor);
+  report.value("view_scan_speedup_checksummed", view_crc.ratio.median);
+  report.check("scans_identical", scans_identical);
+  report.gate("indexed_query_speedup", indexed.ratio, kIndexedQueryFloor);
+  report.check("indexed_identical", indexed_identical);
+  report.value("pools_before", pools_before);
+  report.value("pools_after", pools_after);
+  report.check("compacted", pools_after < pools_before);
+  report.check("compaction_identical",
+               compact_serial_identical && compact_parallel_identical);
+  report.check("parallel_identical", before_parallel == before_serial);
 
   // --- armed replay for the embedded metrics object ------------------------
   // All gated timings above ran disarmed; one armed pass over the windowed
-  // mix plus the aggregate queries feeds the artifact's "metrics" object.
+  // mix plus the query suite feeds the artifact's "metrics" object.
   const obs::MetricsSnapshot metrics_before = bench::metrics_baseline();
   (void)windowed_queries();
-  (void)all_queries();
-  const std::string metrics_json = bench::metrics_delta_json(metrics_before);
-
-  const std::string json = strprintf(
-      "{\n"
-      "  \"bench\": \"zero_copy\",\n"
-      "  \"events\": %zu,\n"
-      "  \"store_sources\": %zu,\n"
-      "  \"view_scan_speedup\": %.2f,\n"
-      "  \"view_scan_speedup_floor\": %.1f,\n"
-      "  \"view_scan_speedup_checksummed\": %.2f,\n"
-      "  \"scans_identical\": %s,\n"
-      "  \"indexed_query_speedup\": %.2f,\n"
-      "  \"indexed_query_speedup_floor\": %.1f,\n"
-      "  \"indexed_identical\": %s,\n"
-      "  \"pools_before\": %zu,\n"
-      "  \"pools_after\": %zu,\n"
-      "  \"compaction_identical\": %s,\n"
-      "  \"parallel_identical\": %s,\n"
-      "  \"metrics\": %s\n"
-      "}\n",
-      kEvents, kStoreSources, view_speedup, kViewScanFloor, view_speedup_crc,
-      scans_identical ? "true" : "false", indexed_speedup, kIndexedQueryFloor,
-      indexed_identical ? "true" : "false", pools_before, pools_after,
-      (compact_serial_identical && compact_parallel_identical && compacted)
-          ? "true"
-          : "false",
-      parallel_identical ? "true" : "false", metrics_json.c_str());
-
-  std::printf("=== bench_zero_copy ===\n");
-  std::printf("view      open+scan %.2fx decode-then-scan (floor %.1fx; "
-              "checksummed file: %.2fx)\n",
-              view_speedup, kViewScanFloor, view_speedup_crc);
-  std::printf("indexes   windowed queries %.2fx unindexed (floor %.1fx) | "
-              "unindexed %.2f ms, indexed %.2f ms\n",
-              indexed_speedup, kIndexedQueryFloor, unindexed_s * 1e3,
-              indexed_s * 1e3);
-  std::printf("compact   %zu pools -> %zu | identical serial=%s parallel=%s\n",
-              pools_before, pools_after,
-              compact_serial_identical ? "yes" : "no",
-              compact_parallel_identical ? "yes" : "no");
-  std::printf("BENCH_JSON_BEGIN\n%sBENCH_JSON_END\n", json.c_str());
-
-  if (std::FILE* f = std::fopen("BENCH_zero_copy.json", "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-  }
-  if (!pass) {
-    std::fprintf(stderr,
-                 "FAIL: zero-copy gates (view %.2fx >= %.1fx: %d, indexed "
-                 "%.2fx >= %.1fx: %d, identical scan=%d idx=%d par=%d "
-                 "compact=%d/%d, compacted=%d)\n",
-                 view_speedup, kViewScanFloor, view_speedup >= kViewScanFloor,
-                 indexed_speedup, kIndexedQueryFloor,
-                 indexed_speedup >= kIndexedQueryFloor, scans_identical,
-                 indexed_identical, parallel_identical,
-                 compact_serial_identical, compact_parallel_identical,
-                 compacted);
-    return 1;
-  }
-  return 0;
+  (void)bench::query_suite(store, span);
+  report.metrics(metrics_before);
+  return report.finish();
 }

@@ -274,8 +274,7 @@ std::size_t UnifiedTraceStore::stream_append(
     }
   }
   const StorePool& era = pools_.back();
-  if (approx_batch_bytes(era.batch) >= stream_->era_bytes ||
-      (stream_->era_flushes != 0 && era.flushes >= stream_->era_flushes)) {
+  if (approx_batch_bytes(era.batch) >= stream_->era_bytes) {
     seal_open_era();
   }
   return source_index;

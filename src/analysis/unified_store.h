@@ -75,10 +75,10 @@ namespace iotaxo::analysis {
 // same shape: BatchAccess over an owned EventBatch, BlockAccess over a
 // lazily-decoded IOTB3 BlockView. Both are cheap value types; the dispatch
 // happens once per pool (UnifiedTraceStore::with_pool_access), so
-// per-record loops stay monomorphized. The seam is public so tools that
-// read pool records directly (the CLI's call table) reuse it instead of
-// materializing batches or growing friend access; analysis code scans
-// through UnifiedTraceStore::scan_pools, which walks this seam for it.
+// per-record loops stay monomorphized. The seam is public so code that
+// reads a pool directly (DfgMerge's pool-local string remap) reuses it
+// instead of materializing batches or growing friend access; queries scan
+// through UnifiedTraceStore::scan_pools, which walks this seam for them.
 //
 // Besides per-record access, every accessor exposes the *segment* seam:
 // segment_count() index-carrying record ranges (a single whole-pool
@@ -89,9 +89,9 @@ namespace iotaxo::analysis {
 // decoded column groups (hotlayout and coldlayout strides), or nullptr
 // when the pool's records are not serialized (owned batches); a scan that
 // reads only hot columns decodes only the hot group, a fraction of the
-// stored bytes. segment_prefetch() decodes a set of segments across a
-// thread pool before a serial scan walks them (block pools only — a no-op
-// for owned pools).
+// stored bytes. segment_prefetch() decodes a set of segments across
+// threads (parallel_for) before a serial scan walks them (block pools only
+// — a no-op for owned pools).
 
 struct BatchAccess {
   const trace::EventBatch* b;
@@ -480,9 +480,6 @@ struct StreamIngestOptions {
   /// Seal the open era once its approximate in-memory footprint exceeds
   /// this (the same quantity compact() sizes eras by).
   std::size_t era_bytes = 8u << 20;
-  /// Also seal after this many absorbed flushes — an age bound for
-  /// low-rate streams. 0 = no flush-count bound.
-  std::size_t era_flushes = 0;
 };
 
 /// How scans react to damaged data (sticky per-block decode failures). It

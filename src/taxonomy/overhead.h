@@ -38,7 +38,8 @@ class OverheadHarness {
                                       const mpi::Job& job);
 
   /// Block-size sweep of mpi_io_test under `base` parameters (the Figures
-  /// 2-4 experiment). Runs are independent; `parallel` uses a thread pool.
+  /// 2-4 experiment). Runs are independent; `parallel` runs them across
+  /// threads (parallel_for).
   [[nodiscard]] std::vector<OverheadPoint> sweep_block_sizes(
       frameworks::TracingFramework& framework,
       workload::MpiIoTestParams base, const std::vector<Bytes>& blocks,

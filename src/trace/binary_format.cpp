@@ -64,14 +64,6 @@ class Writer {
   std::vector<std::uint8_t> buf_;
 };
 
-[[nodiscard]] std::uint64_t load_u64(const std::uint8_t* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
 /// The two column groups of one record (hotlayout / coldlayout in
 /// record_view.h). args_begin is implicit in both: batch arg slices are
 /// contiguous in record order, so the decoder rebuilds it as a running sum.
@@ -281,8 +273,8 @@ BinaryHeader peek_binary_header(std::span<const std::uint8_t> data) {
   h.compressed = (flags & kFlagCompressed) != 0;
   h.encrypted = (flags & kFlagEncrypted) != 0;
   h.checksummed = (flags & kFlagChecksummed) != 0;
-  h.count = load_u64(data.data() + 7);
-  h.payload_length = load_u64(data.data() + 15);
+  h.count = detail::load_u64(data.data() + 7);
+  h.payload_length = detail::load_u64(data.data() + 15);
   return h;
 }
 

@@ -35,22 +35,6 @@ DecodeMetrics& metrics() {
   return m;
 }
 
-[[nodiscard]] std::uint32_t load_u32(const std::uint8_t* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-[[nodiscard]] std::uint64_t load_u64(const std::uint8_t* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
 /// The footer flag bits the hot group decides; the cold group decides the
 /// rest.
 constexpr std::uint8_t kHotFlags =
@@ -89,7 +73,7 @@ BlockView::BlockView(std::span<const std::uint8_t> data,
     }
   };
   need(4);
-  const std::uint32_t nstrings = load_u32(body.data() + pos);
+  const std::uint32_t nstrings = detail::load_u32(body.data() + pos);
   pos += 4;
   if (nstrings == 0) {
     throw FormatError("binary trace v3: empty string table");
@@ -100,7 +84,7 @@ BlockView::BlockView(std::span<const std::uint8_t> data,
   strings_.reserve(nstrings);
   for (std::uint32_t i = 0; i < nstrings; ++i) {
     need(4);
-    const std::uint32_t len = load_u32(body.data() + pos);
+    const std::uint32_t len = detail::load_u32(body.data() + pos);
     pos += 4;
     need(len);
     strings_.emplace_back(reinterpret_cast<const char*>(body.data() + pos),
@@ -116,7 +100,7 @@ BlockView::BlockView(std::span<const std::uint8_t> data,
   }
 
   need(8);
-  const std::uint64_t nargids = load_u64(body.data() + pos);
+  const std::uint64_t nargids = detail::load_u64(body.data() + pos);
   pos += 8;
   if (nargids > (body.size() - pos) / 4) {
     throw FormatError("binary trace v3: arg-id table exceeds payload");
@@ -138,7 +122,7 @@ BlockView::BlockView(std::span<const std::uint8_t> data,
   }
 
   need(4);
-  nominal_ = load_u32(body.data() + pos);
+  nominal_ = detail::load_u32(body.data() + pos);
   pos += 4;
   count_ = static_cast<std::size_t>(header_.count);
   if (count_ > 0 && nominal_ == 0) {
@@ -152,7 +136,7 @@ BlockView::BlockView(std::span<const std::uint8_t> data,
     // container key: reject a wrong key here, at open, instead of letting
     // it surface later as per-block "padding corrupt" decode failures.
     need(8);
-    const std::uint64_t key_check = load_u64(body.data() + pos);
+    const std::uint64_t key_check = detail::load_u64(body.data() + pos);
     pos += 8;
     if (key_check != xtea_encrypt_block(v3layout::kKeyCheckPlain, *key_)) {
       throw FormatError("binary trace v3: wrong key");
@@ -165,10 +149,10 @@ BlockView::BlockView(std::span<const std::uint8_t> data,
   }
   const std::uint8_t* trailer =
       body.data() + body.size() - v3layout::kTrailerSize;
-  const std::uint64_t footer_len = load_u64(trailer);
-  const std::uint64_t nblocks = load_u64(trailer + 8);
-  const std::uint32_t footer_crc = load_u32(trailer + 16);
-  const std::uint32_t footer_magic = load_u32(trailer + 20);
+  const std::uint64_t footer_len = detail::load_u64(trailer);
+  const std::uint64_t nblocks = detail::load_u64(trailer + 8);
+  const std::uint32_t footer_crc = detail::load_u32(trailer + 16);
+  const std::uint32_t footer_magic = detail::load_u32(trailer + 20);
   if (footer_magic != v3layout::kFooterMagic) {
     throw FormatError("binary trace v3: bad footer magic");
   }
@@ -208,16 +192,16 @@ BlockView::BlockView(std::span<const std::uint8_t> data,
   for (std::uint64_t b = 0; b < nblocks; ++b) {
     const std::uint8_t* e = footer_.data() + b * entry_size;
     BlockMeta m;
-    m.offset = load_u64(e + v3layout::kEntryOffset);
-    m.stored_len = load_u64(e + v3layout::kEntryStoredLen);
-    m.args_begin = load_u64(e + v3layout::kEntryArgsBegin);
-    m.records = load_u32(e + v3layout::kEntryRecords);
-    m.crc = load_u32(e + v3layout::kEntryCrc);
-    m.min_time = static_cast<SimTime>(load_u64(e + v3layout::kEntryMinTime));
-    m.max_time = static_cast<SimTime>(load_u64(e + v3layout::kEntryMaxTime));
+    m.offset = detail::load_u64(e + v3layout::kEntryOffset);
+    m.stored_len = detail::load_u64(e + v3layout::kEntryStoredLen);
+    m.args_begin = detail::load_u64(e + v3layout::kEntryArgsBegin);
+    m.records = detail::load_u32(e + v3layout::kEntryRecords);
+    m.crc = detail::load_u32(e + v3layout::kEntryCrc);
+    m.min_time = static_cast<SimTime>(detail::load_u64(e + v3layout::kEntryMinTime));
+    m.max_time = static_cast<SimTime>(detail::load_u64(e + v3layout::kEntryMaxTime));
     m.flags = e[v3layout::kEntryFlags];
-    m.cold_len = load_u64(e + v3layout::kEntryColdLen);
-    m.cold_crc = load_u32(e + v3layout::kEntryColdCrc);
+    m.cold_len = detail::load_u64(e + v3layout::kEntryColdLen);
+    m.cold_crc = detail::load_u32(e + v3layout::kEntryColdCrc);
     // Stored groups are contiguous and exactly fill the block region.
     if (m.offset != running_offset ||
         m.stored_len > blocks_.size() - running_offset) {
@@ -522,7 +506,7 @@ StrId BlockView::arg_id(std::size_t j) const {
     throw FormatError(
         strprintf("binary trace v3: arg index %zu out of range", j));
   }
-  return load_u32(args_.data() + j * 4);
+  return detail::load_u32(args_.data() + j * 4);
 }
 
 TraceEvent BlockView::materialize(std::size_t i,
@@ -563,7 +547,7 @@ EventBatch BlockView::to_batch() const {
   std::vector<StrId> arg_ids;
   arg_ids.reserve(nargids);
   for (std::size_t j = 0; j < nargids; ++j) {
-    arg_ids.push_back(load_u32(args_.data() + j * 4));
+    arg_ids.push_back(detail::load_u32(args_.data() + j * 4));
   }
   batch.reserve(count_, nargids);
   for_each([&](std::size_t /*i*/, const RecordView& rec,

@@ -33,9 +33,9 @@
 // first touches of one block elect a single decoder via a per-slot atomic
 // state machine, losers wait on a striped condvar, and every toucher of a
 // failed block sees the identical error text). decode_blocks() prefetches
-// a set of blocks across a thread pool, so multi-block scans decode in
-// parallel; per-block errors stay sticky and are rethrown deterministically
-// by the caller's serial pass.
+// a set of blocks across threads (parallel_for), so multi-block scans
+// decode in parallel; per-block errors stay sticky and are rethrown
+// deterministically by the caller's serial pass.
 //
 // Queries consult the per-block mini-index (block_min_time / block_has_name
 // / block flag accessors) to skip blocks entirely — the unified store's

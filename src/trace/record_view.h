@@ -66,13 +66,15 @@ namespace detail {
          (static_cast<std::uint32_t>(p[2]) << 16) |
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
+[[nodiscard]] inline std::uint64_t load_u64(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint64_t>(load_u32(p)) |
+         (static_cast<std::uint64_t>(load_u32(p + 4)) << 32);
+}
 [[nodiscard]] inline std::int32_t load_i32(const std::uint8_t* p) noexcept {
   return static_cast<std::int32_t>(load_u32(p));
 }
 [[nodiscard]] inline std::int64_t load_i64(const std::uint8_t* p) noexcept {
-  return static_cast<std::int64_t>(
-      static_cast<std::uint64_t>(load_u32(p)) |
-      (static_cast<std::uint64_t>(load_u32(p + 4)) << 32));
+  return static_cast<std::int64_t>(load_u64(p));
 }
 }  // namespace detail
 

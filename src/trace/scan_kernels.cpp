@@ -1,7 +1,6 @@
 #include "trace/scan_kernels.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "trace/record_view.h"
 
@@ -20,37 +19,6 @@
 namespace iotaxo::trace::scan {
 
 namespace {
-
-// Unaligned little-endian loads. On LE hosts memcpy compiles to a single
-// mov; the byte-assembled form keeps big-endian hosts correct (the wire
-// format is LE regardless of host order).
-[[nodiscard]] inline std::uint32_t load_u32(const std::uint8_t* p) noexcept {
-#if IOTAXO_LITTLE_ENDIAN
-  std::uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-#else
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-#endif
-}
-
-[[nodiscard]] inline std::uint64_t load_u64(const std::uint8_t* p) noexcept {
-#if IOTAXO_LITTLE_ENDIAN
-  std::uint64_t v;
-  std::memcpy(&v, p, 8);
-  return v;
-#else
-  return static_cast<std::uint64_t>(load_u32(p)) |
-         (static_cast<std::uint64_t>(load_u32(p + 4)) << 32);
-#endif
-}
-
-[[nodiscard]] inline std::int64_t load_i64(const std::uint8_t* p) noexcept {
-  return static_cast<std::int64_t>(load_u64(p));
-}
 
 #if IOTAXO_ARCH_X86_64
 // _mm_max_epu32 is SSE4.1; the caller dispatches on a runtime CPU check so
@@ -74,7 +42,7 @@ __attribute__((target("sse4.1"))) [[nodiscard]] std::uint32_t max_u32_sse41(
   std::uint32_t m = std::max(std::max(lanes[0], lanes[1]),
                              std::max(lanes[2], lanes[3]));
   for (; i < n; ++i) {
-    m = std::max(m, load_u32(p + i * 4));
+    m = std::max(m, detail::load_u32(p + i * 4));
   }
   return m;
 }
@@ -96,7 +64,7 @@ __attribute__((target("sse4.1"))) [[nodiscard]] std::uint32_t max_u32_sse41(
   }
   std::uint32_t m = vmaxvq_u32(best);
   for (; i < n; ++i) {
-    m = std::max(m, load_u32(p + i * 4));
+    m = std::max(m, detail::load_u32(p + i * 4));
   }
   return m;
 }
@@ -123,15 +91,15 @@ std::uint32_t max_u32_le(const std::uint8_t* p, std::size_t n) noexcept {
 #pragma omp simd reduction(max : m0, m1, m2, m3)
 #endif
   for (std::size_t j = 0; j < n / 4 * 4; j += 4) {
-    m0 = std::max(m0, load_u32(p + j * 4));
-    m1 = std::max(m1, load_u32(p + (j + 1) * 4));
-    m2 = std::max(m2, load_u32(p + (j + 2) * 4));
-    m3 = std::max(m3, load_u32(p + (j + 3) * 4));
+    m0 = std::max(m0, detail::load_u32(p + j * 4));
+    m1 = std::max(m1, detail::load_u32(p + (j + 1) * 4));
+    m2 = std::max(m2, detail::load_u32(p + (j + 2) * 4));
+    m3 = std::max(m3, detail::load_u32(p + (j + 3) * 4));
   }
   i = n / 4 * 4;
   std::uint32_t m = std::max(std::max(m0, m1), std::max(m2, m3));
   for (; i < n; ++i) {
-    m = std::max(m, load_u32(p + i * 4));
+    m = std::max(m, detail::load_u32(p + i * 4));
   }
   return m;
 }
@@ -144,7 +112,7 @@ constexpr std::size_t kStride = hotlayout::kStride;
 void minmax_stamps_hot(const std::uint8_t* recs, std::size_t n, SimTime* lo,
                        SimTime* hi) noexcept {
   const std::uint8_t* p = recs + hotlayout::kLocalStart;
-  SimTime lo0 = load_i64(p);
+  SimTime lo0 = detail::load_i64(p);
   SimTime hi0 = lo0;
   SimTime lo1 = lo0;
   SimTime hi1 = hi0;
@@ -152,15 +120,15 @@ void minmax_stamps_hot(const std::uint8_t* recs, std::size_t n, SimTime* lo,
   // 2x unrolled with independent accumulators: the min and max folds run
   // in parallel ALU ports instead of serializing on one chain.
   for (; i + 2 <= n; i += 2) {
-    const SimTime a = load_i64(p + i * kStride);
-    const SimTime b = load_i64(p + (i + 1) * kStride);
+    const SimTime a = detail::load_i64(p + i * kStride);
+    const SimTime b = detail::load_i64(p + (i + 1) * kStride);
     lo0 = std::min(lo0, a);
     hi0 = std::max(hi0, a);
     lo1 = std::min(lo1, b);
     hi1 = std::max(hi1, b);
   }
   for (; i < n; ++i) {
-    const SimTime a = load_i64(p + i * kStride);
+    const SimTime a = detail::load_i64(p + i * kStride);
     lo0 = std::min(lo0, a);
     hi0 = std::max(hi0, a);
   }
@@ -178,13 +146,13 @@ Bytes sum_transfer_bytes_in_window_hot(const std::uint8_t* recs,
   // empty name), mirroring is_transfer() in the store.
   const auto contribution = [&](const std::uint8_t* rec) noexcept -> Bytes {
     const bool is_sys = rec[hotlayout::kCls] == 0;  // EventClass::kSyscall
-    const StrId name = load_u32(rec + hotlayout::kName);
+    const StrId name = detail::load_u32(rec + hotlayout::kName);
     const bool transfer = (sys_write != 0 && name == sys_write) ||
                           (sys_read != 0 && name == sys_read);
-    const SimTime start = load_i64(rec + hotlayout::kLocalStart);
+    const SimTime start = detail::load_i64(rec + hotlayout::kLocalStart);
     const bool in_window = start >= begin && start < end;
     const auto mask = -static_cast<std::int64_t>(is_sys & transfer & in_window);
-    return load_i64(rec + hotlayout::kBytes) & mask;
+    return detail::load_i64(rec + hotlayout::kBytes) & mask;
   };
   Bytes t0 = 0;
   Bytes t1 = 0;
@@ -213,12 +181,12 @@ void accumulate_call_stats_hot(const std::uint8_t* recs, std::size_t n,
   // gathers can be hoisted and the I/O-byte contribution made branchless:
   // classes 0..2 (syscall, library call, fs op) are the I/O classes.
   const auto fold = [&](const std::uint8_t* rec) noexcept {
-    const StrId name = load_u32(rec + hotlayout::kName);
+    const StrId name = detail::load_u32(rec + hotlayout::kName);
     const auto io_mask = -static_cast<std::int64_t>(rec[hotlayout::kCls] <= 2);
     CallAccum& row = rows[name];
     ++row.count;
-    row.time += load_i64(rec + hotlayout::kDuration);
-    row.bytes += load_i64(rec + hotlayout::kBytes) & io_mask;
+    row.time += detail::load_i64(rec + hotlayout::kDuration);
+    row.bytes += detail::load_i64(rec + hotlayout::kBytes) & io_mask;
   };
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {

@@ -1,56 +1,48 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace iotaxo {
 
-ThreadPool::ThreadPool(std::size_t threads) {
+void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
+                  std::size_t threads) {
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  for (std::thread& t : workers_) {
-    t.join();
-  }
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        return;  // stopping and drained
+  threads = std::min(threads, n);
+  std::atomic<std::size_t> next{0};
+  std::mutex failure_m;
+  std::size_t failed_at = n;
+  std::exception_ptr failure;
+  const auto drain = [&] {
+    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      try {
+        fn(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(failure_m);
+        if (i < failed_at) {
+          failed_at = i;
+          failure = std::current_exception();
+        }
       }
-      task = std::move(queue_.front());
-      queue_.pop();
     }
-    task();
+  };
+  {
+    // jthread joins on destruction, so a failed thread start still waits
+    // for the threads already running before the error propagates.
+    std::vector<std::jthread> workers;
+    workers.reserve(threads);
+    for (std::size_t t = 0; t < threads; ++t) {
+      workers.emplace_back(drain);
+    }
   }
-}
-
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                  std::size_t threads) {
-  ThreadPool pool(threads);
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(pool.submit([&fn, i] { fn(i); }));
-  }
-  for (auto& f : futures) {
-    f.get();
+  if (failure) {
+    std::rethrow_exception(failure);
   }
 }
 

@@ -221,20 +221,6 @@ TEST(StreamIngest, SealSemanticsAndLargeFlushBypass) {
   EXPECT_EQ(store.pool_count(), 3u);
   EXPECT_TRUE(store.seal_open_era());
   EXPECT_FALSE(store.seal_open_era());
-
-  // era_flushes caps absorption by flush count.
-  UnifiedTraceStore capped;
-  StreamIngestOptions copts;
-  copts.era_flushes = 3;
-  capped.set_stream_ingest(copts);
-  for (int f = 0; f < 9; ++f) {
-    capped.ingest(EventBatch::from_events(flush_events(f, 4)),
-                  {{"framework", "test"}});
-  }
-  EXPECT_EQ(capped.pool_count(), 3u);
-  for (const analysis::StorePoolInfo& info : capped.pool_infos()) {
-    EXPECT_EQ(info.flushes_absorbed, 3u);
-  }
 }
 
 // A listener that throws fails the ingest and un-files it: an open-era

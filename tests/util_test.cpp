@@ -1,12 +1,16 @@
 // Unit and property tests for the util module: RNG, strings, CRC-32,
-// cipher, compression, tables, thread pool.
+// cipher, compression, tables, parallel_for.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <set>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "util/ascii_chart.h"
 #include "util/cipher.h"
@@ -491,36 +495,44 @@ TEST(Table, MarkdownRendering) {
   EXPECT_NE(md.find("---:"), std::string::npos);
 }
 
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([&counter, i] {
-      counter.fetch_add(1);
-      return i * 2;
-    }));
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  // Fewer, as many and more threads than indices, and 0 (hardware
+  // concurrency).
+  for (const std::size_t threads : {0u, 1u, 4u, 8u, 64u}) {
+    std::vector<std::atomic<int>> hits(50);
+    parallel_for(
+        hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); }, threads);
+    for (const std::atomic<int>& h : hits) {
+      EXPECT_EQ(h.load(), 1) << threads << " threads";
+    }
   }
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * 2);
-  }
-  EXPECT_EQ(counter.load(), 100);
+  parallel_for(0, [](std::size_t) { FAIL() << "ran an index of n = 0"; }, 4);
 }
 
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW((void)f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ParallelForCoversRange) {
-  std::vector<int> hits(50, 0);
-  parallel_for(50, [&](std::size_t i) { hits[i] = 1; }, 8);
-  for (const int h : hits) {
-    EXPECT_EQ(h, 1);
+TEST(ParallelFor, LowestFailingIndexWinsAndHigherIndicesStillRun) {
+  std::vector<std::atomic<int>> ran(64);
+  try {
+    parallel_for(
+        ran.size(),
+        [&](std::size_t i) {
+          ran[i].fetch_add(1);
+          if (i == 5) {
+            // Fail last in time: the index, not the clock, picks the winner.
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          }
+          if (i % 8 == 5) {
+            throw std::runtime_error(strprintf("boom %zu", i));
+          }
+        },
+        4);
+    FAIL() << "parallel_for swallowed the failures";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom 5");
+  }
+  for (const std::atomic<int>& r : ran) {
+    EXPECT_EQ(r.load(), 1);
   }
 }
-
 
 TEST(AsciiChart, RendersSeriesAndAxes) {
   ChartSeries up{"up", 'o', {0.0, 1.0, 2.0, 3.0}};

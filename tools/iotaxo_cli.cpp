@@ -38,6 +38,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/aggregate_timing.h"
@@ -115,13 +116,35 @@ struct Args {
   }
 };
 
-/// Options that are bare flags (no value token follows them).
-[[nodiscard]] bool is_flag_option(const char* name) {
-  return std::strcmp(name, "phases") == 0 ||
-         std::strcmp(name, "blocks") == 0 ||
-         std::strcmp(name, "repair") == 0 ||
-         std::strcmp(name, "attach") == 0 ||
-         std::strcmp(name, "metrics") == 0;
+/// The options each command accepts: `values` take the next token as
+/// their value, `flags` stand alone. Every command also accepts the flag
+/// --metrics and the value option --metrics-out.
+struct CommandOptions {
+  const char* command;
+  std::vector<std::string_view> values;
+  std::vector<std::string_view> flags;
+};
+
+const CommandOptions kCommands[] = {
+    {"trace",
+     {"framework", "workload", "pattern", "ranks", "block", "total", "files",
+      "out", "binary-out", "key", "block-records"},
+     {}},
+    {"classify", {"ranks"}, {}},
+    {"replay", {"in", "sync"}, {}},
+    {"analyze", {"in", "in2", "in3"}, {}},
+    {"anonymize", {"in", "out", "mode", "key", "seed"}, {}},
+    {"stat", {"key"}, {"blocks"}},
+    {"dfg", {"rank", "dot", "json", "compare", "threads", "key"},
+     {"phases", "blocks"}},
+    {"fsck", {"key"}, {"repair"}},
+    {"stream", {"dir", "flushes", "events", "era-bytes", "key"}, {"attach"}},
+    {"metrics", {"out"}, {}},
+};
+
+[[nodiscard]] bool lists(const std::vector<std::string_view>& names,
+                         std::string_view name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
 }
 
 Args parse_args(int argc, char** argv) {
@@ -129,20 +152,31 @@ Args parse_args(int argc, char** argv) {
   if (argc >= 2) {
     args.command = argv[1];
   }
+  const auto spec = std::find_if(
+      std::begin(kCommands), std::end(kCommands),
+      [&](const CommandOptions& c) { return args.command == c.command; });
+  if (spec == std::end(kCommands)) {
+    return args;  // no such command: run_command prints the usage
+  }
   for (int i = 2; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) == 0) {
-      if (is_flag_option(argv[i] + 2)) {
-        args.options[argv[i] + 2] = "1";
-        continue;
-      }
-      if (i + 1 >= argc) {
-        throw ConfigError(strprintf("missing value for '%s'", argv[i]));
-      }
-      args.options[argv[i] + 2] = argv[i + 1];
-      ++i;
-    } else {
+    if (std::strncmp(argv[i], "--", 2) != 0) {
       args.positional.emplace_back(argv[i]);
+      continue;
     }
+    const std::string_view name = argv[i] + 2;
+    if (name == "metrics" || lists(spec->flags, name)) {
+      args.options[std::string(name)] = "1";
+      continue;
+    }
+    if (name != "metrics-out" && !lists(spec->values, name)) {
+      throw ConfigError(strprintf("'%s' does not accept %s",
+                                  args.command.c_str(), argv[i]));
+    }
+    if (i + 1 >= argc) {
+      throw ConfigError(strprintf("missing value for '%s'", argv[i]));
+    }
+    args.options[std::string(name)] = argv[i + 1];
+    ++i;
   }
   // Numeric options are parsed once, here, before any command runs.
   for (const IntOption& opt : kIntOptions) {
@@ -304,46 +338,27 @@ int cmd_trace(const Args& args) {
   return 0;
 }
 
-// Per-call tallies keyed by interned name id — one flat vector, no maps.
-// Works through the store's public accessor seam, the same one every
-// analysis query scans through.
-template <class Acc>
-void print_call_table(const Acc& acc) {
-  struct CallTally {
-    long long count = 0;
-    Bytes bytes = 0;
-    SimTime time = 0;
-  };
-  std::vector<CallTally> tallies(acc.string_count());
-  const std::size_t n = acc.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& rec = acc.record(i);
-    CallTally& tally = tallies[rec.name];
-    ++tally.count;
-    tally.time += rec.duration;
-    if (rec.is_io_call()) {
-      tally.bytes += rec.bytes;
-    }
+// The per-call table from the store's call_stats(), which scans only the
+// hot column group: the cold groups stay compressed. Rows run by event
+// count, then by name.
+void print_call_table(const analysis::UnifiedTraceStore& store) {
+  const std::map<std::string, analysis::CallStats> stats = store.call_stats();
+  std::vector<const std::pair<const std::string, analysis::CallStats>*> rows;
+  for (const auto& row : stats) {
+    rows.push_back(&row);
   }
-  std::vector<trace::StrId> order;
-  for (trace::StrId id = 0; id < tallies.size(); ++id) {
-    if (tallies[id].count > 0) {
-      order.push_back(id);
-    }
-  }
-  std::sort(order.begin(), order.end(), [&](trace::StrId a, trace::StrId b) {
-    return tallies[a].count > tallies[b].count;
+  std::stable_sort(rows.begin(), rows.end(), [](const auto* a, const auto* b) {
+    return a->second.count > b->second.count;
   });
 
   TextTable table({"Call", "Events", "Bytes", "Total time"});
   for (std::size_t c = 1; c < 4; ++c) {
     table.set_align(c, Align::kRight);
   }
-  for (const trace::StrId id : order) {
-    const CallTally& tally = tallies[id];
-    table.add_row({std::string(acc.string(id)),
-                   strprintf("%lld", tally.count), format_bytes(tally.bytes),
-                   format_duration(tally.time)});
+  for (const auto* row : rows) {
+    table.add_row({row->first, strprintf("%lld", row->second.count),
+                   format_bytes(row->second.total_bytes),
+                   format_duration(row->second.total_time)});
   }
   std::fputs(table.render().c_str(), stdout);
 }
@@ -505,15 +520,15 @@ int cmd_stat(const Args& args) {
   if (!args.get("blocks").empty()) {
     print_block_summary(view);
   }
-  // Tally through the unified store rather than the bare view so `stat`
-  // exercises — and its metrics account for — the same accessor seam every
-  // analysis query scans through. The filed view shares the lazy decode
-  // cache with the probe above, so no block is decoded twice and the decode
-  // metrics cross-check pool_infos() exactly.
+  // Tally through the store's call_stats query, so `stat` runs — and its
+  // metrics account for — the same hot-only scan every query runs. The
+  // filed view shares the lazy decode cache with the window probe below, so
+  // no block is decoded twice and the decode metrics cross-check
+  // pool_infos() exactly.
   analysis::UnifiedTraceStore store;
   store.ingest_view(std::move(file), std::move(view),
                     {{"framework", "iotb"}, {"application", path}});
-  store.with_pool_access(0, [](const auto& acc) { print_call_table(acc); });
+  print_call_table(store);
   if (obs::enabled()) {
     stat_window_probe(store);
   }

@@ -40,9 +40,10 @@ env -u IOTAXO_FAILPOINTS "${CLI}" trace \
 "${CLI}" fsck "${FAULT_TMP}/x.iotb3" > /dev/null ||
   fail "fsck rejected the container the disarmed run wrote"
 
-# Numeric options are parsed before any work starts: a negative, garbage
-# or out-of-range value exits 1 and writes nothing. (The dfg case reads
-# the 4-block container above.)
+# Options are checked before any work starts: a negative, garbage or
+# out-of-range numeric value, or an option the command does not accept,
+# exits 1 with a config error that names the option, and writes nothing.
+# (The dfg and stat cases read the 4-block container above.)
 expect_refused() {
   local what="$1" out="$2"
   shift 2
@@ -51,6 +52,8 @@ expect_refused() {
   [[ "${rc}" -eq 1 ]] || fail "${what}: exit ${rc}, want 1"
   grep -q "config error" "${FAULT_TMP}/err.txt" ||
     fail "${what}: no config error on stderr"
+  grep -qF -- "${what%% *}" "${FAULT_TMP}/err.txt" ||
+    fail "${what}: the error does not name ${what%% *}"
   [[ -e "${out}" ]] && fail "${what}: wrote ${out}"
   return 0
 }
@@ -62,4 +65,9 @@ expect_refused "--threads -1" "${FAULT_TMP}/dfg.json" \
 expect_refused "--ranks abc" "${FAULT_TMP}/abc.iotb3" \
   trace --framework lanl --workload mpiio --ranks abc \
   --binary-out "${FAULT_TMP}/abc.iotb3"
-echo "faults smoke ok: failpoints inert unset, armable from the environment; bad numeric options refused"
+expect_refused "--block-recordz 256" "${FAULT_TMP}/typo.iotb3" \
+  trace --framework lanl --workload mpiio --ranks 2 --block-recordz 256 \
+  --binary-out "${FAULT_TMP}/typo.iotb3"
+expect_refused "--project" "${FAULT_TMP}/none" \
+  stat "${FAULT_TMP}/x.iotb3" --project 1
+echo "faults smoke ok: failpoints inert unset, armable from the environment; bad and unknown options refused"

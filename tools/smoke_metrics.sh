@@ -57,10 +57,13 @@ for key in block.encode.compress_ns block.encode.crc_ns \
     fail "armed trace timed no '${key}'"
   fi
 done
-# The armed stat run decoded blocks and skipped others by index.
+# The armed stat run decoded blocks and skipped others by index, and its
+# call table and window probe read hot column groups only.
 if grep -q '"block.decode.stored_bytes": 0' "${METRICS_TMP}/stat_metrics.json"; then
   fail "armed stat reported zero decoded bytes"
 fi
+grep -q '"block.decode.full_blocks": 0' "${METRICS_TMP}/stat_metrics.json" ||
+  fail "armed stat decoded cold column groups"
 if grep -q '"store.query.segments_skipped": 0' "${METRICS_TMP}/stat_metrics.json"; then
   fail "armed stat's window probe skipped no blocks"
 fi
